@@ -3,12 +3,11 @@
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigurationError
 from .experiments import build_scene, coherence_report, monte_carlo_stability, run_scenario
-from .foldy_lax import save_response_matrix
+from .io import run_directory, save_response_matrix
 
 
 def _add_common(sub):
@@ -53,18 +52,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        out = Path(args.out)
         if args.command == "simulate":
             scene = build_scene(cfg, cfg.seed)
-            run_dir = out / cfg.scenario_id / str(cfg.seed)
-            run_dir.mkdir(parents=True, exist_ok=True)
+            run_dir = run_directory(args.out, cfg, cfg.seed)
             save_response_matrix(run_dir / "response.csv", scene.noisy)
-            (run_dir / "config.ini").write_text(cfg.raw_text or "# built in memory\n")
             print(f"wrote {run_dir / 'response.csv'}")
         elif args.command == "image":
             if args.methods:
                 cfg.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-            reports = run_scenario(cfg, cfg.seed, out_dir=out)
+            reports = run_scenario(cfg, cfg.seed, out_dir=args.out)
             for r in reports:
                 status = "exact" if r.support_exact else "inexact"
                 extra = f" [{r.error}]" if r.error else ""
@@ -72,12 +68,12 @@ def main(argv=None) -> int:
                       f"recall={r.recall:.3f}{extra}")
         elif args.command == "stability":
             rows = monte_carlo_stability(cfg, realizations=args.realizations,
-                                         out_dir=out)
+                                         out_dir=args.out)
             for row in rows:
                 print(f"aperture={row['aperture']:g} {row['method']}: "
                       f"success={row['success_rate']:.2f}")
         elif args.command == "coherence":
-            report = coherence_report(cfg, out_dir=out)
+            report = coherence_report(cfg, out_dir=args.out)
             print(f"grid coherence={report['grid_coherence']:.6f} "
                   f"margin={report['margin']:.6f} certified={report['certified']}")
         return 0

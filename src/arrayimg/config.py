@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
-__all__ = ["ScenarioConfig", "load_config", "parse_length"]
+__all__ = ["ScenarioConfig", "load_config", "parse_length", "parse_illuminations"]
 
 
 def parse_length(text, correlation_length=None) -> float:
@@ -27,6 +27,23 @@ def parse_length(text, correlation_length=None) -> float:
                 "correlation length is configured")
         return float(s[:-1]) * correlation_length
     return float(s)
+
+
+def parse_illuminations(spec: str, n: int) -> tuple:
+    """Parse ``central | element:<i> | random:<k> | optimal:<k>`` for an
+    ``n``-element array into ``(kind, value)``; ``central`` carries ``n // 2``.
+    """
+    text = str(spec).strip()
+    if text == "central":
+        return text, n // 2
+    kind, _, value = text.partition(":")
+    low, high = (0, n - 1) if kind == "element" else (1, n)
+    if kind in ("element", "random", "optimal") and value.strip().isdecimal() \
+            and low <= int(value) <= high:
+        return kind, int(value)
+    raise ConfigurationError(
+        f"illumination spec {spec!r} is not central, element:<i> (0 <= i < {n}), "
+        f"random:<k> or optimal:<k> (1 <= k <= {n})")
 
 
 def _floats(text):
@@ -192,4 +209,7 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigurationError(f"unknown methods {sorted(unknown)}; valid: {sorted(valid)}")
     if cfg.forward not in ("auto", "foldy-lax", "born"):
         raise ConfigurationError(f"unknown forward model {cfg.forward!r}")
+    for spec in (cfg.illuminations, cfg.km_illuminations):
+        if spec is not None:
+            parse_illuminations(spec, cfg.n)
     return cfg

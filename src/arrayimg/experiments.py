@@ -7,20 +7,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig
-from .errors import ConfigurationError
+from .config import ScenarioConfig, parse_illuminations
+from .errors import ConfigurationError, DomainError
 from .geometry import (WaveContext, build_image_window, build_linear_array,
                        place_scatterers)
-from .greens import (mutual_coherence, sensing_matrix, theorem1_margin,
-                     write_coherence_report)
-from .foldy_lax import (response_matrix_born, response_matrix_foldy_lax,
-                        save_response_matrix)
+from .greens import mutual_coherence, sensing_matrix, theorem1_margin
+from .foldy_lax import response_matrix_born, response_matrix_foldy_lax
 from .random_medium import (RandomMediumSpec, region_for, response_matrix_random,
                             sample_field)
 from .sparse_solvers import SolverParams, theorem2_error_bound
 from .imaging import (image_hybrid_l1, image_km, image_mmv, image_music,
-                      image_smv, optimal_illuminations, select_rank,
-                      write_image_csv, write_pgm, write_support_csv)
+                      image_smv, optimal_illuminations, select_rank)
+from .io import (run_directory, save_response_matrix, write_certificates_csv,
+                 write_coherence_report, write_image_csv, write_monte_carlo_csv,
+                 write_pgm, write_report_csv, write_support_csv, write_timings_csv)
 
 __all__ = [
     "NoiseSpec",
@@ -31,7 +31,6 @@ __all__ = [
     "run_scenario",
     "monte_carlo_stability",
     "coherence_report",
-    "write_report_csv",
 ]
 
 
@@ -136,28 +135,15 @@ def build_scene(cfg: ScenarioConfig, seed: int, aperture: float | None = None) -
                  response=response, noisy=noisy, noise_matrix=noise_matrix)
 
 
-def _illuminations(kind: str, scene: Scene, rng: np.random.Generator) -> np.ndarray:
+def _illuminations(spec: str, scene: Scene, rng: np.random.Generator) -> np.ndarray:
     n = scene.sensing.n
-    if kind == "central":
-        f = np.zeros((n, 1), dtype=complex)
-        f[n // 2, 0] = 1.0
-        return f
-    if kind.startswith("element:"):
-        idx = int(kind.split(":", 1)[1])
-        f = np.zeros((n, 1), dtype=complex)
-        f[idx, 0] = 1.0
-        return f
-    if kind.startswith("random:"):
-        count = int(kind.split(":", 1)[1])
-        picks = rng.choice(n, size=count, replace=False)
-        f = np.zeros((n, count), dtype=complex)
-        for j, p in enumerate(picks):
-            f[p, j] = 1.0
-        return f
-    if kind.startswith("optimal:"):
-        count = int(kind.split(":", 1)[1])
-        return optimal_illuminations(scene.noisy, count)
-    raise ConfigurationError(f"unknown illumination spec {kind!r}")
+    kind, value = parse_illuminations(spec, n)
+    if kind == "optimal":
+        return optimal_illuminations(scene.noisy, value)
+    picks = rng.choice(n, size=value, replace=False) if kind == "random" else [value]
+    f = np.zeros((n, len(picks)), dtype=complex)
+    f[picks, np.arange(len(picks))] = 1.0
+    return f
 
 
 def _solver_params(cfg: ScenarioConfig, delta: float) -> SolverParams:
@@ -207,7 +193,8 @@ def run_trial(scene: Scene, method: str, seed: int):
             result = image_km(data, f, scene.sensing, peak_count=max(truth.m, 1))
         else:
             raise ConfigurationError(f"unknown method {method!r}")
-    except Exception as exc:  # abort the trial, record the failure
+    except (ConfigurationError, DomainError, np.linalg.LinAlgError) as exc:
+        # the method cannot run on this scene: record the failed trial
         error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - start
 
@@ -236,24 +223,6 @@ def run_trial(scene: Scene, method: str, seed: int):
     return report, result
 
 
-def write_report_csv(path, reports) -> None:
-    """Deterministic trial table (wall times live in a separate file)."""
-    with open(path, "w") as fh:
-        fh.write("method,scenario,seed,support_exact,precision,recall,"
-                 "reflectivity_error,error\n")
-        for r in reports:
-            err = "" if np.isnan(r.reflectivity_error) else f"{r.reflectivity_error:.12g}"
-            fh.write(f"{r.method},{r.scenario_id},{r.seed},{int(r.support_exact)},"
-                     f"{r.precision:.12g},{r.recall:.12g},{err},{r.error}\n")
-
-
-def _write_timings_csv(path, reports) -> None:
-    with open(path, "w") as fh:
-        fh.write("method,seed,wall_time_s\n")
-        for r in reports:
-            fh.write(f"{r.method},{r.seed},{r.wall_time:.6f}\n")
-
-
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  out_dir=None) -> list:
     """Full pipeline for one seed: forward model, noise, every configured
@@ -269,11 +238,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             results[method] = result
 
     if out_dir is not None:
-        run_dir = Path(out_dir) / cfg.scenario_id / str(seed)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "config.ini").write_text(cfg.raw_text or "# built in memory\n")
+        run_dir = run_directory(out_dir, cfg, seed)
         write_report_csv(run_dir / "report.csv", reports)
-        _write_timings_csv(run_dir / "timings.csv", reports)
+        write_timings_csv(run_dir / "timings.csv", reports)
         save_response_matrix(run_dir / "response.csv", scene.noisy)
         for method, result in results.items():
             write_support_csv(run_dir / f"{method}_support.csv", result,
@@ -319,13 +286,7 @@ def monte_carlo_stability(cfg: ScenarioConfig, realizations: int | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"{cfg.scenario_id}_stability.csv", "w") as fh:
-            fh.write("aperture,method,success_rate,mean_precision,mean_recall,"
-                     "realizations\n")
-            for row in rows:
-                fh.write(f"{row['aperture']:.12g},{row['method']},"
-                         f"{row['success_rate']:.12g},{row['mean_precision']:.12g},"
-                         f"{row['mean_recall']:.12g},{row['realizations']}\n")
+        write_monte_carlo_csv(out / f"{cfg.scenario_id}_stability.csv", rows)
     return rows
 
 
@@ -366,9 +327,6 @@ def coherence_report(cfg: ScenarioConfig, out_dir=None) -> dict:
         margins = {m: margin} if m else {}
         write_coherence_report(out / f"{cfg.scenario_id}_coherence.csv",
                                eps, pair, margins)
-        with open(out / f"{cfg.scenario_id}_certificates.csv", "w") as fh:
-            fh.write("delta,m,epsilon,theorem2_bound,verdict\n")
-            for delta, bound, verdict in bounds:
-                b = "" if np.isnan(bound) else f"{bound:.12g}"
-                fh.write(f"{delta:.12g},{m},{eps_for_margin:.12g},{b},{verdict}\n")
+        write_certificates_csv(out / f"{cfg.scenario_id}_certificates.csv",
+                               m, eps_for_margin, bounds)
     return report

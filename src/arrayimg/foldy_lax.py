@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResonanceError
 from .geometry import ReflectivityVector
-from .greens import SensingMatrix, pairwise_green_matrix, save_matrix_csv
+from .greens import SensingMatrix, pairwise_green_matrix
 
 __all__ = [
     "FoldyLaxMatrix",
@@ -19,7 +19,6 @@ __all__ = [
     "effective_source_vector",
     "simulate_data",
     "multiple_scattering_ratio",
-    "save_response_matrix",
 ]
 
 CONDITION_CAP = 1e8
@@ -82,18 +81,18 @@ def foldy_lax_matrix(reflectivities, greens) -> FoldyLaxMatrix:
     return FoldyLaxMatrix(matrix=z, reflectivities=alphas)
 
 
-def solve_exciting_fields(z: FoldyLaxMatrix, incident: np.ndarray,
-                          condition_cap: float = CONDITION_CAP) -> np.ndarray:
-    """Solve Z * Phi_e = Phi_inc for the exciting fields (dense direct solve)."""
+def solve_exciting_fields(z: FoldyLaxMatrix, incident: np.ndarray) -> np.ndarray:
+    """Solve Z * Phi_e = Phi_inc (one column per illumination) by a dense
+    direct solve; a 2-norm condition number above ``CONDITION_CAP`` raises."""
     incident = np.asarray(incident, dtype=complex)
     if incident.shape[0] != z.size:
         raise ConfigurationError("incident field length does not match system size")
     if z.size == 0:
         return incident.copy()
     cond = np.linalg.cond(z.matrix)
-    if not np.isfinite(cond) or cond > condition_cap:
+    if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise ResonanceError(
-            f"Foldy-Lax system is near-resonant (cond ~ {cond:.3e} > {condition_cap:.1e})",
+            f"Foldy-Lax system is near-resonant (cond ~ {cond:.3e} > {CONDITION_CAP:.1e})",
             condition_estimate=float(cond),
         )
     return np.linalg.solve(z.matrix, incident)
@@ -108,21 +107,15 @@ def _support_system(sensing: SensingMatrix, rho: ReflectivityVector):
     return support, alphas, g_sub, foldy_lax_matrix(alphas, greens)
 
 
-def response_matrix_foldy_lax(sensing: SensingMatrix, rho: ReflectivityVector,
-                              condition_cap: float = CONDITION_CAP) -> ResponseMatrix:
+def response_matrix_foldy_lax(sensing: SensingMatrix, rho: ReflectivityVector) -> ResponseMatrix:
     """Full multiple-scattering response, computed on the scatterer support."""
     n = sensing.n
     support, alphas, g_sub, z = _support_system(sensing, rho)
     if support.size == 0:
         return ResponseMatrix(matrix=np.zeros((n, n), dtype=complex), provenance="foldy-lax")
-    cond = np.linalg.cond(z.matrix)
-    if not np.isfinite(cond) or cond > condition_cap:
-        raise ResonanceError(
-            f"Foldy-Lax system is near-resonant (cond ~ {cond:.3e} > {condition_cap:.1e})",
-            condition_estimate=float(cond),
-        )
-    # P = G diag(alpha) Z^{-1} G^T restricted to the support columns
-    inner = np.linalg.solve(z.matrix, g_sub.T)  # (M, N)
+    # P = G diag(alpha) Z^{-1} G^T restricted to the support columns; column
+    # j of Z^{-1} G^T holds the exciting fields of element j's illumination
+    inner = solve_exciting_fields(z, g_sub.T)  # (M, N)
     mat = (g_sub * alphas[None, :]) @ inner
     return ResponseMatrix(matrix=mat, provenance="foldy-lax")
 
@@ -140,8 +133,7 @@ def response_matrix_born(sensing: SensingMatrix, rho: ReflectivityVector) -> Res
 
 
 def effective_source_vector(sensing: SensingMatrix, rho: ReflectivityVector,
-                            illumination: np.ndarray,
-                            condition_cap: float = CONDITION_CAP) -> EffectiveSourceVector:
+                            illumination: np.ndarray) -> EffectiveSourceVector:
     """Ground-truth effective sources diag(rho) Z^{-1} G^T f on the full grid."""
     f = np.asarray(illumination, dtype=complex)
     if f.shape[0] != sensing.n:
@@ -150,7 +142,7 @@ def effective_source_vector(sensing: SensingMatrix, rho: ReflectivityVector,
     support, alphas, g_sub, z = _support_system(sensing, rho)
     if support.size:
         incident = g_sub.T @ f
-        exciting = solve_exciting_fields(z, incident, condition_cap=condition_cap)
+        exciting = solve_exciting_fields(z, incident)
         values[support] = alphas * exciting
     return EffectiveSourceVector(values=values, illumination=f)
 
@@ -174,9 +166,3 @@ def multiple_scattering_ratio(rho: ReflectivityVector, illumination: np.ndarray,
     if denom == 0:
         raise DomainError("single-scattering field is zero; ratio undefined")
     return float(np.linalg.norm(full.matrix @ f - single) / denom)
-
-
-def save_response_matrix(path, resp: ResponseMatrix) -> None:
-    """CSV export (re,im interleaved) with a JSON header line."""
-    header = {"n": resp.n, "provenance": resp.provenance, "seed": resp.seed}
-    save_matrix_csv(path, resp.matrix, header=header)

@@ -134,17 +134,17 @@ class ReflectivityVector:
         return int(self.support.size)
 
 
-def build_linear_array(n: int, pitch: float, center_cross_range: float = 0.0) -> ArrayGeometry:
+def build_linear_array(n: int, pitch: float) -> ArrayGeometry:
     """Linear array of ``n`` transducers on the line range = 0.
 
-    The array is centered at ``center_cross_range``; aperture is
-    ``(n - 1) * pitch``.
+    The array is centered at cross-range 0, under the image window; aperture
+    is ``(n - 1) * pitch``.
     """
     if n < 1:
         raise ConfigurationError("transducer count must be >= 1")
     if pitch <= 0:
         raise ConfigurationError("pitch must be positive")
-    cross = center_cross_range + (np.arange(n) - (n - 1) / 2.0) * pitch
+    cross = (np.arange(n) - (n - 1) / 2.0) * pitch
     positions = np.column_stack([cross, np.zeros(n)])
     if n > 1:
         gaps = np.diff(cross)

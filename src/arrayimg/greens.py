@@ -1,11 +1,10 @@
 """Homogeneous Green's function, sensing matrix and coherence diagnostics."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .geometry import ArrayGeometry, ImageWindow, WaveContext
 
 __all__ = [
@@ -17,9 +16,6 @@ __all__ = [
     "sensing_matrix",
     "mutual_coherence",
     "theorem1_margin",
-    "save_matrix_csv",
-    "load_matrix_csv",
-    "write_coherence_report",
 ]
 
 _COINCIDENCE_TOL = 1e-14
@@ -52,48 +48,49 @@ class SensingMatrix:
         return self.matrix.shape[1]
 
 
+def _green(sources, targets, ctx: WaveContext, pairwise: bool = False) -> np.ndarray:
+    """Kernel exp(i*kappa*r) / (4*pi*r) from every source point to every
+    target point, shape ``(len(sources), len(targets))``.
+
+    ``pairwise`` marks ``targets`` as ``sources`` itself: the self pairs on
+    the diagonal are skipped by the coincidence check and set to zero.
+    """
+    sources = np.asarray(sources, dtype=float).reshape(-1, 2)
+    targets = np.asarray(targets, dtype=float).reshape(-1, 2)
+    r = np.linalg.norm(sources[:, None, :] - targets[None, :, :], axis=2)
+    if pairwise:
+        np.fill_diagonal(r, 1.0)
+    close = r <= _COINCIDENCE_TOL
+    if close.any():
+        i, j = np.argwhere(close)[0]
+        raise DomainError(f"source {i} coincides with target {j} "
+                          "(Green's function singularity)")
+    g = np.exp(1j * ctx.wavenumber * r) / (4.0 * np.pi * r)
+    if pairwise:
+        np.fill_diagonal(g, 0.0)
+    return g
+
+
 def green_homogeneous(x, y, ctx: WaveContext) -> complex:
     """Free-space kernel exp(i*kappa*r) / (4*pi*r) between two points."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = float(np.linalg.norm(x - y))
-    if r <= _COINCIDENCE_TOL:
-        raise DomainError("coincident source and receiver (Green's function singularity)")
-    return np.exp(1j * ctx.wavenumber * r) / (4.0 * np.pi * r)
+    return _green(x, y, ctx)[0, 0]
 
 
 def green_vector(geom: ArrayGeometry, y, ctx: WaveContext) -> GreensVector:
     """Green's vector from point ``y`` to all transducers."""
     y = np.asarray(y, dtype=float)
-    r = np.linalg.norm(geom.positions - y[None, :], axis=1)
-    if np.any(r <= _COINCIDENCE_TOL):
-        raise DomainError("point coincides with a transducer")
-    values = np.exp(1j * ctx.wavenumber * r) / (4.0 * np.pi * r)
-    return GreensVector(values=values, source=y, ctx=ctx)
+    return GreensVector(values=_green(geom.positions, y, ctx)[:, 0], source=y, ctx=ctx)
 
 
 def pairwise_green_matrix(points: np.ndarray, ctx: WaveContext) -> np.ndarray:
     """Symmetric matrix of Green's values between distinct points; zero diagonal."""
-    pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    off = ~np.eye(len(pts), dtype=bool)
-    if np.any(r[off] <= _COINCIDENCE_TOL):
-        raise DomainError("coincident points in pairwise Green's matrix")
-    g = np.zeros_like(r, dtype=complex)
-    g[off] = np.exp(1j * ctx.wavenumber * r[off]) / (4.0 * np.pi * r[off])
-    return g
+    return _green(points, points, ctx, pairwise=True)
 
 
 def sensing_matrix(geom: ArrayGeometry, window: ImageWindow, ctx: WaveContext) -> SensingMatrix:
     """Assemble the N x K sensing matrix for the array/window pair."""
-    diff = geom.positions[:, None, :] - window.points[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    bad = np.nonzero(np.any(r <= _COINCIDENCE_TOL, axis=0))[0]
-    if bad.size:
-        raise DomainError(f"grid point {int(bad[0])} coincides with a transducer")
-    mat = np.exp(1j * ctx.wavenumber * r) / (4.0 * np.pi * r)
-    return SensingMatrix(matrix=mat, geom=geom, window=window, ctx=ctx)
+    return SensingMatrix(matrix=_green(geom.positions, window.points, ctx),
+                         geom=geom, window=window, ctx=ctx)
 
 
 def mutual_coherence(mat, block_size: int = 4096):
@@ -136,52 +133,3 @@ def theorem1_margin(epsilon: float, m: int) -> float:
     if m < 0:
         raise DomainError("sparsity count must be nonnegative")
     return 0.5 - epsilon * m
-
-
-def save_matrix_csv(path, matrix: np.ndarray, header: dict | None = None) -> None:
-    """Write a complex matrix as CSV rows of interleaved re,im pairs.
-
-    An optional header dict is stored as a single ``#``-prefixed JSON line.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    with open(path, "w") as fh:
-        if header is not None:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        for row in m:
-            cells = []
-            for z in row:
-                cells.append(f"{z.real:.17g}")
-                cells.append(f"{z.imag:.17g}")
-            fh.write(",".join(cells) + "\n")
-
-
-def load_matrix_csv(path):
-    """Inverse of :func:`save_matrix_csv`; returns ``(matrix, header_or_None)``."""
-    header = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header = json.loads(line.lstrip("# "))
-                continue
-            vals = np.array([float(tok) for tok in line.split(",")])
-            if vals.size % 2:
-                raise ConfigurationError("odd number of fields in re,im CSV row")
-            rows.append(vals[0::2] + 1j * vals[1::2])
-    if not rows:
-        raise ConfigurationError(f"no matrix rows found in {path}")
-    return np.vstack(rows), header
-
-
-def write_coherence_report(path, epsilon: float, pair, margins: dict) -> None:
-    """CSV report with the coherence, maximizing pair and per-M margins."""
-    with open(path, "w") as fh:
-        fh.write("quantity,value\n")
-        fh.write(f"coherence,{epsilon:.17g}\n")
-        fh.write(f"argmax_i,{pair[0]}\n")
-        fh.write(f"argmax_j,{pair[1]}\n")
-        for m_count, margin in sorted(margins.items()):
-            fh.write(f"margin_m{m_count},{margin:.17g}\n")

@@ -1,5 +1,5 @@
 """Imaging pipelines: two-step SMV/MMV, optimal illuminations, hybrid-l1,
-MUSIC and Kirchhoff migration, plus rank selection and export helpers."""
+MUSIC and Kirchhoff migration, plus rank selection."""
 
 from dataclasses import dataclass, field, replace
 
@@ -9,7 +9,7 @@ from .errors import ConfigurationError, DomainError
 from .greens import SensingMatrix, pairwise_green_matrix
 from .foldy_lax import ResponseMatrix
 from .sparse_solvers import (SolverParams, solve_l1_smv, solve_l1_mmv,
-                             rowsupp, theorem2_error_bound)
+                             theorem2_error_bound)
 
 __all__ = [
     "ImagingResult",
@@ -25,13 +25,14 @@ __all__ = [
     "image_km",
     "km_complex_image",
     "hybrid_certificate",
-    "write_support_csv",
-    "write_image_csv",
-    "write_pgm",
 ]
 
 SCREEN_FLOOR_REL = 1e-12
 RANK_TOL = 1e-8
+# admits the weak-scatterer MUSIC peaks that heavy noise pushes well below
+# half height
+MUSIC_PEAK_FLOOR = 0.25
+PEAK_SEPARATION = 2  # lattice cells (Chebyshev distance) between listed peaks
 
 
 @dataclass
@@ -75,30 +76,19 @@ def select_rank(singular_values, relative_threshold: float = 0.05,
 
 
 def _step1_support(sol, params: SolverParams, coherence, sparsity,
-                   column_norms):
+                   sensing: SensingMatrix):
     """Support after step one: Theorem-2 floor when usable, else threshold.
 
     The stability floor lives in the unit-column frame, so recovered
     magnitudes are weighted by their sensing-column norms before the
     comparison.
     """
-    mags = np.abs(sol.solution) if sol.solution.ndim == 1 \
-        else np.abs(sol.solution).max(axis=1)
     if (params.delta > 0 and coherence is not None and sparsity is not None
             and (sparsity - 1) * coherence < 1):
         floor = theorem2_error_bound(params.delta, sparsity, coherence).detection_floor
-        return np.flatnonzero(mags * column_norms > floor)
-    if sol.solution.ndim == 1:
-        return sol.support
-    return rowsupp(sol.solution, params.support_threshold)
-
-
-def _exciting_fields(support, gamma_supp, illumination, sensing: SensingMatrix):
-    """Total fields at the support points from recovered effective sources."""
-    pts = sensing.window.points[support]
-    g_sub = sensing.matrix[:, support]
-    pair = pairwise_green_matrix(pts, sensing.ctx)
-    return g_sub.T @ illumination + pair @ gamma_supp
+        mags = np.abs(sol.solution).reshape(sensing.k, -1).max(axis=1)
+        return np.flatnonzero(mags * np.linalg.norm(sensing.matrix, axis=0) > floor)
+    return sol.support
 
 
 def reflectivities_from_sources(support, gamma_supp, illumination,
@@ -113,12 +103,51 @@ def reflectivities_from_sources(support, gamma_supp, illumination,
     support = np.asarray(support, dtype=int)
     gamma_supp = np.asarray(gamma_supp, dtype=complex)
     f = np.asarray(illumination, dtype=complex)
-    exciting = _exciting_fields(support, gamma_supp, f, sensing)
+    pair = pairwise_green_matrix(sensing.window.points[support], sensing.ctx)
+    exciting = sensing.matrix[:, support].T @ f + pair @ gamma_supp
     floor = SCREEN_FLOOR_REL * np.linalg.norm(f)
     screened = np.abs(exciting) < floor
     values = np.full(support.size, complex(np.nan, np.nan))
     values[~screened] = gamma_supp[~screened] / exciting[~screened]
     return values, screened
+
+
+def _diagnostics(sol, screened, **extra) -> dict:
+    return {"iterations": sol.iterations, "residual": sol.residual_norm,
+            "converged": sol.converged, "screened": screened, **extra}
+
+
+def _two_step_result(method, sol, illuminations, sensing: SensingMatrix,
+                     params: SolverParams, coherence, sparsity) -> ImagingResult:
+    """Step two on the step-one solution ``sol`` (one column per illumination).
+
+    Reflectivities are estimated per illumination on the common support and
+    averaged, skipping illuminations in which the component is screened; a
+    component screened in every illumination is NaN.
+    """
+    support = _step1_support(sol, params, coherence, sparsity, sensing)
+    sources = sol.solution.reshape(sensing.k, -1)
+    reflectivity = np.zeros(sensing.k, dtype=complex)
+    screened = []
+    if support.size:
+        estimates = np.zeros((support.size, illuminations.shape[1]), dtype=complex)
+        valid = np.zeros(estimates.shape, dtype=bool)
+        for j in range(illuminations.shape[1]):
+            values, screen_mask = reflectivities_from_sources(
+                support, sources[support, j], illuminations[:, j], sensing)
+            valid[:, j] = ~screen_mask
+            estimates[~screen_mask, j] = values[~screen_mask]
+        for local, idx in enumerate(support):
+            if valid[local].any():
+                reflectivity[idx] = estimates[local, valid[local]].mean()
+            else:
+                screened.append(int(idx))
+                reflectivity[idx] = complex(np.nan, np.nan)
+    return ImagingResult(method=method, support=np.sort(support),
+                         reflectivity=reflectivity,
+                         image=np.abs(np.nan_to_num(reflectivity)),
+                         diagnostics=_diagnostics(sol, screened,
+                                                  effective_sources=sol.solution))
 
 
 def image_smv(b, illumination, sensing: SensingMatrix,
@@ -134,29 +163,9 @@ def image_smv(b, illumination, sensing: SensingMatrix,
     never silently assigned).
     """
     params = params or SolverParams()
-    f = np.asarray(illumination, dtype=complex)
+    f = np.asarray(illumination, dtype=complex)[:, None]
     sol = solve_l1_smv(sensing.matrix, b, params)
-    support = _step1_support(sol, params, coherence, sparsity,
-                             np.linalg.norm(sensing.matrix, axis=0))
-
-    reflectivity = np.zeros(sensing.k, dtype=complex)
-    screened = []
-    if support.size:
-        values, screen_mask = reflectivities_from_sources(
-            support, sol.solution[support], f, sensing)
-        reflectivity[support] = values
-        screened = [int(i) for i in support[screen_mask]]
-    diagnostics = {
-        "iterations": sol.iterations,
-        "residual": sol.residual_norm,
-        "converged": sol.converged,
-        "screened": screened,
-        "effective_sources": sol.solution,
-    }
-    return ImagingResult(method="smv", support=np.sort(support),
-                         reflectivity=reflectivity,
-                         image=np.abs(np.nan_to_num(reflectivity)),
-                         diagnostics=diagnostics)
+    return _two_step_result("smv", sol, f, sensing, params, coherence, sparsity)
 
 
 def image_mmv(data, illuminations, sensing: SensingMatrix,
@@ -178,37 +187,7 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
     if b.shape[1] != f.shape[1]:
         raise ConfigurationError("data and illumination column counts differ")
     sol = solve_l1_mmv(sensing.matrix, b, params)
-    support = _step1_support(sol, params, coherence, sparsity,
-                             np.linalg.norm(sensing.matrix, axis=0))
-
-    reflectivity = np.zeros(sensing.k, dtype=complex)
-    screened = []
-    if support.size:
-        estimates = np.zeros((support.size, f.shape[1]), dtype=complex)
-        valid = np.zeros((support.size, f.shape[1]), dtype=bool)
-        for j in range(f.shape[1]):
-            values, screen_mask = reflectivities_from_sources(
-                support, sol.solution[support, j], f[:, j], sensing)
-            valid[:, j] = ~screen_mask
-            estimates[~screen_mask, j] = values[~screen_mask]
-        counts = valid.sum(axis=1)
-        for local, idx in enumerate(support):
-            if counts[local] == 0:
-                screened.append(int(idx))
-                reflectivity[idx] = complex(np.nan, np.nan)
-            else:
-                reflectivity[idx] = estimates[local, valid[local]].mean()
-    diagnostics = {
-        "iterations": sol.iterations,
-        "residual": sol.residual_norm,
-        "converged": sol.converged,
-        "screened": screened,
-        "effective_sources": sol.solution,
-    }
-    return ImagingResult(method="mmv", support=np.sort(support),
-                         reflectivity=reflectivity,
-                         image=np.abs(np.nan_to_num(reflectivity)),
-                         diagnostics=diagnostics)
+    return _two_step_result("mmv", sol, f, sensing, params, coherence, sparsity)
 
 
 def optimal_illuminations(resp: ResponseMatrix, count: int) -> np.ndarray:
@@ -259,61 +238,41 @@ def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
     support = sol.support
     reflectivity = np.zeros(sensing.k, dtype=complex)
     reflectivity[support] = sol.solution[support]
-    diagnostics = {
-        "iterations": sol.iterations,
-        "residual": sol.residual_norm,
-        "converged": sol.converged,
-        "screened": [],
-        "rank": m_tilde,
-        "delta": delta_h,
-    }
     return ImagingResult(method="hybrid-l1", support=np.sort(support),
                          reflectivity=reflectivity,
                          image=np.abs(reflectivity),
-                         diagnostics=diagnostics)
+                         diagnostics=_diagnostics(sol, [], rank=m_tilde, delta=delta_h))
 
 
 def _local_maxima(values: np.ndarray, rows: int, cols: int, count: int,
-                  floor_fraction: float = 0.5, min_separation: int = 2):
+                  floor_fraction: float = 0.5):
     """Top lattice peaks: 4-neighbor maxima, descending, separation-limited."""
     grid = values.reshape(rows, cols)
     top = grid.max()
     if top <= 0:
         return np.array([], dtype=int)
-    candidates = []
-    for r in range(rows):
-        for c in range(cols):
-            v = grid[r, c]
-            if v <= floor_fraction * top:
-                continue
-            if r > 0 and grid[r - 1, c] > v:
-                continue
-            if r < rows - 1 and grid[r + 1, c] > v:
-                continue
-            if c > 0 and grid[r, c - 1] > v:
-                continue
-            if c < cols - 1 and grid[r, c + 1] > v:
-                continue
-            candidates.append((v, r, c))
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+    peak = grid > floor_fraction * top
+    peak[1:, :] &= ~(grid[:-1, :] > grid[1:, :])
+    peak[:-1, :] &= ~(grid[1:, :] > grid[:-1, :])
+    peak[:, 1:] &= ~(grid[:, :-1] > grid[:, 1:])
+    peak[:, :-1] &= ~(grid[:, 1:] > grid[:, :-1])
+    rs, cs = np.nonzero(peak)  # row-major, so a stable sort breaks ties by (row, col)
+    order = np.argsort(-grid[rs, cs], kind="stable")
     picked = []
-    for v, r, c in candidates:
+    for r, c in zip(rs[order].tolist(), cs[order].tolist()):
         if len(picked) >= count:
             break
-        if all(max(abs(r - pr), abs(c - pc)) >= min_separation for pr, pc in picked):
+        if all(max(abs(r - pr), abs(c - pc)) >= PEAK_SEPARATION for pr, pc in picked):
             picked.append((r, c))
     return np.sort(np.array([r * cols + c for r, c in picked], dtype=int))
 
 
 def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
-                m_tilde: int | None = None,
-                peak_floor: float = 0.25) -> ImagingResult:
+                m_tilde: int | None = None) -> ImagingResult:
     """Noise-subspace projection functional, normalized to peak at one.
 
-    Peaks are 4-neighbor local maxima above ``peak_floor`` times the global
-    maximum, separation-limited and capped at the signal rank.  The floor
-    default admits the weak-scatterer peaks that heavy noise pushes well
-    below half height.
+    Peaks are 4-neighbor local maxima above ``MUSIC_PEAK_FLOOR`` times the
+    global maximum, separation-limited and capped at the signal rank.
     """
     u, s, _ = resp.svd()
     if m_tilde is None:
@@ -329,7 +288,7 @@ def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
     functional = norms.min() / norms
     window = sensing.window
     support = _local_maxima(functional, window.rows, window.cols, m_tilde,
-                            floor_fraction=peak_floor)
+                            floor_fraction=MUSIC_PEAK_FLOOR)
     diagnostics = {"rank": m_tilde, "screened": []}
     return ImagingResult(method="music", support=support,
                          reflectivity=np.zeros(sensing.k, dtype=complex),
@@ -418,36 +377,3 @@ def hybrid_certificate(hybrid: HybridSystem, support) -> dict:
                 "certified": bool(ds_norm < 1 - de_norm),
             }
     return report
-
-
-def write_support_csv(path, result: ImagingResult, window) -> None:
-    """CSV of recovered components: index,row,col,re,im,abs,flag."""
-    screened = set(result.screened)
-    with open(path, "w") as fh:
-        fh.write("index,row,col,re,im,abs,flag\n")
-        for idx in result.support:
-            row, col = window.index_to_rowcol(int(idx))
-            z = result.reflectivity[idx]
-            flag = "screened" if int(idx) in screened else "ok"
-            fh.write(f"{int(idx)},{row},{col},{z.real:.12g},{z.imag:.12g},"
-                     f"{abs(z):.12g},{flag}\n")
-
-
-def write_image_csv(path, result: ImagingResult, window) -> None:
-    """Row-major magnitude grid, one CSV row per lattice row."""
-    grid = np.nan_to_num(result.image).reshape(window.rows, window.cols)
-    with open(path, "w") as fh:
-        for r in range(window.rows):
-            fh.write(",".join(f"{v:.12g}" for v in grid[r]) + "\n")
-
-
-def write_pgm(path, result: ImagingResult, window) -> None:
-    """Plain (P2) portable graymap normalized so the peak maps to 255."""
-    grid = np.nan_to_num(result.image).reshape(window.rows, window.cols)
-    top = grid.max()
-    scaled = np.zeros_like(grid, dtype=int) if top <= 0 \
-        else np.rint(grid / top * 255).astype(int)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{window.cols} {window.rows}\n255\n")
-        for r in range(window.rows):
-            fh.write(" ".join(str(v) for v in scaled[r]) + "\n")

@@ -31,8 +31,6 @@ __all__ = [
     "estimate_stability_ratio",
     "stability_bound",
     "paraxial_ratio",
-    "write_stability_csv",
-    "write_field_csv",
 ]
 
 # normalized kernels R(t) with R(0) = 1, plus dR/dt / t in closed form and the
@@ -395,20 +393,3 @@ def paraxial_ratio(geom: ArrayGeometry, xi: float, eta: float, ctx: WaveContext,
              * np.sinc(xi * l / (lam * range_distance))
              * np.sinc(eta * l / (lam * range_distance)))
     return float(256.0 * np.pi ** 2 * gauss * (l / a) ** 2 * sincs)
-
-
-def write_stability_csv(path, rows) -> None:
-    """CSV of (aperture, ratio_estimate, std_error, closed_form_bound) rows."""
-    with open(path, "w") as fh:
-        fh.write("aperture,ratio_estimate,std_error,closed_form_bound\n")
-        for aperture, est, se, bound in rows:
-            fh.write(f"{aperture:.12g},{est:.12g},{se:.12g},{bound:.12g}\n")
-
-
-def write_field_csv(path, field: RandomFieldRealization) -> None:
-    """Lattice dump of one realization for inspection."""
-    with open(path, "w") as fh:
-        fh.write(f"# origin={field.origin[0]:.12g},{field.origin[1]:.12g} "
-                 f"spacing={field.spacing:.12g} seed={field.seed}\n")
-        for row in field.values:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")

@@ -25,23 +25,21 @@ __all__ = [
     "brute_force_l0",
     "rowsupp",
     "theorem2_error_bound",
-    "write_trace_csv",
 ]
 
 FEASIBILITY_SLACK = 1e-8
+# regularization weight as a fraction of max |A^H b| (row norms in MMV mode)
+BETA_FRACTION = 0.05
+# step size on the operator rescaled to unit spectral norm, i.e.
+# 0.9 / ||A||_2^2 with ||A||_2 from 20 power-iteration steps
+STEP_SIZE = 0.9
 
 
 @dataclass
 class SolverParams:
-    """Knobs of the proximal iteration.
-
-    ``beta`` and ``step_size`` default to data-driven choices:
-    ``0.05 * max |A^H b|`` and ``0.9 / ||A||_2^2`` (20 power-iteration steps).
-    """
+    """Knobs of the proximal iteration."""
 
     delta: float = 0.0
-    beta: float | None = None
-    step_size: float | None = None
     max_iterations: int = 50_000
     tolerance: float = 1e-8
     support_threshold: float = 0.1
@@ -50,10 +48,6 @@ class SolverParams:
     def __post_init__(self):
         if self.delta < 0:
             raise ConfigurationError("noise radius delta must be nonnegative")
-        if self.beta is not None and self.beta <= 0:
-            raise ConfigurationError("regularization weight must be positive")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ConfigurationError("step size must be positive")
         if not 0 <= self.support_threshold < 1:
             raise ConfigurationError("support threshold must lie in [0, 1)")
 
@@ -118,8 +112,8 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
     """Shared SMV/MMV proximal loop; ``b`` is (N,) or (N, v).
 
     The operator is rescaled to unit spectral norm (solution-invariant:
-    ``A x = b`` iff ``(A/s) x = b/s``), so the auto step ``0.9 / ||A~||_2^2``
-    is 0.9 and the coupled multiplier update is stable.
+    ``A x = b`` iff ``(A/s) x = b/s``), so the step ``0.9 / ||A~||_2^2`` is
+    ``STEP_SIZE`` and the coupled multiplier update is stable.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -135,14 +129,10 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
     slack = FEASIBILITY_SLACK / scale
 
     atb = a.conj().T @ b
-    if params.beta is None:
-        if row_mode:
-            beta = 0.05 * float(np.max(np.linalg.norm(atb, axis=1)))
-        else:
-            beta = 0.05 * float(np.max(np.abs(atb)))
+    if row_mode:
+        beta = BETA_FRACTION * float(np.max(np.linalg.norm(atb, axis=1)))
     else:
-        beta = params.beta
-    tau = 0.9 if params.step_size is None else params.step_size
+        beta = BETA_FRACTION * float(np.max(np.abs(atb)))
 
     shrink = _soft_rows if row_mode else _soft_entries
     x = np.zeros_like(atb)
@@ -167,7 +157,7 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
         # the part outside the delta-ball, so delta = 0 reduces to the pure
         # equality scheme
         grad_term = a.conj().T @ (z + r)
-        x_new = shrink(x + tau * grad_term, tau * beta)
+        x_new = shrink(x + STEP_SIZE * grad_term, STEP_SIZE * beta)
 
         if params.trace_every and it % params.trace_every == 0:
             obj = float(np.sum(np.linalg.norm(x_new, axis=1))) if row_mode \
@@ -179,7 +169,7 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
             after = _merit(a, b, z, x_new, beta, delta, row_mode)
             merit_violation = max(merit_violation,
                                   (after - before) / max(1.0, abs(before)))
-        z = z + tau * r_eff
+        z = z + STEP_SIZE * r_eff
         x = x_new
         if it % 50 == 0:
             change = np.linalg.norm(x - snapshot)
@@ -296,10 +286,3 @@ def theorem2_error_bound(delta: float, m: int, epsilon: float) -> Theorem2Bound:
         raise DomainError("stability hypothesis (M - 1) eps < 1 violated")
     value = delta / np.sqrt(1.0 - (m - 1) * epsilon)
     return Theorem2Bound(error_bound=float(value), detection_floor=float(value))
-
-
-def write_trace_csv(path, trace) -> None:
-    with open(path, "w") as fh:
-        fh.write("iteration,objective,residual\n")
-        for it, obj, res in trace:
-            fh.write(f"{it},{obj:.17g},{res:.17g}\n")

@@ -89,3 +89,14 @@ class TestCli:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ConfigurationError"
+
+    @pytest.mark.parametrize("spec", ["centrl", "element:80", "random:0", "optimal:x"])
+    def test_bad_illumination_spec_returns_one(self, spec, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CONFIG.replace("illuminations = central",
+                                      f"illuminations = {spec}"))
+        rc = main(["image", "--config", str(bad), "--out", str(tmp_path / "runs")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert not (tmp_path / "runs").exists()

@@ -5,7 +5,8 @@ from arrayimg.config import ScenarioConfig, load_config, parse_length
 from arrayimg.errors import ConfigurationError
 from arrayimg.experiments import (NoiseSpec, add_noise, build_scene,
                                   coherence_report, monte_carlo_stability,
-                                  run_scenario, run_trial, write_report_csv)
+                                  run_scenario, run_trial)
+from arrayimg.io import write_report_csv
 
 SMALL_INI = """
 [wave]
@@ -170,6 +171,15 @@ class TestRunTrial:
         assert not report.support_exact
         assert "ConfigurationError" in report.error
         assert result is None
+
+    def test_programming_error_propagates(self, small_cfg, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+
+        monkeypatch.setattr("arrayimg.experiments.image_music", broken)
+        scene = build_scene(small_cfg, seed=3)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_trial(scene, "music", seed=3)
 
     def test_reflectivity_error_metric(self, small_cfg):
         scene = build_scene(small_cfg, seed=3)

@@ -4,13 +4,14 @@ import pytest
 from arrayimg.errors import ConfigurationError, DomainError, ResonanceError
 from arrayimg.geometry import (WaveContext, build_image_window,
                                build_linear_array, place_scatterers)
-from arrayimg.greens import (green_homogeneous, load_matrix_csv,
+from arrayimg.greens import (green_homogeneous,
                              pairwise_green_matrix, sensing_matrix)
 from arrayimg.foldy_lax import (effective_source_vector,
                                 foldy_lax_matrix, multiple_scattering_ratio,
                                 response_matrix_born, response_matrix_foldy_lax,
-                                save_response_matrix, simulate_data,
+                                simulate_data,
                                 solve_exciting_fields)
+from arrayimg.io import load_matrix_csv, save_response_matrix
 
 CTX = WaveContext(wavelength=1.0)
 

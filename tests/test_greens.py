@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from arrayimg.errors import ConfigurationError, DomainError
-from arrayimg.geometry import WaveContext, build_image_window, build_linear_array
-from arrayimg.greens import (green_homogeneous, green_vector, load_matrix_csv,
+from arrayimg.geometry import (ArrayGeometry, WaveContext, build_image_window,
+                               build_linear_array)
+from arrayimg.greens import (green_homogeneous, green_vector,
                              mutual_coherence, pairwise_green_matrix,
-                             save_matrix_csv, sensing_matrix, theorem1_margin,
-                             write_coherence_report)
+                             sensing_matrix, theorem1_margin)
+from arrayimg.io import load_matrix_csv, save_matrix_csv, write_coherence_report
 
 CTX = WaveContext(wavelength=1.0)
 
@@ -210,3 +212,37 @@ class TestPairwiseGreens:
         pts = np.array([[0.0, 10.0], [0.0, 10.0]])
         with pytest.raises(DomainError):
             pairwise_green_matrix(pts, CTX)
+
+
+coordinate = st.floats(-300.0, 300.0, allow_nan=False, allow_infinity=False)
+
+
+class TestOneKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(positions=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=4,
+                              unique=True),
+           center=st.floats(-300.0, 300.0), rows=st.integers(1, 3),
+           cols=st.integers(1, 3), spacing=st.floats(1e-3, 50.0),
+           wavelength=st.floats(0.05, 20.0))
+    def test_every_entry_point_is_bit_identical(self, positions, center, rows, cols,
+                                                spacing, wavelength):
+        """green_homogeneous, green_vector, the sensing-matrix column and the
+        pairwise entry evaluate the same bits for every transducer/point pair."""
+        ctx = WaveContext(wavelength=wavelength)
+        pos = np.array(positions, dtype=float)
+        geom = ArrayGeometry(positions=pos, pitch=1.0, aperture=1.0)
+        window = build_image_window(center, rows, cols, spacing)
+        pts = window.points
+        both = np.vstack([pos, pts])
+        gaps = np.linalg.norm(both[:, None, :] - both[None, :, :], axis=2)
+        assume((gaps + np.eye(len(both))).min() > 1e-9)
+        n = len(pos)
+        sens = sensing_matrix(geom, window, ctx).matrix
+        pair = pairwise_green_matrix(both, ctx)
+        for j, y in enumerate(pts):
+            column = green_vector(geom, y, ctx).values
+            assert column.tobytes() == sens[:, j].tobytes()
+            assert column.tobytes() == pair[:n, n + j].tobytes()
+            assert column.tobytes() == pair[n + j, :n].tobytes()
+            single = np.array([green_homogeneous(x, y, ctx) for x in pos])
+            assert column.tobytes() == single.tobytes()

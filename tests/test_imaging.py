@@ -8,12 +8,12 @@ from arrayimg.greens import green_homogeneous, mutual_coherence, sensing_matrix
 from arrayimg.foldy_lax import (response_matrix_born,
                                 response_matrix_foldy_lax, simulate_data)
 from arrayimg.sparse_solvers import SolverParams
-from arrayimg.imaging import (build_hybrid_system, hybrid_certificate,
+from arrayimg.imaging import (_local_maxima, build_hybrid_system, hybrid_certificate,
                               image_hybrid_l1, image_km, image_mmv,
                               image_music, image_smv, km_complex_image,
                               optimal_illuminations, reflectivities_from_sources,
-                              select_rank, write_image_csv, write_pgm,
-                              write_support_csv)
+                              select_rank)
+from arrayimg.io import write_image_csv, write_pgm, write_support_csv
 
 CTX = WaveContext(wavelength=1.0)
 
@@ -297,6 +297,55 @@ class TestImageKm:
             fwhms.append((above[-1] - above[0] + 1) * 0.125)
         ratio = fwhms[0] / fwhms[1]
         assert 2.5 <= ratio <= 5.5
+
+
+def reference_local_maxima(values, rows, cols, count, floor_fraction=0.5,
+                           min_separation=2):
+    """The original nested-loop peak finder, kept as the reference."""
+    grid = values.reshape(rows, cols)
+    top = grid.max()
+    if top <= 0:
+        return np.array([], dtype=int)
+    candidates = []
+    for r in range(rows):
+        for c in range(cols):
+            v = grid[r, c]
+            if v <= floor_fraction * top:
+                continue
+            if r > 0 and grid[r - 1, c] > v:
+                continue
+            if r < rows - 1 and grid[r + 1, c] > v:
+                continue
+            if c > 0 and grid[r, c - 1] > v:
+                continue
+            if c < cols - 1 and grid[r, c + 1] > v:
+                continue
+            candidates.append((v, r, c))
+    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+    picked = []
+    for v, r, c in candidates:
+        if len(picked) >= count:
+            break
+        if all(max(abs(r - pr), abs(c - pc)) >= min_separation for pr, pc in picked):
+            picked.append((r, c))
+    return np.sort(np.array([r * cols + c for r, c in picked], dtype=int))
+
+
+class TestLocalMaxima:
+    @pytest.mark.parametrize("floor", [0.25, 0.5])
+    def test_matches_loop_reference(self, floor):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            rows, cols = rng.integers(1, 9, size=2)
+            levels = rng.integers(1, 6)  # few levels: plateaus and ties
+            values = rng.integers(0, levels + 1, size=rows * cols) / levels
+            if rng.random() < 0.5:
+                values = values + rng.random(rows * cols) * (rng.random() < 0.3)
+            count = int(rng.integers(1, 8))
+            expected = reference_local_maxima(values, rows, cols, count, floor)
+            got = _local_maxima(values, rows, cols, count, floor_fraction=floor)
+            assert np.array_equal(got, expected)
+            assert got.dtype == expected.dtype
 
 
 class TestExports:

@@ -13,8 +13,8 @@ from arrayimg.random_medium import (EffectiveAperture, RandomMediumSpec, Region,
                                     paraxial_ratio, phase_line_integral,
                                     random_green_vector, region_for,
                                     response_matrix_random, sample_field,
-                                    stability_bound, write_field_csv,
-                                    write_stability_csv)
+                                    stability_bound)
+from arrayimg.io import write_field_csv, write_stability_csv
 
 CTX = WaveContext(wavelength=1.0)
 L_CORR = 20.0

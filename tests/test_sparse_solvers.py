@@ -4,7 +4,8 @@ import pytest
 from arrayimg.errors import ConfigurationError, DomainError
 from arrayimg.sparse_solvers import (SolverParams, brute_force_l0, rowsupp,
                                      solve_l1_mmv, solve_l1_smv,
-                                     theorem2_error_bound, write_trace_csv)
+                                     theorem2_error_bound)
+from arrayimg.io import write_trace_csv
 
 
 def random_unit_columns(rng, n, k):
