@@ -46,6 +46,34 @@ def parse_illuminations(spec: str, n: int) -> tuple:
         f"random:<k> or optimal:<k> (1 <= k <= {n})")
 
 
+# every section and key load_config reads; anything else is rejected so that a
+# misspelt key cannot silently leave its default in place
+_KEYS = {
+    "wave": {"wavelength"},
+    "array": {"n", "aperture", "pitch"},
+    "window": {"center_range", "rows", "cols", "spacing"},
+    "scatterers": {"cells", "magnitudes", "phases"},
+    "medium": {"kind", "correlation_length", "sigma", "kernel", "lattice_spacing"},
+    "solver": {"max_iterations", "tolerance", "support_threshold", "delta_factor",
+               "hybrid_delta_fraction"},
+    "experiment": {"scenario_id", "seed", "methods", "noise_percent", "forward",
+                   "illuminations", "km_illuminations", "rank_threshold", "known_rank",
+                   "apertures", "realizations", "delta_grid", "write_pgm"},
+}
+
+
+def _check_keys(parser: configparser.ConfigParser):
+    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+    unknown = sorted(set(sections) - _KEYS.keys())
+    if unknown:
+        raise ConfigurationError(f"unknown sections {unknown}; valid: {sorted(_KEYS)}")
+    for name in sections:
+        unknown = sorted(set(parser[name]) - _KEYS[name])
+        if unknown:
+            raise ConfigurationError(
+                f"unknown keys {unknown} in [{name}]; valid: {sorted(_KEYS[name])}")
+
+
 def _floats(text):
     return [float(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
 
@@ -122,6 +150,7 @@ def load_config(path) -> ScenarioConfig:
     with open(path) as fh:
         text = fh.read()
     parser.read_string(text)
+    _check_keys(parser)
     cfg = ScenarioConfig(raw_text=text)
 
     if parser.has_section("medium"):

@@ -11,7 +11,7 @@ from .config import ScenarioConfig, parse_illuminations
 from .errors import ConfigurationError, DomainError
 from .geometry import (WaveContext, build_image_window, build_linear_array,
                        place_scatterers)
-from .greens import mutual_coherence, sensing_matrix, theorem1_margin
+from .greens import SensingMatrix, mutual_coherence, sensing_matrix, theorem1_margin
 from .foldy_lax import response_matrix_born, response_matrix_foldy_lax
 from .random_medium import (RandomMediumSpec, region_for, response_matrix_random,
                             sample_field)
@@ -99,14 +99,23 @@ def _medium_spec(cfg: ScenarioConfig, seed: int) -> RandomMediumSpec:
                             master_seed=seed)
 
 
-def build_scene(cfg: ScenarioConfig, seed: int, aperture: float | None = None) -> Scene:
-    """Construct geometry, draw scatterer phases, run the forward model and
-    inject noise.  Sub-seeds are derived deterministically from ``seed``."""
-    ctx = WaveContext(wavelength=cfg.wavelength)
+def _sensing(cfg: ScenarioConfig, aperture: float | None = None) -> SensingMatrix:
+    """Sensing matrix of the configured array and window; ``aperture``, when
+    given, replaces the configured pitch.  It depends on no seed."""
     pitch = cfg.pitch if aperture is None else aperture / (cfg.n - 1)
-    geom = build_linear_array(cfg.n, pitch)
-    window = build_image_window(cfg.center_range, cfg.rows, cfg.cols, cfg.spacing)
-    sensing = sensing_matrix(geom, window, ctx)
+    return sensing_matrix(build_linear_array(cfg.n, pitch),
+                          build_image_window(cfg.center_range, cfg.rows, cfg.cols,
+                                             cfg.spacing),
+                          WaveContext(wavelength=cfg.wavelength))
+
+
+def build_scene(cfg: ScenarioConfig, seed: int,
+                sensing: SensingMatrix | None = None) -> Scene:
+    """Construct geometry, draw scatterer phases, run the forward model and
+    inject noise.  Sub-seeds are derived deterministically from ``seed``.
+    ``sensing`` reuses a matrix ``_sensing`` built for this ``cfg``."""
+    sensing = _sensing(cfg) if sensing is None else sensing
+    ctx, geom, window = sensing.ctx, sensing.geom, sensing.window
 
     phase_rng = np.random.default_rng([seed, 1])
     values = _scatterer_values(cfg, phase_rng)
@@ -268,8 +277,9 @@ def monte_carlo_stability(cfg: ScenarioConfig, realizations: int | None = None,
     rows = []
     for aperture in apertures:
         per_method = {m: [] for m in cfg.methods}
+        sensing = _sensing(cfg, aperture)
         for seed in range(1, realizations + 1):
-            scene = build_scene(cfg, seed, aperture=aperture)
+            scene = build_scene(cfg, seed, sensing=sensing)
             for method in cfg.methods:
                 report, _ = run_trial(scene, method, seed)
                 per_method[method].append(report)

@@ -74,9 +74,10 @@ def _spectral_norm_sq(a: np.ndarray, iterations: int = 20) -> float:
     rng = np.random.default_rng(0)
     v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
+    ah = a.conj().T
     est = 1.0
     for _ in range(iterations):
-        w = a.conj().T @ (a @ v)
+        w = ah @ (a @ v)
         est = np.linalg.norm(w)
         if est == 0:
             return 0.0
@@ -85,27 +86,29 @@ def _spectral_norm_sq(a: np.ndarray, iterations: int = 20) -> float:
 
 
 def _soft_entries(x: np.ndarray, t: float) -> np.ndarray:
-    """Complex soft threshold: shrink magnitude by t, preserve phase."""
+    """Complex soft threshold in place: shrink magnitude by t, keep phase."""
     mag = np.abs(x)
     scale = np.maximum(0.0, 1.0 - t / np.maximum(mag, 1e-300))
-    return x * scale
+    x *= scale
+    return x
 
 
 def _soft_rows(x: np.ndarray, t: float) -> np.ndarray:
-    """Block soft threshold: shrink each row's l2 norm by t, keep direction."""
+    """Block soft threshold in place: shrink each row's l2 norm by t, keep
+    direction."""
     norms = np.linalg.norm(x, axis=1)
     scale = np.maximum(0.0, 1.0 - t / np.maximum(norms, 1e-300))
-    return x * scale[:, None]
+    x *= scale[:, None]
+    return x
 
 
-def _shrink_to_ball(r: np.ndarray, delta: float):
+def _outside_ball(r: np.ndarray, norm, delta: float) -> np.ndarray:
     """Component of the residual outside the delta-ball (Frobenius norm)."""
     if delta == 0.0:
-        return r, np.linalg.norm(r)
-    norm = np.linalg.norm(r)
+        return r
     if norm <= delta:
-        return np.zeros_like(r), norm
-    return r * (1.0 - delta / norm), norm
+        return np.zeros_like(r)
+    return r * (1.0 - delta / norm)
 
 
 def _iterate(a, b, params: SolverParams, row_mode: bool):
@@ -128,7 +131,10 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
     delta = params.delta / scale
     slack = FEASIBILITY_SLACK / scale
 
-    atb = a.conj().T @ b
+    # the adjoint is a conjugated copy of A, as costly as a product: build it
+    # once per solve
+    ah = a.conj().T
+    atb = ah @ b
     if row_mode:
         beta = BETA_FRACTION * float(np.max(np.linalg.norm(atb, axis=1)))
     else:
@@ -150,28 +156,38 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
             support=_threshold_support(x, params.support_threshold, row_mode),
             converged=bool(res_norm <= delta + slack))
 
+    # r = b - A x holds for the current x throughout: each iteration makes
+    # one product with A and one with its adjoint
+    r = b - a @ x
     for it in range(1, params.max_iterations + 1):
-        r = b - a @ x
-        r_eff, res_norm = _shrink_to_ball(r, delta)
+        checked = it % 50 == 0
+        traced = params.trace_every and it % params.trace_every == 0
+        if delta or checked or traced:  # with delta = 0 only these read it
+            res_norm = np.linalg.norm(r)
         # full residual drives the primal step; the multiplier only accumulates
         # the part outside the delta-ball, so delta = 0 reduces to the pure
         # equality scheme
-        grad_term = a.conj().T @ (z + r)
-        x_new = shrink(x + STEP_SIZE * grad_term, STEP_SIZE * beta)
+        r_eff = _outside_ball(r, res_norm, delta)
+        # shrink(x + STEP_SIZE * A^H (z + r)), formed in place
+        x_new = ah @ (z + r)
+        x_new *= STEP_SIZE
+        x_new += x
+        x_new = shrink(x_new, STEP_SIZE * beta)
+        r_new = b - a @ x_new
 
-        if params.trace_every and it % params.trace_every == 0:
+        if traced:
             obj = float(np.sum(np.linalg.norm(x_new, axis=1))) if row_mode \
                 else float(np.sum(np.abs(x_new)))
             trace.append((it, obj, float(res_norm * scale)))
-        if it % 50 == 0:
+        if checked:
             # descent check of the merit the proximal step minimizes (z fixed)
-            before = _merit(a, b, z, x, beta, delta, row_mode)
-            after = _merit(a, b, z, x_new, beta, delta, row_mode)
+            before = _merit(r, z, x, beta, row_mode)
+            after = _merit(r_new, z, x_new, beta, row_mode)
             merit_violation = max(merit_violation,
                                   (after - before) / max(1.0, abs(before)))
-        z = z + STEP_SIZE * r_eff
-        x = x_new
-        if it % 50 == 0:
+        z += STEP_SIZE * r_eff
+        x, r = x_new, r_new
+        if checked:
             change = np.linalg.norm(x - snapshot)
             snapshot = x.copy()
             feasible = res_norm <= delta + slack
@@ -179,11 +195,10 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
                 converged = True
                 break
 
-    res_norm = float(np.linalg.norm(b - a @ x) * scale)
     return SparseSolution(
         solution=x,
         iterations=it,
-        residual_norm=res_norm,
+        residual_norm=float(np.linalg.norm(r) * scale),
         support=_threshold_support(x, params.support_threshold, row_mode),
         converged=converged,
         merit_violation=float(merit_violation),
@@ -191,8 +206,8 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
     )
 
 
-def _merit(a, b, z, x, beta, delta, row_mode) -> float:
-    r = b - a @ x
+def _merit(r, z, x, beta, row_mode) -> float:
+    """Merit of ``x`` at fixed multiplier ``z``, given ``r = b - A x``."""
     reg = np.sum(np.linalg.norm(x, axis=1)) if row_mode else np.sum(np.abs(x))
     return float(beta * reg + 0.5 * np.linalg.norm(r) ** 2
                  + np.real(np.vdot(z, r)))

@@ -100,3 +100,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ConfigurationError"
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("extra, name", [("[solver]\nmax_iteration = 5\n", "max_iteration"),
+                                             ("[solvers]\nmax_iterations = 5\n", "solvers")],
+                             ids=["key", "section"])
+    def test_unknown_key_returns_one(self, extra, name, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CONFIG + extra)
+        rc = main(["image", "--config", str(bad), "--out", str(tmp_path / "runs")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert repr(name) in payload["message"]
+        assert not (tmp_path / "runs").exists()

@@ -6,6 +6,7 @@ from arrayimg.errors import ConfigurationError
 from arrayimg.experiments import (NoiseSpec, add_noise, build_scene,
                                   coherence_report, monte_carlo_stability,
                                   run_scenario, run_trial)
+from arrayimg.greens import sensing_matrix
 from arrayimg.io import write_report_csv
 
 SMALL_INI = """
@@ -259,6 +260,20 @@ known_rank = 2
         table = (tmp_path / "mc_stability.csv").read_text().splitlines()
         assert table[0].startswith("aperture,method,success_rate")
         assert len(table) == 3
+
+    def test_sensing_matrix_built_once_per_aperture(self, small_cfg, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sensing_matrix(*args)
+
+        monkeypatch.setattr("arrayimg.experiments.sensing_matrix", counted)
+        small_cfg.methods = ["music"]
+        small_cfg.apertures = [40.0, 79.0]
+        rows = monte_carlo_stability(small_cfg, realizations=10)
+        assert len(rows) == 2
+        assert len(calls) == 2
 
     def test_minimum_realizations(self, small_cfg):
         with pytest.raises(ConfigurationError):
