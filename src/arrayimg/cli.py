@@ -4,7 +4,7 @@ import argparse
 import json
 import sys
 
-from .config import load_config
+from .config import load_config, parse_methods
 from .errors import ConfigurationError
 from .experiments import build_scene, coherence_report, monte_carlo_stability, run_scenario
 from .io import run_directory, save_response_matrix
@@ -58,8 +58,8 @@ def main(argv=None) -> int:
             save_response_matrix(run_dir / "response.csv", scene.noisy)
             print(f"wrote {run_dir / 'response.csv'}")
         elif args.command == "image":
-            if args.methods:
-                cfg.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+            if args.methods is not None:
+                cfg.methods = parse_methods(args.methods)
             reports = run_scenario(cfg, cfg.seed, out_dir=args.out)
             for r in reports:
                 status = "exact" if r.support_exact else "inexact"

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
-__all__ = ["ScenarioConfig", "load_config", "parse_length", "parse_illuminations"]
+__all__ = ["ScenarioConfig", "load_config", "parse_length", "parse_illuminations",
+           "parse_methods"]
 
 
 def parse_length(text, correlation_length=None) -> float:
@@ -44,6 +45,21 @@ def parse_illuminations(spec: str, n: int) -> tuple:
     raise ConfigurationError(
         f"illumination spec {spec!r} is not central, element:<i> (0 <= i < {n}), "
         f"random:<k> or optimal:<k> (1 <= k <= {n})")
+
+
+METHODS = ("smv", "mmv", "hybrid", "music", "km")
+
+
+def parse_methods(text) -> list:
+    """Parse a comma list of imaging methods; unknown names and an empty list
+    are rejected."""
+    methods = [m.strip() for m in str(text).split(",") if m.strip()]
+    unknown = sorted(set(methods) - set(METHODS))
+    if unknown:
+        raise ConfigurationError(f"unknown methods {unknown}; valid: {sorted(METHODS)}")
+    if not methods:
+        raise ConfigurationError(f"empty method list; valid: {sorted(METHODS)}")
+    return methods
 
 
 # every section and key load_config reads; anything else is rejected so that a
@@ -213,7 +229,7 @@ def load_config(path) -> ScenarioConfig:
         cfg.scenario_id = sec.get("scenario_id", cfg.scenario_id).strip()
         cfg.seed = sec.getint("seed", cfg.seed)
         if "methods" in sec:
-            cfg.methods = [m.strip() for m in sec["methods"].split(",") if m.strip()]
+            cfg.methods = parse_methods(sec["methods"])
         cfg.noise_percent = sec.getfloat("noise_percent", cfg.noise_percent)
         cfg.forward = sec.get("forward", cfg.forward).strip()
         cfg.illuminations = sec.get("illuminations", cfg.illuminations).strip()
@@ -232,10 +248,6 @@ def load_config(path) -> ScenarioConfig:
 
     if cfg.delta_factor < 1.0:
         raise ConfigurationError("delta_factor must be >= 1")
-    valid = {"smv", "mmv", "hybrid", "music", "km"}
-    unknown = set(cfg.methods) - valid
-    if unknown:
-        raise ConfigurationError(f"unknown methods {sorted(unknown)}; valid: {sorted(valid)}")
     if cfg.forward not in ("auto", "foldy-lax", "born"):
         raise ConfigurationError(f"unknown forward model {cfg.forward!r}")
     for spec in (cfg.illuminations, cfg.km_illuminations):

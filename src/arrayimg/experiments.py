@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, parse_illuminations
+from .config import METHODS, ScenarioConfig, parse_illuminations
 from .errors import ConfigurationError, DomainError
 from .geometry import (WaveContext, build_image_window, build_linear_array,
                        place_scatterers)
@@ -23,7 +23,6 @@ from .io import (run_directory, save_response_matrix, write_certificates_csv,
                  write_pgm, write_report_csv, write_support_csv, write_timings_csv)
 
 __all__ = [
-    "NoiseSpec",
     "TrialReport",
     "add_noise",
     "build_scene",
@@ -32,18 +31,6 @@ __all__ = [
     "monte_carlo_stability",
     "coherence_report",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive complex circular Gaussian noise at a fraction of signal norm."""
-
-    percent: float  # fraction of the signal Frobenius norm
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.percent < 0:
-            raise ConfigurationError("noise percent must be nonnegative")
 
 
 @dataclass
@@ -59,13 +46,17 @@ class TrialReport:
     error: str = ""
 
 
-def add_noise(data: np.ndarray, spec: NoiseSpec):
-    """Return ``(data + E, ||E||_F)`` with ``||E||_F`` exactly percent * ||data||_F."""
+def add_noise(data: np.ndarray, percent: float, seed: int = 0):
+    """Add complex circular Gaussian noise E drawn from ``seed``; return
+    ``(data + E, ||E||_F)`` with ``||E||_F`` exactly ``percent * ||data||_F``
+    (``percent`` is a fraction, not a percentage)."""
+    if percent < 0:
+        raise ConfigurationError("noise percent must be nonnegative")
     data = np.asarray(data, dtype=complex)
-    target = spec.percent * np.linalg.norm(data)
+    target = percent * np.linalg.norm(data)
     if target == 0.0:
         return data.copy(), 0.0
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     e = rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
     e *= target / np.linalg.norm(e)
     return data + e, float(target)
@@ -128,16 +119,16 @@ def build_scene(cfg: ScenarioConfig, seed: int,
         forward = "random-phase" if cfg.medium_kind == "random-phase" else "foldy-lax"
     if cfg.medium_kind == "random-phase":
         spec = _medium_spec(cfg, seed)
-        region = region_for(geom, window.points, margin=2 * spec.lattice_spacing)
+        region = region_for(np.vstack([geom.positions, window.points]), spec)
         field = sample_field(spec, region, seed=seed)
-        response = response_matrix_random(field, geom, window, rho, ctx, spec)
+        response = response_matrix_random(field, geom, window, rho, ctx)
     elif forward == "born":
         response = response_matrix_born(sensing, rho)
     else:
         response = response_matrix_foldy_lax(sensing, rho)
 
     noise_seed = int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
-    noisy_mat, _ = add_noise(response.matrix, NoiseSpec(cfg.noise_percent, seed=noise_seed))
+    noisy_mat, _ = add_noise(response.matrix, cfg.noise_percent, seed=noise_seed)
     noise_matrix = noisy_mat - response.matrix
     noisy = type(response)(matrix=noisy_mat, provenance=response.provenance, seed=seed)
     return Scene(cfg=cfg, ctx=ctx, sensing=sensing, rho=rho,
@@ -169,6 +160,8 @@ def _rank(scene: Scene) -> int:
 
 def run_trial(scene: Scene, method: str, seed: int):
     """Run one imaging method against the scene; returns ``(report, result)``."""
+    if method not in METHODS:
+        raise ConfigurationError(f"unknown method {method!r}")
     cfg = scene.cfg
     truth = scene.rho
     rng = np.random.default_rng([seed, 3])
@@ -200,8 +193,6 @@ def run_trial(scene: Scene, method: str, seed: int):
             f = _illuminations(kind, scene, rng)
             data = scene.noisy.matrix @ f
             result = image_km(data, f, scene.sensing, peak_count=max(truth.m, 1))
-        else:
-            raise ConfigurationError(f"unknown method {method!r}")
     except (ConfigurationError, DomainError, np.linalg.LinAlgError) as exc:
         # the method cannot run on this scene: record the failed trial
         error = f"{type(exc).__name__}: {exc}"
@@ -324,9 +315,8 @@ def coherence_report(cfg: ScenarioConfig, out_dir=None) -> dict:
     bounds = []
     for delta in cfg.delta_grid:
         if m >= 1 and (m - 1) * eps_for_margin < 1:
-            b = theorem2_error_bound(delta, m, eps_for_margin)
-            bounds.append((delta, b.error_bound, "certified" if margin > 0
-                           else "not-certified"))
+            bounds.append((delta, theorem2_error_bound(delta, m, eps_for_margin),
+                           "certified" if margin > 0 else "not-certified"))
         else:
             bounds.append((delta, float("nan"), "not-certified"))
     report["bounds"] = bounds

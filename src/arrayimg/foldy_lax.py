@@ -9,9 +9,7 @@ from .geometry import ReflectivityVector
 from .greens import SensingMatrix, pairwise_green_matrix
 
 __all__ = [
-    "FoldyLaxMatrix",
     "ResponseMatrix",
-    "EffectiveSourceVector",
     "foldy_lax_matrix",
     "solve_exciting_fields",
     "response_matrix_foldy_lax",
@@ -22,18 +20,6 @@ __all__ = [
 ]
 
 CONDITION_CAP = 1e8
-
-
-@dataclass(frozen=True)
-class FoldyLaxMatrix:
-    """Multiple-scattering system matrix: unit diagonal, -alpha_j * G(y_i, y_j) off it."""
-
-    matrix: np.ndarray  # (M, M) or (K, K) complex
-    reflectivities: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -56,16 +42,8 @@ class ResponseMatrix:
         return self._svd
 
 
-@dataclass(frozen=True)
-class EffectiveSourceVector:
-    """Reflectivities times exciting fields: the linear unknown of step one."""
-
-    values: np.ndarray  # (K,) or (M,) complex
-    illumination: np.ndarray  # (N,) complex
-
-
-def foldy_lax_matrix(reflectivities, greens) -> FoldyLaxMatrix:
-    """Assemble the system matrix from reflectivities and pairwise Green's values.
+def foldy_lax_matrix(reflectivities, greens) -> np.ndarray:
+    """Foldy-Lax system matrix Z from reflectivities and pairwise Green's values.
 
     Works for the support-restricted M x M variant (``reflectivities`` are the
     nonzero alphas) and the full-grid K x K variant alike: entry ``(i, j)`` is
@@ -78,24 +56,24 @@ def foldy_lax_matrix(reflectivities, greens) -> FoldyLaxMatrix:
         raise ConfigurationError("pairwise Green's matrix does not match reflectivity count")
     z = -g * alphas[None, :]
     np.fill_diagonal(z, 1.0)
-    return FoldyLaxMatrix(matrix=z, reflectivities=alphas)
+    return z
 
 
-def solve_exciting_fields(z: FoldyLaxMatrix, incident: np.ndarray) -> np.ndarray:
+def solve_exciting_fields(z: np.ndarray, incident: np.ndarray) -> np.ndarray:
     """Solve Z * Phi_e = Phi_inc (one column per illumination) by a dense
     direct solve; a 2-norm condition number above ``CONDITION_CAP`` raises."""
     incident = np.asarray(incident, dtype=complex)
-    if incident.shape[0] != z.size:
+    if incident.shape[0] != z.shape[0]:
         raise ConfigurationError("incident field length does not match system size")
     if z.size == 0:
         return incident.copy()
-    cond = np.linalg.cond(z.matrix)
+    cond = np.linalg.cond(z)
     if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise ResonanceError(
             f"Foldy-Lax system is near-resonant (cond ~ {cond:.3e} > {CONDITION_CAP:.1e})",
             condition_estimate=float(cond),
         )
-    return np.linalg.solve(z.matrix, incident)
+    return np.linalg.solve(z, incident)
 
 
 def _support_system(sensing: SensingMatrix, rho: ReflectivityVector):
@@ -133,8 +111,8 @@ def response_matrix_born(sensing: SensingMatrix, rho: ReflectivityVector) -> Res
 
 
 def effective_source_vector(sensing: SensingMatrix, rho: ReflectivityVector,
-                            illumination: np.ndarray) -> EffectiveSourceVector:
-    """Ground-truth effective sources diag(rho) Z^{-1} G^T f on the full grid."""
+                            illumination: np.ndarray) -> np.ndarray:
+    """Ground-truth effective sources diag(rho) Z^{-1} G^T f on the full grid, (K,)."""
     f = np.asarray(illumination, dtype=complex)
     if f.shape[0] != sensing.n:
         raise ConfigurationError("illumination length does not match transducer count")
@@ -144,7 +122,7 @@ def effective_source_vector(sensing: SensingMatrix, rho: ReflectivityVector,
         incident = g_sub.T @ f
         exciting = solve_exciting_fields(z, incident)
         values[support] = alphas * exciting
-    return EffectiveSourceVector(values=values, illumination=f)
+    return values
 
 
 def simulate_data(resp: ResponseMatrix, illumination: np.ndarray) -> np.ndarray:

@@ -31,24 +31,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveContext:
-    """Wavelength, wavenumber and reference speed shared by all physics."""
+    """Wavelength and wavenumber shared by all physics."""
 
     wavelength: float
-    reference_speed: float = 1.0
 
     def __post_init__(self):
         if self.wavelength <= 0:
             raise ConfigurationError("wavelength must be positive")
-        if self.reference_speed <= 0:
-            raise ConfigurationError("reference speed must be positive")
 
     @property
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
-
-    @property
-    def angular_frequency(self) -> float:
-        return self.wavenumber * self.reference_speed
 
 
 @dataclass(frozen=True)
@@ -146,10 +139,6 @@ def build_linear_array(n: int, pitch: float) -> ArrayGeometry:
         raise ConfigurationError("pitch must be positive")
     cross = (np.arange(n) - (n - 1) / 2.0) * pitch
     positions = np.column_stack([cross, np.zeros(n)])
-    if n > 1:
-        gaps = np.diff(cross)
-        if not np.allclose(gaps, pitch, rtol=1e-12, atol=0.0):
-            raise ConfigurationError("constructed array is not uniformly spaced")
     return ArrayGeometry(positions=positions, pitch=pitch, aperture=(n - 1) * pitch)
 
 

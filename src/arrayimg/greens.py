@@ -8,7 +8,6 @@ from .errors import DomainError
 from .geometry import ArrayGeometry, ImageWindow, WaveContext
 
 __all__ = [
-    "GreensVector",
     "SensingMatrix",
     "green_homogeneous",
     "green_vector",
@@ -19,15 +18,6 @@ __all__ = [
 ]
 
 _COINCIDENCE_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class GreensVector:
-    """Green's function evaluated from one grid point to every transducer."""
-
-    values: np.ndarray  # (N,) complex
-    source: np.ndarray  # (2,)
-    ctx: WaveContext
 
 
 @dataclass(frozen=True)
@@ -76,10 +66,9 @@ def green_homogeneous(x, y, ctx: WaveContext) -> complex:
     return _green(x, y, ctx)[0, 0]
 
 
-def green_vector(geom: ArrayGeometry, y, ctx: WaveContext) -> GreensVector:
-    """Green's vector from point ``y`` to all transducers."""
-    y = np.asarray(y, dtype=float)
-    return GreensVector(values=_green(geom.positions, y, ctx)[:, 0], source=y, ctx=ctx)
+def green_vector(geom: ArrayGeometry, y, ctx: WaveContext) -> np.ndarray:
+    """Green's vector g0(y), shape ``(N,)``, from point ``y`` to all transducers."""
+    return _green(geom.positions, y, ctx)[:, 0]
 
 
 def pairwise_green_matrix(points: np.ndarray, ctx: WaveContext) -> np.ndarray:

@@ -56,8 +56,6 @@ class HybridSystem:
 
     matrix: np.ndarray      # (M~, K)
     rhs: np.ndarray         # (M~,) singular values
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
 
 
 def select_rank(singular_values, relative_threshold: float = 0.05,
@@ -85,7 +83,7 @@ def _step1_support(sol, params: SolverParams, coherence, sparsity,
     """
     if (params.delta > 0 and coherence is not None and sparsity is not None
             and (sparsity - 1) * coherence < 1):
-        floor = theorem2_error_bound(params.delta, sparsity, coherence).detection_floor
+        floor = theorem2_error_bound(params.delta, sparsity, coherence)
         mags = np.abs(sol.solution).reshape(sensing.k, -1).max(axis=1)
         return np.flatnonzero(mags * np.linalg.norm(sensing.matrix, axis=0) > floor)
     return sol.support
@@ -215,8 +213,7 @@ def build_hybrid_system(resp: ResponseMatrix, sensing: SensingMatrix,
     vn = vh.conj().T[:, :m_tilde]
     g = sensing.matrix
     mat = (un.conj().T @ g) * (vn.T @ g)
-    return HybridSystem(matrix=mat, rhs=s[:m_tilde].astype(complex),
-                        left_vectors=un, right_vectors=vn)
+    return HybridSystem(matrix=mat, rhs=s[:m_tilde].astype(complex))
 
 
 def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,

@@ -16,7 +16,6 @@ from .greens import green_homogeneous, green_vector
 __all__ = [
     "RandomMediumSpec",
     "RandomFieldRealization",
-    "EffectiveAperture",
     "Region",
     "StabilityEstimate",
     "autocorrelation_integral",
@@ -73,9 +72,6 @@ class RandomMediumSpec:
             raise ConfigurationError(
                 "synthesis lattice spacing must not exceed l / 5")
 
-    def autocorrelation(self, t):
-        return _KERNELS[self.kernel]["r"](np.asarray(t, dtype=float))
-
 
 @dataclass(frozen=True)
 class Region:
@@ -85,11 +81,6 @@ class Region:
     cross_max: float
     range_min: float
     range_max: float
-
-    def contains(self, points) -> bool:
-        p = np.atleast_2d(points)
-        return bool(np.all((p[:, 0] >= self.cross_min) & (p[:, 0] <= self.cross_max)
-                           & (p[:, 1] >= self.range_min) & (p[:, 1] <= self.range_max)))
 
 
 @dataclass
@@ -126,16 +117,6 @@ class RandomFieldRealization:
         return vals
 
 
-@dataclass(frozen=True)
-class EffectiveAperture:
-    """Medium- and range-dependent length controlling second-moment decay."""
-
-    value: float
-    autocorrelation_integral: float
-    range_distance: float
-    spec: RandomMediumSpec
-
-
 def autocorrelation_integral(kind: str) -> float:
     """Adaptive quadrature of dR/dt / t over (0, inf); negative for valid kernels."""
     if kind not in _KERNELS:
@@ -146,8 +127,9 @@ def autocorrelation_integral(kind: str) -> float:
 
 
 def effective_aperture(spec: RandomMediumSpec, range_distance: float,
-                       wavelength: float = 1.0) -> EffectiveAperture:
-    """a_e = sigma L sqrt(-1 - (2L / 3l) * integral(dR/dt / t))."""
+                       wavelength: float = 1.0) -> float:
+    """Effective aperture a_e = sigma L sqrt(-1 - (2L / 3l) * integral(dR/dt / t)),
+    the medium- and range-dependent length of the second-moment decay."""
     if range_distance <= 0:
         raise DomainError("range distance must be positive")
     i_r = autocorrelation_integral(spec.kernel)
@@ -158,9 +140,7 @@ def effective_aperture(spec: RandomMediumSpec, range_distance: float,
             "effective-aperture radicand negative: range too small for the "
             "L >> l validity regime")
     _warn_regime(spec, range_distance, wavelength)
-    return EffectiveAperture(value=spec.sigma * range_distance * float(np.sqrt(radicand)),
-                             autocorrelation_integral=i_r,
-                             range_distance=range_distance, spec=spec)
+    return spec.sigma * range_distance * float(np.sqrt(radicand))
 
 
 def _warn_regime(spec: RandomMediumSpec, range_distance: float, wavelength: float):
@@ -178,14 +158,15 @@ def _warn_regime(spec: RandomMediumSpec, range_distance: float, wavelength: floa
                           stacklevel=3)
 
 
-def region_for(geom: ArrayGeometry, points, margin: float = 0.0) -> Region:
-    """Bounding box covering the array and the given points, plus a margin."""
+def region_for(points, spec: RandomMediumSpec) -> Region:
+    """Region to sample a field on: the bounding box of ``points`` plus two
+    synthesis-lattice cells on every side."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    allpts = np.vstack([geom.positions, p])
-    return Region(cross_min=float(allpts[:, 0].min() - margin),
-                  cross_max=float(allpts[:, 0].max() + margin),
-                  range_min=float(allpts[:, 1].min() - margin),
-                  range_max=float(allpts[:, 1].max() + margin))
+    margin = 2 * spec.lattice_spacing
+    low = p.min(axis=0) - margin
+    high = p.max(axis=0) + margin
+    return Region(cross_min=float(low[0]), cross_max=float(high[0]),
+                  range_min=float(low[1]), range_max=float(high[1]))
 
 
 def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFieldRealization:
@@ -221,54 +202,51 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
                                   spacing=step, seed=seed, spec=spec)
 
 
-def phase_line_integral(field: RandomFieldRealization, x, y) -> float:
-    """Composite-midpoint quadrature of the fluctuation along the segment x -> y.
+def phase_line_integral(field: RandomFieldRealization, x, y):
+    """Composite-midpoint quadrature of the fluctuation along the segments from
+    each start point in ``x`` (one per row) to the end point ``y``.
 
-    The spatial step never exceeds l / 10.
+    All segments share one step count, set by the longest so that no spatial
+    step exceeds l / 10.  A single start point gives a float, an ``(n, 2)``
+    array of them an ``(n,)`` array.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dist = float(np.linalg.norm(y - x))
-    if dist == 0.0:
-        return float(field.interpolate(x[None, :])[0])
-    steps = max(1, int(np.ceil(dist / (field.spec.correlation_length / 10.0))))
+    starts = np.atleast_2d(np.asarray(x, dtype=float))
+    diffs = np.asarray(y, dtype=float)[None, :] - starts
+    dists = np.linalg.norm(diffs, axis=1)
+    steps = max(1, int(np.ceil(dists.max() / (field.spec.correlation_length / 10.0))))
     s = (np.arange(steps) + 0.5) / steps
-    pts = x[None, :] + s[:, None] * (y - x)[None, :]
-    return float(field.interpolate(pts).mean())
+    pts = starts[:, None, :] + s[None, :, None] * diffs[:, None, :]
+    nu = field.interpolate(pts.reshape(-1, 2)).reshape(len(starts), steps).mean(axis=1)
+    return float(nu[0]) if np.ndim(x) == 1 else nu
 
 
-def green_random(field: RandomFieldRealization, x, y, ctx: WaveContext,
-                 spec: RandomMediumSpec) -> complex:
+def green_random(field: RandomFieldRealization, x, y, ctx: WaveContext) -> complex:
     """Homogeneous kernel with a random phase from the medium line integral."""
     base = green_homogeneous(x, y, ctx)
     dist = float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
     nu = phase_line_integral(field, x, y)
-    return base * np.exp(1j * spec.sigma * ctx.wavenumber * dist * nu)
+    return base * np.exp(1j * field.spec.sigma * ctx.wavenumber * dist * nu)
 
 
 def random_green_vector(field: RandomFieldRealization, geom: ArrayGeometry, y,
-                        ctx: WaveContext, spec: RandomMediumSpec) -> np.ndarray:
-    """Random Green's vector from point ``y`` to all transducers (vectorized)."""
+                        ctx: WaveContext) -> np.ndarray:
+    """Random Green's vector from point ``y`` to all transducers."""
     y = np.asarray(y, dtype=float)
-    base = green_vector(geom, y, ctx).values
-    diffs = y[None, :] - geom.positions
-    dists = np.linalg.norm(diffs, axis=1)
-    steps = max(1, int(np.ceil(dists.max() / (spec.correlation_length / 10.0))))
-    s = (np.arange(steps) + 0.5) / steps
-    pts = geom.positions[:, None, :] + s[None, :, None] * diffs[:, None, :]
-    nu = field.interpolate(pts.reshape(-1, 2)).reshape(len(dists), steps).mean(axis=1)
-    return base * np.exp(1j * spec.sigma * ctx.wavenumber * dists * nu)
+    base = green_vector(geom, y, ctx)
+    dists = np.linalg.norm(y[None, :] - geom.positions, axis=1)
+    nu = phase_line_integral(field, geom.positions, y)
+    return base * np.exp(1j * field.spec.sigma * ctx.wavenumber * dists * nu)
 
 
 def response_matrix_random(field: RandomFieldRealization, geom: ArrayGeometry,
                            window: ImageWindow, rho: ReflectivityVector,
-                           ctx: WaveContext, spec: RandomMediumSpec) -> ResponseMatrix:
+                           ctx: WaveContext) -> ResponseMatrix:
     """Born response with random Green's vectors: sum_j alpha_j g_j g_j^T."""
     support = rho.support
     n = geom.n
     mat = np.zeros((n, n), dtype=complex)
     for idx in support:
-        g = random_green_vector(field, geom, window.points[idx], ctx, spec)
+        g = random_green_vector(field, geom, window.points[idx], ctx)
         mat += rho.values[idx] * np.outer(g, g)
     # mirror the upper triangle so symmetry holds bit-exactly (FMA-fused
     # complex products are not perfectly commutative)
@@ -308,15 +286,12 @@ def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
     seed0 = spec.master_seed if master_seed is None else master_seed
     x = np.asarray(x, dtype=float)
     pts = np.vstack([np.asarray(y1, float), np.asarray(y2, float)])
-    region = Region(cross_min=float(min(x[0], pts[:, 0].min()) - 2 * spec.lattice_spacing),
-                    cross_max=float(max(x[0], pts[:, 0].max()) + 2 * spec.lattice_spacing),
-                    range_min=float(min(x[1], pts[:, 1].min()) - 2 * spec.lattice_spacing),
-                    range_max=float(max(x[1], pts[:, 1].max()) + 2 * spec.lattice_spacing))
+    region = region_for(np.vstack([x, pts]), spec)
     samples = np.empty(realizations, dtype=complex)
     for r in range(realizations):
         field = sample_field(spec, region, seed=_derived_seed(seed0, r))
-        g1 = green_random(field, x, pts[0], ctx, spec)
-        g2 = green_random(field, x, pts[1], ctx, spec)
+        g1 = green_random(field, x, pts[0], ctx)
+        g2 = green_random(field, x, pts[1], ctx)
         samples[r] = g1 * np.conj(g2)
     base = green_homogeneous(x, pts[0], ctx) * np.conj(green_homogeneous(x, pts[1], ctx))
     ratio = np.abs(samples.mean()) / np.abs(base)
@@ -346,15 +321,15 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
     seed0 = spec.master_seed if master_seed is None else master_seed
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    region = region_for(geom, np.vstack([y1, y2]), margin=2 * spec.lattice_spacing)
-    g0_1 = green_vector(geom, y1, ctx).values
-    g0_2 = green_vector(geom, y2, ctx).values
+    region = region_for(np.vstack([geom.positions, y1, y2]), spec)
+    g0_1 = green_vector(geom, y1, ctx)
+    g0_2 = green_vector(geom, y2, ctx)
     samples = np.empty(realizations, dtype=complex)
     for r in range(realizations):
         field = sample_field(spec, region, seed=_derived_seed(seed0, r))
-        g2 = random_green_vector(field, geom, y2, ctx, spec)
+        g2 = random_green_vector(field, geom, y2, ctx)
         if mode == "self":
-            g1 = random_green_vector(field, geom, y1, ctx, spec)
+            g1 = random_green_vector(field, geom, y1, ctx)
         else:
             g1 = g0_1
         samples[r] = np.vdot(g1, g2)
@@ -368,7 +343,7 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
 def stability_bound(spec: RandomMediumSpec, aperture: float, range_distance: float,
                     separation: float, ctx: WaveContext) -> float:
     """Closed-form decay bound of the self-mode stability ratio."""
-    a_e = effective_aperture(spec, range_distance, wavelength=ctx.wavelength).value
+    a_e = effective_aperture(spec, range_distance, wavelength=ctx.wavelength)
     kappa = ctx.wavenumber
     l = spec.correlation_length
     gauss = 1.0 - np.exp(-kappa ** 2 * a_e ** 2 * separation ** 2 / range_distance ** 2)
@@ -382,7 +357,7 @@ def paraxial_ratio(geom: ArrayGeometry, xi: float, eta: float, ctx: WaveContext,
     a = geom.aperture
     if a > range_distance / 5.0:
         raise DomainError("paraxial prediction requires aperture <= range / 5")
-    a_e = effective_aperture(spec, range_distance, wavelength=ctx.wavelength).value
+    a_e = effective_aperture(spec, range_distance, wavelength=ctx.wavelength)
     kappa = ctx.wavenumber
     l = spec.correlation_length
     lam = ctx.wavelength

@@ -19,7 +19,6 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "SolverParams",
     "SparseSolution",
-    "Theorem2Bound",
     "solve_l1_smv",
     "solve_l1_mmv",
     "brute_force_l0",
@@ -61,12 +60,6 @@ class SparseSolution:
     converged: bool
     merit_violation: float = 0.0
     trace: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class Theorem2Bound:
-    error_bound: float
-    detection_floor: float
 
 
 def _spectral_norm_sq(a: np.ndarray, iterations: int = 20) -> float:
@@ -244,15 +237,7 @@ def rowsupp(x, threshold: float = 0.0) -> np.ndarray:
     if not 0 <= threshold < 1:
         raise ConfigurationError("threshold must lie in [0, 1)")
     x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[:, None]
-    norms = np.linalg.norm(x, axis=1)
-    top = norms.max() if norms.size else 0.0
-    if top == 0.0:
-        return np.array([], dtype=int)
-    if threshold == 0.0:
-        return np.flatnonzero(norms > 0.0)
-    return np.flatnonzero(norms > threshold * top)
+    return _threshold_support(x[:, None] if x.ndim == 1 else x, threshold, row_mode=True)
 
 
 def brute_force_l0(a, b, max_support: int = 3, delta: float = 0.0):
@@ -289,7 +274,7 @@ def brute_force_l0(a, b, max_support: int = 3, delta: float = 0.0):
         f"no feasible support of size <= {max_support} at delta = {delta:g}")
 
 
-def theorem2_error_bound(delta: float, m: int, epsilon: float) -> Theorem2Bound:
+def theorem2_error_bound(delta: float, m: int, epsilon: float) -> float:
     """Stability bound delta / sqrt(1 - (M - 1) eps), also the detection floor."""
     if delta < 0:
         raise DomainError("delta must be nonnegative")
@@ -299,5 +284,4 @@ def theorem2_error_bound(delta: float, m: int, epsilon: float) -> Theorem2Bound:
         raise DomainError("coherence must lie in [0, 1]")
     if (m - 1) * epsilon >= 1:
         raise DomainError("stability hypothesis (M - 1) eps < 1 violated")
-    value = delta / np.sqrt(1.0 - (m - 1) * epsilon)
-    return Theorem2Bound(error_bound=float(value), detection_floor=float(value))
+    return float(delta / np.sqrt(1.0 - (m - 1) * epsilon))

@@ -90,6 +90,15 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ConfigurationError"
 
+    @pytest.mark.parametrize("methods", ["km,kmm", ","], ids=["unknown", "empty"])
+    def test_bad_method_override_returns_one(self, methods, config_path, tmp_path, capsys):
+        rc = main(["image", "--config", str(config_path), "--methods", methods,
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("spec", ["centrl", "element:80", "random:0", "optimal:x"])
     def test_bad_illumination_spec_returns_one(self, spec, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arrayimg.config import ScenarioConfig, load_config, parse_length
 from arrayimg.errors import ConfigurationError
-from arrayimg.experiments import (NoiseSpec, add_noise, build_scene,
+from arrayimg.experiments import (add_noise, build_scene,
                                   coherence_report, monte_carlo_stability,
                                   run_scenario, run_trial)
 from arrayimg.greens import sensing_matrix
@@ -51,28 +52,33 @@ def small_cfg(tmp_path):
 class TestAddNoise:
     def test_zero_percent(self):
         data = np.ones((4, 4), dtype=complex)
-        noisy, norm = add_noise(data, NoiseSpec(0.0, seed=1))
+        noisy, norm = add_noise(data, 0.0, seed=1)
         assert norm == 0.0
         assert np.array_equal(noisy, data)
 
-    def test_exact_norm(self):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        noisy, norm = add_noise(data, NoiseSpec(0.5, seed=2))
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           data_seed=st.integers(0, 2 ** 32 - 1),
+           percent=st.floats(1e-6, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(shape=(6, 6), data_seed=0, percent=0.5, seed=2)
+    def test_exact_norm(self, shape, data_seed, percent, seed):
+        rng = np.random.default_rng(data_seed)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        noisy, norm = add_noise(data, percent, seed=seed)
         e = noisy - data
-        assert np.linalg.norm(e) == pytest.approx(0.5 * np.linalg.norm(data),
+        assert np.linalg.norm(e) == pytest.approx(percent * np.linalg.norm(data),
                                                   rel=1e-12)
         assert norm == pytest.approx(np.linalg.norm(e), rel=1e-12)
 
     def test_deterministic(self):
         data = np.ones((3, 5), dtype=complex)
-        n1, _ = add_noise(data, NoiseSpec(0.3, seed=7))
-        n2, _ = add_noise(data, NoiseSpec(0.3, seed=7))
+        n1, _ = add_noise(data, 0.3, seed=7)
+        n2, _ = add_noise(data, 0.3, seed=7)
         assert np.array_equal(n1, n2)
 
     def test_negative_percent_rejected(self):
         with pytest.raises(ConfigurationError):
-            NoiseSpec(-0.1)
+            add_noise(np.ones(2), -0.1)
 
 
 class TestConfig:
@@ -172,6 +178,11 @@ class TestRunTrial:
         assert not report.support_exact
         assert "ConfigurationError" in report.error
         assert result is None
+
+    def test_unknown_method_raises(self, small_cfg):
+        scene = build_scene(small_cfg, seed=3)
+        with pytest.raises(ConfigurationError, match="kmm"):
+            run_trial(scene, "kmm", 3)
 
     def test_programming_error_propagates(self, small_cfg, monkeypatch):
         def broken(*args, **kwargs):

@@ -11,10 +11,6 @@ class TestWaveContext:
         ctx = WaveContext(wavelength=1.0)
         assert ctx.wavenumber * ctx.wavelength == pytest.approx(2.0 * np.pi, rel=1e-15)
 
-    def test_angular_frequency(self):
-        ctx = WaveContext(wavelength=2.0, reference_speed=3.0)
-        assert ctx.angular_frequency == ctx.wavenumber * 3.0
-
     @pytest.mark.parametrize("wl", [0.0, -1.0])
     def test_invalid_wavelength(self, wl):
         with pytest.raises(ConfigurationError):

@@ -219,12 +219,10 @@ class TestRowsupp:
 
 class TestTheorem2Bound:
     def test_zero_coherence(self):
-        b = theorem2_error_bound(0.3, 4, 0.0)
-        assert b.error_bound == pytest.approx(0.3)
-        assert b.detection_floor == pytest.approx(0.3)
+        assert theorem2_error_bound(0.3, 4, 0.0) == pytest.approx(0.3)
 
     def test_zero_delta(self):
-        assert theorem2_error_bound(0.0, 4, 0.1).error_bound == 0.0
+        assert theorem2_error_bound(0.0, 4, 0.1) == 0.0
 
     def test_hypothesis_violation(self):
         with pytest.raises(DomainError):
@@ -248,10 +246,10 @@ class TestTheorem2Bound:
             bound = theorem2_error_bound(hypo, m, eps)
             sol = solve_l1_smv(a, b + e, SolverParams(delta=hypo))
             err = np.linalg.norm(sol.solution - gamma0)
-            assert err <= bound.error_bound + 1e-9
+            assert err <= bound + 1e-9
             detected = set(np.flatnonzero(np.abs(sol.solution) > 1e-12))
             for j in supp:
-                if abs(gamma0[j]) > bound.detection_floor:
+                if abs(gamma0[j]) > bound:
                     assert j in detected
 
 
