@@ -66,6 +66,9 @@ def main(argv=None) -> int:
                 extra = f" [{r.error}]" if r.error else ""
                 print(f"{r.method}: {status} precision={r.precision:.3f} "
                       f"recall={r.recall:.3f}{extra}")
+                if r.converged is False:
+                    print(f"{r.method}: not converged after {r.iterations} "
+                          f"iterations (residual {r.residual:.3g})", file=sys.stderr)
         elif args.command == "stability":
             rows = monte_carlo_stability(cfg, realizations=args.realizations,
                                          out_dir=args.out)

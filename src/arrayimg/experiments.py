@@ -44,6 +44,10 @@ class TrialReport:
     reflectivity_error: float  # relative l2 on the true support; NaN if n/a
     wall_time: float
     error: str = ""
+    # l1 solve of the trial; converged is None for methods without one
+    iterations: int = 0
+    converged: bool | None = None
+    residual: float = float("nan")
 
 
 def add_noise(data: np.ndarray, percent: float, seed: int = 0):
@@ -217,9 +221,13 @@ def run_trial(scene: Scene, method: str, seed: int):
                     / np.linalg.norm(truth.values[idx]))
     else:
         rel = float("nan")
+    diag = result.diagnostics
     report = TrialReport(method=method, scenario_id=cfg.scenario_id, seed=seed,
                          support_exact=exact, precision=precision, recall=recall,
-                         reflectivity_error=rel, wall_time=wall)
+                         reflectivity_error=rel, wall_time=wall,
+                         iterations=diag.get("iterations", 0),
+                         converged=diag.get("converged"),
+                         residual=diag.get("residual", float("nan")))
     return report, result
 
 

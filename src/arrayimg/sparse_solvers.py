@@ -1,11 +1,10 @@
 """Convex sparse-recovery engines.
 
-``solve_l1_smv`` / ``solve_l1_mmv`` run a first-order proximal iteration with
-complex soft-thresholding and a running Lagrange-multiplier update.  In the
-noiseless case (``delta = 0``) its fixed points satisfy the KKT conditions of
-the equality-constrained l1 problem for any positive regularization weight;
-with ``delta > 0`` the residual is shrunk onto the delta-ball so fixed points
-are feasible for the relaxed problem.  ``brute_force_l0`` is an independent
+``solve_l1_smv`` / ``solve_l1_mmv`` solve ``min ||x||_1`` (``sum_i ||X_i.||_2``
+in MMV) subject to ``||A x - b|| <= delta`` with two-block ADMM (Boyd et al.,
+*Found. Trends Mach. Learn.* 3, 2011): ``x`` is the exact projection of
+``y - u`` onto the constraint set, ``y`` the soft threshold of ``x + u`` and
+``u`` the running sum of ``x - y``.  ``brute_force_l0`` is an independent
 enumeration oracle for small instances.
 """
 
@@ -27,16 +26,15 @@ __all__ = [
 ]
 
 FEASIBILITY_SLACK = 1e-8
-# regularization weight as a fraction of max |A^H b| (row norms in MMV mode)
-BETA_FRACTION = 0.05
-# step size on the operator rescaled to unit spectral norm, i.e.
-# 0.9 / ||A||_2^2 with ||A||_2 from 20 power-iteration steps
-STEP_SIZE = 0.9
+# singular values below this fraction of s_1 are dropped from the projection:
+# the shipped sensing matrices are numerically rank deficient (fig2's A A^H
+# has a condition number of about 8e16)
+SVD_RCOND = 1e-8
 
 
 @dataclass
 class SolverParams:
-    """Knobs of the proximal iteration."""
+    """Knobs of the l1 solve."""
 
     delta: float = 0.0
     max_iterations: int = 50_000
@@ -58,24 +56,7 @@ class SparseSolution:
     residual_norm: float
     support: np.ndarray
     converged: bool
-    merit_violation: float = 0.0
     trace: list = field(default_factory=list)
-
-
-def _spectral_norm_sq(a: np.ndarray, iterations: int = 20) -> float:
-    """Power-iteration estimate of ||A||_2^2 (deterministic start)."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    ah = a.conj().T
-    est = 1.0
-    for _ in range(iterations):
-        w = ah @ (a @ v)
-        est = np.linalg.norm(w)
-        if est == 0:
-            return 0.0
-        v = w / est
-    return float(est)
 
 
 def _soft_entries(x: np.ndarray, t: float) -> np.ndarray:
@@ -95,21 +76,66 @@ def _soft_rows(x: np.ndarray, t: float) -> np.ndarray:
     return x
 
 
-def _outside_ball(r: np.ndarray, norm, delta: float) -> np.ndarray:
-    """Component of the residual outside the delta-ball (Frobenius norm)."""
-    if delta == 0.0:
-        return r
-    if norm <= delta:
-        return np.zeros_like(r)
-    return r * (1.0 - delta / norm)
+class _BallProjection:
+    """Exact projection onto ``{x : ||A x - b||_F <= delta}``.
+
+    With the thin SVD ``A = U S V^H`` (singular values below ``SVD_RCOND``
+    times the largest dropped), ``x = V c + x_perp`` and the constraint reads
+    ``||S c - U^H b||^2 <= delta^2 - ||b_perp||^2``; only ``c`` moves, so a
+    projection makes the two products ``V^H p`` and ``V dc``.  For
+    ``delta = 0`` (or a radius that ``b_perp`` alone exhausts) ``c`` is the
+    least-squares ``S^{-1} U^H b``; otherwise it solves
+    ``(I + lam S^2) c = V^H p + lam S U^H b`` with the scalar multiplier
+    ``lam`` set by Newton steps on ``1/||S c - U^H b|| - 1/radius``.
+    """
+
+    def __init__(self, a, b, delta):
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        self.spectral_norm = float(s[0])
+        keep = s > SVD_RCOND * s[0]
+        u, s, vh = u[:, keep], s[keep], vh[keep]
+        self.vh = vh
+        self.v = np.ascontiguousarray(vh.conj().T)
+        self.s = s if b.ndim == 1 else s[:, None]
+        self.ub = u.conj().T @ b
+        outside_sq = np.linalg.norm(b - u @ self.ub) ** 2
+        self.radius = float(np.sqrt(max(delta ** 2 - outside_sq, 0.0)))
+        self.lam = 0.0  # warm start: the multiplier moves little between calls
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        """Project ``p`` in place; a point already inside is left as it is."""
+        q = self.vh @ p
+        if self.radius == 0.0:
+            p += self.v @ (self.ub / self.s - q)
+            return p
+        w = self.s * q - self.ub
+        w_sq = np.abs(w) ** 2
+        if w_sq.ndim > 1:
+            w_sq = w_sq.sum(axis=1)
+        if w_sq.sum() <= self.radius ** 2:
+            return p
+        s_sq = self.s.ravel() ** 2
+        lam = self.lam
+        for _ in range(60):
+            d = 1.0 + lam * s_sq
+            norm = np.sqrt(np.sum(w_sq / d ** 2))
+            if abs(norm - self.radius) <= 1e-12 * self.radius:
+                break
+            # 1/norm is concave in lam, so Newton steps from below the root
+            # rise to it monotonically; a step from above lands below, and a
+            # negative multiplier is clipped to 0, which also lies below
+            slope = np.sum(w_sq * s_sq / d ** 3) / norm ** 3
+            lam = max(lam - (1.0 / norm - 1.0 / self.radius) / slope, 0.0)
+        self.lam = lam
+        p -= self.v @ (lam * self.s * w / (1.0 + lam * self.s ** 2))
+        return p
 
 
 def _iterate(a, b, params: SolverParams, row_mode: bool):
-    """Shared SMV/MMV proximal loop; ``b`` is (N,) or (N, v).
+    """Shared SMV/MMV ADMM loop; ``b`` is (N,) or (N, v).
 
-    The operator is rescaled to unit spectral norm (solution-invariant:
-    ``A x = b`` iff ``(A/s) x = b/s``), so the step ``0.9 / ||A~||_2^2`` is
-    ``STEP_SIZE`` and the coupled multiplier update is stable.
+    The soft threshold is the fixed ``max |A^H b|`` (row norms in MMV) of the
+    operator rescaled to unit spectral norm, ``max |A^H b| / ||A||_2^2``.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -118,92 +144,57 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
     if b.shape[0] != a.shape[0]:
         raise ConfigurationError("data length does not match matrix rows")
 
-    scale = float(np.sqrt(_spectral_norm_sq(a)))
-    a = a / scale
-    b = b / scale
-    delta = params.delta / scale
-    slack = FEASIBILITY_SLACK / scale
+    project = _BallProjection(a, b, params.delta)
+    atb = a.conj().T @ b
+    mags = np.linalg.norm(atb, axis=1) if row_mode else np.abs(atb)
+    t = float(np.max(mags)) / project.spectral_norm ** 2
+    bound = params.delta + FEASIBILITY_SLACK
 
-    # the adjoint is a conjugated copy of A, as costly as a product: build it
-    # once per solve
-    ah = a.conj().T
-    atb = ah @ b
-    if row_mode:
-        beta = BETA_FRACTION * float(np.max(np.linalg.norm(atb, axis=1)))
-    else:
-        beta = BETA_FRACTION * float(np.max(np.abs(atb)))
+    y = np.zeros_like(atb)
+    if t == 0.0:  # A^H b identically zero: y = 0 is stationary
+        res_norm = float(np.linalg.norm(b))
+        return SparseSolution(
+            solution=y, iterations=0, residual_norm=res_norm,
+            support=_threshold_support(y, params.support_threshold, row_mode),
+            converged=res_norm <= bound)
 
     shrink = _soft_rows if row_mode else _soft_entries
-    x = np.zeros_like(atb)
-    z = np.zeros_like(b)
-    snapshot = x.copy()  # convergence is judged on 50-iteration windows
-    merit_violation = 0.0
+    dual = np.zeros_like(y)
+    snapshot = y.copy()  # convergence is judged on 50-iteration windows
     trace = []
     converged = False
     it = 0
-    res_norm = np.linalg.norm(b)
-
-    if beta == 0.0:  # A^H b identically zero: x = 0 is stationary
-        return SparseSolution(
-            solution=x, iterations=0, residual_norm=float(res_norm * scale),
-            support=_threshold_support(x, params.support_threshold, row_mode),
-            converged=bool(res_norm <= delta + slack))
-
-    # r = b - A x holds for the current x throughout: each iteration makes
-    # one product with A and one with its adjoint
-    r = b - a @ x
     for it in range(1, params.max_iterations + 1):
+        x = project(y - dual)
+        y = shrink(x + dual, t)
+        dual += x
+        dual -= y
+
         checked = it % 50 == 0
         traced = params.trace_every and it % params.trace_every == 0
-        if delta or checked or traced:  # with delta = 0 only these read it
-            res_norm = np.linalg.norm(r)
-        # full residual drives the primal step; the multiplier only accumulates
-        # the part outside the delta-ball, so delta = 0 reduces to the pure
-        # equality scheme
-        r_eff = _outside_ball(r, res_norm, delta)
-        # shrink(x + STEP_SIZE * A^H (z + r)), formed in place
-        x_new = ah @ (z + r)
-        x_new *= STEP_SIZE
-        x_new += x
-        x_new = shrink(x_new, STEP_SIZE * beta)
-        r_new = b - a @ x_new
-
+        if not (checked or traced):
+            continue
+        res_norm = np.linalg.norm(b - a @ y)
         if traced:
-            obj = float(np.sum(np.linalg.norm(x_new, axis=1))) if row_mode \
-                else float(np.sum(np.abs(x_new)))
-            trace.append((it, obj, float(res_norm * scale)))
+            obj = float(np.sum(np.linalg.norm(y, axis=1))) if row_mode \
+                else float(np.sum(np.abs(y)))
+            trace.append((it, obj, float(res_norm)))
         if checked:
-            # descent check of the merit the proximal step minimizes (z fixed)
-            before = _merit(r, z, x, beta, row_mode)
-            after = _merit(r_new, z, x_new, beta, row_mode)
-            merit_violation = max(merit_violation,
-                                  (after - before) / max(1.0, abs(before)))
-        z += STEP_SIZE * r_eff
-        x, r = x_new, r_new
-        if checked:
-            change = np.linalg.norm(x - snapshot)
-            snapshot = x.copy()
-            feasible = res_norm <= delta + slack
-            if feasible and change <= params.tolerance * max(np.linalg.norm(x), 1e-300):
+            change = np.linalg.norm(y - snapshot)
+            snapshot = y.copy()
+            if res_norm <= bound and change <= params.tolerance * max(np.linalg.norm(y), 1e-300):
                 converged = True
                 break
 
+    res_norm = float(np.linalg.norm(b - a @ y))
     return SparseSolution(
-        solution=x,
+        solution=y,
         iterations=it,
-        residual_norm=float(np.linalg.norm(r) * scale),
-        support=_threshold_support(x, params.support_threshold, row_mode),
+        residual_norm=res_norm,
+        support=_threshold_support(y, params.support_threshold, row_mode),
         converged=converged,
-        merit_violation=float(merit_violation),
         trace=trace,
     )
-
-
-def _merit(r, z, x, beta, row_mode) -> float:
-    """Merit of ``x`` at fixed multiplier ``z``, given ``r = b - A x``."""
-    reg = np.sum(np.linalg.norm(x, axis=1)) if row_mode else np.sum(np.abs(x))
-    return float(beta * reg + 0.5 * np.linalg.norm(r) ** 2
-                 + np.real(np.vdot(z, r)))
 
 
 def _threshold_support(x, threshold, row_mode):

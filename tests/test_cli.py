@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -52,6 +53,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "smv: exact" in out
         assert (tmp_path / "runs" / "cli-demo" / "3" / "report.csv").exists()
+
+    def test_image_reports_unconverged_solve(self, config_path, tmp_path, capsys):
+        assert main(["image", "--config", str(config_path),
+                     "--out", str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().err == ""  # the uncapped solve converges
+        capped = tmp_path / "capped.ini"
+        capped.write_text(CONFIG + "\n[solver]\nmax_iterations = 50\n")
+        rc = main(["image", "--config", str(capped), "--out", str(tmp_path / "runs")])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("smv:")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"smv: not converged after 50 iterations \(residual \S+\)",
+                            lines[0])
+        assert float(lines[0].rsplit(" ", 1)[1].rstrip(")")) > 0
 
     def test_image_with_method_override_and_seed(self, config_path, tmp_path, capsys):
         rc = main(["image", "--config", str(config_path), "--seed", "9",

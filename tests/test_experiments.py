@@ -171,6 +171,16 @@ class TestRunTrial:
         report, _ = run_trial(scene, "km", seed=3)
         assert report.error == ""  # KM runs; exactness not required
 
+    def test_solver_diagnostics_carried(self, small_cfg):
+        scene = build_scene(small_cfg, seed=3)
+        for method in ("smv", "hybrid"):
+            report, result = run_trial(scene, method, seed=3)
+            assert report.converged is True
+            assert report.iterations == result.diagnostics["iterations"] > 0
+            assert report.residual == result.diagnostics["residual"]
+        report, _ = run_trial(scene, "music", seed=3)
+        assert report.converged is None and report.iterations == 0
+
     def test_module_error_recorded(self, small_cfg):
         small_cfg.known_rank = 9999
         scene = build_scene(small_cfg, seed=3)

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrayimg.errors import ConfigurationError, DomainError
-from arrayimg.sparse_solvers import (BETA_FRACTION, FEASIBILITY_SLACK, STEP_SIZE,
-                                     SolverParams, SparseSolution,
-                                     _threshold_support, brute_force_l0, rowsupp,
-                                     solve_l1_mmv, solve_l1_smv,
-                                     theorem2_error_bound)
+from arrayimg.sparse_solvers import (FEASIBILITY_SLACK, SolverParams,
+                                     _BallProjection, _soft_entries, _soft_rows,
+                                     brute_force_l0, rowsupp, solve_l1_mmv,
+                                     solve_l1_smv, theorem2_error_bound)
 from arrayimg.io import write_trace_csv
 
 
@@ -78,10 +77,29 @@ class TestSolveL1Smv:
         sol2 = solve_l1_smv(a, c * b)
         assert np.allclose(sol2.solution, c * sol1.solution, atol=1e-8)
 
-    def test_merit_monotone(self):
-        a, b, _, _ = planted_instance(seed=21, n=64, k=12, m=2)
-        sol = solve_l1_smv(a, b)
-        assert sol.merit_violation <= 1e-9
+    @pytest.mark.parametrize("columns", [None, 3], ids=["smv", "mmv"])
+    def test_kkt_certificate(self, columns):
+        # optimality on the returned support: feasible, and the least-squares
+        # dual certificate p (A_S^H p = sign of x_S) has |A^H p| <= 1 off it
+        for seed in range(10):
+            rng = np.random.default_rng([21, seed])
+            a = random_unit_columns(rng, 32, 64)
+            x0 = np.zeros((64, columns or 1), dtype=complex)
+            x0[rng.choice(64, size=3, replace=False)] = (
+                rng.uniform(0.5, 2.0, (3, x0.shape[1]))
+                * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, x0.shape[1]))))
+            if columns:
+                sol = solve_l1_mmv(a, a @ x0)
+                x = sol.solution
+            else:
+                sol = solve_l1_smv(a, a @ x0[:, 0])
+                x = sol.solution[:, None]
+            assert sol.converged
+            assert sol.residual_norm <= FEASIBILITY_SLACK
+            supp = sol.support
+            sign = x[supp] / np.linalg.norm(x[supp], axis=1, keepdims=True)
+            p = np.linalg.pinv(a[:, supp].conj().T) @ sign
+            assert np.linalg.norm(a.conj().T @ p, axis=1).max() <= 1 + 1e-6
 
     def test_nonconvergence_flagged(self):
         a, b, _, _ = planted_instance(seed=3, n=64, k=12, m=2)
@@ -263,175 +281,95 @@ class TestOracleAgreement:
             assert list(sol.support) == list(oracle_supp)
 
 
-# The proximal loop as it was before the adjoint was hoisted and the residual
-# carried between iterations, kept verbatim as the reference the current loop
-# must match bit for bit.
-def _spectral_norm_sq(a: np.ndarray, iterations: int = 20) -> float:
-    """Power-iteration estimate of ||A||_2^2 (deterministic start)."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    est = 1.0
-    for _ in range(iterations):
-        w = a.conj().T @ (a @ v)
-        est = np.linalg.norm(w)
-        if est == 0:
-            return 0.0
-        v = w / est
-    return float(est)
+class TestLinearProgramOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_basis_pursuit_lp(self, seed):
+        # real basis pursuit as an LP over x = x+ - x-; with 8 nonzeros the
+        # l1 minimizer is often not the planted vector
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng([7, seed])
+        m = (2, 5, 8)[seed % 3]
+        a = rng.standard_normal((20, 50))
+        x0 = np.zeros(50)
+        x0[rng.choice(50, size=m, replace=False)] = rng.standard_normal(m)
+        b = a @ x0
+        lp = linprog(np.ones(100), A_eq=np.hstack([a, -a]), b_eq=b,
+                     bounds=(0, None), method="highs")
+        assert lp.status == 0
+        sol = solve_l1_smv(a, b)
+        assert sol.converged
+        assert np.allclose(sol.solution, lp.x[:50] - lp.x[50:], rtol=0.0, atol=1e-6)
 
 
-def _soft_entries(x: np.ndarray, t: float) -> np.ndarray:
-    """Complex soft threshold: shrink magnitude by t, preserve phase."""
-    mag = np.abs(x)
-    scale = np.maximum(0.0, 1.0 - t / np.maximum(mag, 1e-300))
-    return x * scale
-
-
-def _soft_rows(x: np.ndarray, t: float) -> np.ndarray:
-    """Block soft threshold: shrink each row's l2 norm by t, keep direction."""
-    norms = np.linalg.norm(x, axis=1)
-    scale = np.maximum(0.0, 1.0 - t / np.maximum(norms, 1e-300))
-    return x * scale[:, None]
-
-
-def _shrink_to_ball(r: np.ndarray, delta: float):
-    """Component of the residual outside the delta-ball (Frobenius norm)."""
-    if delta == 0.0:
-        return r, np.linalg.norm(r)
-    norm = np.linalg.norm(r)
-    if norm <= delta:
-        return np.zeros_like(r), norm
-    return r * (1.0 - delta / norm), norm
-
-
-def _iterate(a, b, params: SolverParams, row_mode: bool):
-    """Shared SMV/MMV proximal loop; ``b`` is (N,) or (N, v).
-
-    The operator is rescaled to unit spectral norm (solution-invariant:
-    ``A x = b`` iff ``(A/s) x = b/s``), so the step ``0.9 / ||A~||_2^2`` is
-    ``STEP_SIZE`` and the coupled multiplier update is stable.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or np.all(a == 0):
-        raise ConfigurationError("system matrix must be a nonzero 2-D array")
-    if b.shape[0] != a.shape[0]:
-        raise ConfigurationError("data length does not match matrix rows")
-
-    scale = float(np.sqrt(_spectral_norm_sq(a)))
-    a = a / scale
-    b = b / scale
-    delta = params.delta / scale
-    slack = FEASIBILITY_SLACK / scale
-
-    atb = a.conj().T @ b
-    if row_mode:
-        beta = BETA_FRACTION * float(np.max(np.linalg.norm(atb, axis=1)))
-    else:
-        beta = BETA_FRACTION * float(np.max(np.abs(atb)))
-
-    shrink = _soft_rows if row_mode else _soft_entries
-    x = np.zeros_like(atb)
-    z = np.zeros_like(b)
-    snapshot = x.copy()  # convergence is judged on 50-iteration windows
-    merit_violation = 0.0
-    trace = []
-    converged = False
-    it = 0
-    res_norm = np.linalg.norm(b)
-
-    if beta == 0.0:  # A^H b identically zero: x = 0 is stationary
-        return SparseSolution(
-            solution=x, iterations=0, residual_norm=float(res_norm * scale),
-            support=_threshold_support(x, params.support_threshold, row_mode),
-            converged=bool(res_norm <= delta + slack))
-
-    for it in range(1, params.max_iterations + 1):
-        r = b - a @ x
-        r_eff, res_norm = _shrink_to_ball(r, delta)
-        # full residual drives the primal step; the multiplier only accumulates
-        # the part outside the delta-ball, so delta = 0 reduces to the pure
-        # equality scheme
-        grad_term = a.conj().T @ (z + r)
-        x_new = shrink(x + STEP_SIZE * grad_term, STEP_SIZE * beta)
-
-        if params.trace_every and it % params.trace_every == 0:
-            obj = float(np.sum(np.linalg.norm(x_new, axis=1))) if row_mode \
-                else float(np.sum(np.abs(x_new)))
-            trace.append((it, obj, float(res_norm * scale)))
-        if it % 50 == 0:
-            # descent check of the merit the proximal step minimizes (z fixed)
-            before = _merit(a, b, z, x, beta, delta, row_mode)
-            after = _merit(a, b, z, x_new, beta, delta, row_mode)
-            merit_violation = max(merit_violation,
-                                  (after - before) / max(1.0, abs(before)))
-        z = z + STEP_SIZE * r_eff
-        x = x_new
-        if it % 50 == 0:
-            change = np.linalg.norm(x - snapshot)
-            snapshot = x.copy()
-            feasible = res_norm <= delta + slack
-            if feasible and change <= params.tolerance * max(np.linalg.norm(x), 1e-300):
-                converged = True
-                break
-
-    res_norm = float(np.linalg.norm(b - a @ x) * scale)
-    return SparseSolution(
-        solution=x,
-        iterations=it,
-        residual_norm=res_norm,
-        support=_threshold_support(x, params.support_threshold, row_mode),
-        converged=converged,
-        merit_violation=float(merit_violation),
-        trace=trace,
-    )
-
-
-def _merit(a, b, z, x, beta, delta, row_mode) -> float:
-    r = b - a @ x
-    reg = np.sum(np.linalg.norm(x, axis=1)) if row_mode else np.sum(np.abs(x))
-    return float(beta * reg + 0.5 * np.linalg.norm(r) ** 2
-                 + np.real(np.vdot(z, r)))
-
-
-
-class TestLoopMatchesReference:
+class TestBallProjection:
     @staticmethod
-    def problem(row_mode, noisy):
-        a, b, _, _ = planted_instance(seed=31, n=64, k=12, m=2)
-        if row_mode:
-            rng = np.random.default_rng(32)
-            x0 = np.zeros((12, 3), dtype=complex)
-            x0[[2, 9]] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-            b = a @ x0
-        delta = 0.0
-        if noisy:
-            rng = np.random.default_rng(33)
-            e = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
-            e *= 0.05 * np.linalg.norm(b) / np.linalg.norm(e)
-            b = b + e
-            delta = float(np.linalg.norm(e))
-        return a, b, delta
+    def problem(n, k, columns, seed=41):
+        rng = np.random.default_rng(seed)
+        shape = (k,) if columns is None else (k, columns)
+        a = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        b = (rng.standard_normal((n,) + shape[1:])
+             + 1j * rng.standard_normal((n,) + shape[1:]))
+        p = 10 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
+        delta = np.linalg.norm(a @ x_ls - b) + 0.3 * np.linalg.norm(b)
+        return a, b, p, x_ls, delta
 
-    @pytest.mark.parametrize("max_iterations", [50_000, 123])
-    @pytest.mark.parametrize("trace_every", [0, 7])
-    @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("row_mode", [False, True])
-    def test_bit_identical(self, row_mode, noisy, trace_every, max_iterations):
-        a, b, delta = self.problem(row_mode, noisy)
-        params = SolverParams(delta=delta, max_iterations=max_iterations,
-                              trace_every=trace_every)
-        expected = _iterate(a, b, params, row_mode)
-        got = (solve_l1_mmv if row_mode else solve_l1_smv)(a, b, params)
-        # the capped run stops at its cap; the other converges before it
-        assert expected.converged == (max_iterations == 50_000)
-        assert np.array_equal(got.solution, expected.solution)
-        assert got.solution.tobytes() == expected.solution.tobytes()
-        assert got.iterations == expected.iterations
-        assert got.residual_norm == expected.residual_norm
-        assert got.merit_violation == expected.merit_violation
-        assert got.converged == expected.converged
-        assert np.array_equal(got.support, expected.support)
-        assert got.trace == expected.trace
-        assert bool(got.trace) == bool(trace_every)
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("n, k", [(12, 30), (30, 12)])
+    def test_inside_unchanged(self, n, k, columns):
+        a, b, p, x_ls, delta = self.problem(n, k, columns)
+        inside = x_ls + 1e-3 * p / np.linalg.norm(a @ p) * delta
+        assert np.linalg.norm(a @ inside - b) < delta
+        got = _BallProjection(a, b, delta)(inside.copy())
+        assert np.array_equal(got, inside)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("n, k", [(12, 30), (30, 12)])
+    def test_outside_on_boundary(self, n, k, columns):
+        a, b, p, _, delta = self.problem(n, k, columns)
+        assert np.linalg.norm(a @ p - b) > delta
+        x = _BallProjection(a, b, delta)(p.copy())
+        r = a @ x - b
+        assert abs(np.linalg.norm(r) - delta) <= 1e-10 * delta
+        # nearest point: p - x is a nonnegative multiple of A^H (A x - b)
+        normal = (a.conj().T @ r).ravel()
+        mu = np.vdot(normal, (p - x).ravel()).real / np.vdot(normal, normal).real
+        assert mu > 0
+        assert np.linalg.norm((p - x).ravel() - mu * normal) <= 1e-8 * np.linalg.norm(p - x)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_equality_is_minimum_norm_correction(self, columns):
+        a, b, p, _, _ = self.problem(12, 30, columns)
+        x = _BallProjection(a, b, 0.0)(p.copy())
+        assert np.allclose(x, p - np.linalg.pinv(a) @ (a @ p - b), rtol=0.0, atol=1e-10)
+
+
+class TestSoftThreshold:
+    # prox optimality: (v - p) / t lies in the subdifferential of the (row)
+    # l1 norm at p
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 20),
+           columns=st.integers(1, 4), t=st.floats(1e-6, 1e3),
+           spread=st.floats(-3, 3), rows_mode=st.booleans())
+    def test_prox_optimality(self, seed, rows, columns, t, spread, rows_mode):
+        rng = np.random.default_rng(seed)
+        v = (rng.standard_normal((rows, columns))
+             + 1j * rng.standard_normal((rows, columns))) * t * 10.0 ** spread
+        if rows_mode:
+            p = _soft_rows(v.copy(), t)
+            v_mag, p_mag = np.linalg.norm(v, axis=1), np.linalg.norm(p, axis=1)
+            zero = p_mag == 0
+            v_rest, p_rest = v[~zero], p[~zero]
+            unit = p_rest / p_mag[~zero, None]
+        else:
+            p = _soft_entries(v.copy(), t)
+            v_mag, p_mag = np.abs(v), np.abs(p)
+            zero = p_mag == 0
+            v_rest, p_rest = v[~zero], p[~zero]
+            unit = p_rest / p_mag[~zero]
+        assert np.all(v_mag[zero] <= t)
+        tol = 1e-12 * np.maximum(t, v_mag[~zero])
+        if rows_mode:
+            tol = tol[:, None]
+        assert np.all(np.abs(v_rest - p_rest - t * unit) <= tol)
