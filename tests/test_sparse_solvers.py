@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrayimg.errors import ConfigurationError, DomainError
-from arrayimg.sparse_solvers import (FEASIBILITY_SLACK, SolverParams,
+from arrayimg.sparse_solvers import (FEASIBILITY_SLACK, SolverParams, SparseSolution,
                                      _BallProjection, _soft_entries, _soft_rows,
+                                     _threshold_support,
                                      brute_force_l0, rowsupp, solve_l1_mmv,
                                      solve_l1_smv, theorem2_error_bound)
 from arrayimg.io import write_trace_csv
@@ -373,3 +374,86 @@ class TestSoftThreshold:
         if rows_mode:
             tol = tol[:, None]
         assert np.all(np.abs(v_rest - p_rest - t * unit) <= tol)
+
+
+def _reference_admm(a, b, params, row_mode):
+    """Plain spelling of the solver's ADMM: every quantity is formed on every
+    iteration, out of place, and only then read at the check and trace
+    iterations."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    project = _BallProjection(a, b, params.delta)
+    atb = a.conj().T @ b
+    mags = np.linalg.norm(atb, axis=1) if row_mode else np.abs(atb)
+    t = float(np.max(mags)) / project.spectral_norm ** 2
+    bound = params.delta + FEASIBILITY_SLACK
+    shrink = _soft_rows if row_mode else _soft_entries
+
+    y = np.zeros_like(atb)
+    dual = np.zeros_like(y)
+    snapshot = y.copy()
+    trace = []
+    converged = False
+    it = 0
+    for it in range(1, params.max_iterations + 1):
+        x = project(y - dual)
+        y = shrink(x + dual, t)
+        dual = dual + x - y
+        res_norm = np.linalg.norm(b - a @ y)
+        obj = float(np.sum(np.linalg.norm(y, axis=1))) if row_mode \
+            else float(np.sum(np.abs(y)))
+        if params.trace_every and it % params.trace_every == 0:
+            trace.append((it, obj, float(res_norm)))
+        if it % 50 == 0:
+            change = np.linalg.norm(y - snapshot)
+            snapshot = y.copy()
+            if res_norm <= bound and change <= params.tolerance * max(np.linalg.norm(y), 1e-300):
+                converged = True
+                break
+    return SparseSolution(
+        solution=y, iterations=it,
+        residual_norm=float(np.linalg.norm(b - a @ y)),
+        support=_threshold_support(y, params.support_threshold, row_mode),
+        converged=converged, trace=trace)
+
+
+class TestLoopMatchesReference:
+    # the solver skips the residual, objective and snapshot work on the
+    # iterations that neither check nor trace; that must not move a bit
+    @staticmethod
+    def problem(row_mode, noisy):
+        a, b, _, _ = planted_instance(seed=31, n=64, k=12, m=2)
+        if row_mode:
+            rng = np.random.default_rng(32)
+            x0 = np.zeros((12, 3), dtype=complex)
+            x0[[2, 9]] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+            b = a @ x0
+        delta = 0.0
+        if noisy:
+            rng = np.random.default_rng(33)
+            e = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+            e *= 0.05 * np.linalg.norm(b) / np.linalg.norm(e)
+            b = b + e
+            delta = float(np.linalg.norm(e))
+        return a, b, delta
+
+    @pytest.mark.parametrize("max_iterations", [50_000, 123])
+    @pytest.mark.parametrize("trace_every", [0, 7])
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("row_mode", [False, True])
+    def test_bit_identical(self, row_mode, noisy, trace_every, max_iterations):
+        a, b, delta = self.problem(row_mode, noisy)
+        params = SolverParams(delta=delta, max_iterations=max_iterations,
+                              trace_every=trace_every)
+        expected = _reference_admm(a, b, params, row_mode)
+        got = (solve_l1_mmv if row_mode else solve_l1_smv)(a, b, params)
+        # noiseless runs converge before either cap; the others stop at 123
+        assert expected.converged or expected.iterations == max_iterations
+        assert np.array_equal(got.solution, expected.solution)
+        assert got.solution.tobytes() == expected.solution.tobytes()
+        assert got.iterations == expected.iterations
+        assert got.residual_norm == expected.residual_norm
+        assert got.converged == expected.converged
+        assert np.array_equal(got.support, expected.support)
+        assert got.trace == expected.trace
+        assert bool(got.trace) == bool(trace_every)
