@@ -3,6 +3,7 @@
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .config import load_config, parse_methods
 from .errors import ConfigurationError
@@ -43,9 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def main(argv=None) -> int:
@@ -59,7 +58,7 @@ def main(argv=None) -> int:
             print(f"wrote {run_dir / 'response.csv'}")
         elif args.command == "image":
             if args.methods is not None:
-                cfg.methods = parse_methods(args.methods)
+                cfg = replace(cfg, methods=parse_methods(args.methods))
             reports = run_scenario(cfg, cfg.seed, out_dir=args.out)
             for r in reports:
                 status = "exact" if r.support_exact else "inexact"

@@ -2,12 +2,13 @@
 [scatterers], [medium], [solver] and [experiment] sections.
 
 All lengths are in wavelength units; values suffixed ``l`` are multiples of
-the medium correlation length (``25l``).  Key names are documented in the
-README.
+the medium correlation length (``25l``).  Each ``ScenarioConfig`` field
+declares its section, its key and the parser that checks its range; the
+README documents them.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
 
@@ -62,95 +63,107 @@ def parse_methods(text) -> list:
     return methods
 
 
-# every section and key load_config reads; anything else is rejected so that a
-# misspelt key cannot silently leave its default in place
-_KEYS = {
-    "wave": {"wavelength"},
-    "array": {"n", "aperture", "pitch"},
-    "window": {"center_range", "rows", "cols", "spacing"},
-    "scatterers": {"cells", "magnitudes", "phases"},
-    "medium": {"kind", "correlation_length", "sigma", "kernel", "lattice_spacing"},
-    "solver": {"max_iterations", "tolerance", "support_threshold", "delta_factor",
-               "hybrid_delta_fraction"},
-    "experiment": {"scenario_id", "seed", "methods", "noise_percent", "forward",
-                   "illuminations", "km_illuminations", "rank_threshold", "known_rank",
-                   "apertures", "realizations", "delta_grid", "write_pgm"},
-}
+# Each parser takes the raw value and the correlation length (for lengths in
+# ``l`` units) and raises ValueError on a value it does not accept.
+
+def _plain(convert):
+    return lambda text, l: convert(text)
 
 
-def _check_keys(parser: configparser.ConfigParser):
-    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
-    unknown = sorted(set(sections) - _KEYS.keys())
-    if unknown:
-        raise ConfigurationError(f"unknown sections {unknown}; valid: {sorted(_KEYS)}")
-    for name in sections:
-        unknown = sorted(set(parser[name]) - _KEYS[name])
-        if unknown:
-            raise ConfigurationError(
-                f"unknown keys {unknown} in [{name}]; valid: {sorted(_KEYS[name])}")
+def _checked(convert, rule: str, ok):
+    def parse(text, l):
+        value = convert(text, l)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+        return value
+    return parse
 
 
-def _floats(text):
-    return [float(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
+def _list(item):
+    """Comma or semicolon list of ``item`` values."""
+    return lambda text, l: [item(tok, l) for tok in text.replace(";", ",").split(",")
+                            if tok.strip()]
 
 
-def _cells(text):
-    cells = []
-    for chunk in str(text).split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(f"scatterer cell {chunk!r} is not 'row,col'")
-        cells.append((int(parts[0]), int(parts[1])))
+def _cells(text, l):
+    cells = [tuple(int(i) for i in chunk.split(",")) for chunk in text.split(";")
+             if chunk.strip()]
+    if any(len(cell) != 2 for cell in cells):
+        raise ValueError("must be 'row,col' pairs separated by ';'")
     return cells
 
 
-@dataclass
+def _phases(text, l):
+    return "random" if text == "random" else _list(_float)(text, l)
+
+
+def _words(*words):
+    return _checked(_text, f"one of {list(words)}", lambda v: v in words)
+
+
+_int, _float, _text = _plain(int), _plain(float), _plain(str.strip)
+_count = _checked(_int, ">= 1", lambda v: v >= 1)
+_positive = _checked(_float, "> 0", lambda v: v > 0)
+_positive_length = _checked(parse_length, "> 0", lambda v: v > 0)
+_nonnegative = _checked(_float, ">= 0", lambda v: v >= 0)
+_fraction = _checked(_float, "in [0, 1)", lambda v: 0 <= v < 1)
+_boolean = _checked(_plain(lambda text: configparser.ConfigParser.BOOLEAN_STATES.get(
+    text.lower())), "true or false", lambda v: v is not None)
+# run directories are out_dir/<scenario_id>/<seed>
+_name = _checked(_text, "one directory name",
+                 lambda v: v not in ("", ".", "..") and not {"/", "\\"} & set(v))
+
+
+def _key(section, parse, default=None, *, key=None, factory=None):
+    """Field read from ``[section] key`` (the field name unless ``key``)."""
+    meta = {"section": section, "key": key, "parse": parse}
+    if factory is not None:
+        return field(default_factory=factory, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Parsed scenario description (lengths already in wavelength units)."""
 
-    # wave
-    wavelength: float = 1.0
-    # array
-    n: int = 100
-    pitch: float = 1.0
-    # window
-    center_range: float = 100.0
-    rows: int = 41
-    cols: int = 41
-    spacing: float = 1.0
-    # scatterers
-    cells: list = field(default_factory=list)
-    magnitudes: list = field(default_factory=list)
-    phases: object = "random"  # "random" or list of radians
-    # medium
-    medium_kind: str = "homogeneous"  # or "random-phase"
-    correlation_length: float | None = None
-    sigma: float = 0.0
-    kernel: str = "gaussian"
-    lattice_spacing: float | None = None
-    # solver
-    max_iterations: int = 50_000
-    tolerance: float = 1e-8
-    support_threshold: float = 0.1
-    delta_factor: float = 1.0
-    hybrid_delta_fraction: float | None = None  # default depends on medium kind
-    # experiment
-    scenario_id: str = "scenario"
-    seed: int = 1
-    methods: list = field(default_factory=lambda: ["smv"])
-    noise_percent: float = 0.0
-    forward: str = "auto"  # foldy-lax | born | auto
-    illuminations: str = "central"
-    km_illuminations: str | None = None
-    rank_threshold: float = 0.05
-    known_rank: int | None = None
-    apertures: list = field(default_factory=list)
-    realizations: int = 10
-    delta_grid: list = field(default_factory=list)
-    write_pgm: bool = False
+    wavelength: float = _key("wave", _positive, 1.0)
+    n: int = _key("array", _count, 100)
+    pitch: float = _key("array", _positive_length, 1.0)
+    center_range: float = _key("window", parse_length, 100.0)
+    rows: int = _key("window", _count, 41)
+    cols: int = _key("window", _count, 41)
+    spacing: float = _key("window", _positive_length, 1.0)
+    cells: list = _key("scatterers", _cells, factory=list)
+    magnitudes: list = _key("scatterers", _list(_float), factory=list)
+    phases: object = _key("scatterers", _phases, "random")  # or list of radians
+    medium_kind: str = _key("medium", _words("homogeneous", "random-phase"),
+                            "homogeneous", key="kind")
+    correlation_length: float | None = _key("medium", _positive)
+    sigma: float = _key("medium", _nonnegative, 0.0)
+    kernel: str = _key("medium", _words("gaussian", "power-law"), "gaussian")
+    lattice_spacing: float | None = _key("medium", _positive)
+    max_iterations: int = _key("solver", _count, 50_000)
+    tolerance: float = _key("solver", _positive, 1e-8)
+    support_threshold: float = _key("solver", _fraction, 0.1)
+    delta_factor: float = _key("solver", _checked(_float, ">= 1", lambda v: v >= 1), 1.0)
+    # default depends on medium kind; at >= 1 the zero vector is feasible
+    hybrid_delta_fraction: float | None = _key("solver", _fraction)
+    scenario_id: str = _key("experiment", _name, "scenario")
+    seed: int = _key("experiment", _checked(_int, ">= 0", lambda v: v >= 0), 1)
+    methods: list = _key("experiment", _plain(parse_methods), factory=lambda: ["smv"])
+    noise_percent: float = _key("experiment", _nonnegative, 0.0)
+    forward: str = _key("experiment", _words("auto", "foldy-lax", "born"), "auto")
+    illuminations: str = _key("experiment", _text, "central")  # checked against n
+    km_illuminations: str | None = _key("experiment", _text)
+    # in (0, 1] select_rank keeps at least one singular value
+    rank_threshold: float = _key(
+        "experiment", _checked(_float, "in (0, 1]", lambda v: 0 < v <= 1), 0.05)
+    known_rank: int | None = _key("experiment", _count)  # checked against n
+    apertures: list = _key("experiment", _list(_positive_length), factory=list)
+    realizations: int = _key(  # the Monte-Carlo minimum
+        "experiment", _checked(_int, ">= 10", lambda v: v >= 10), 10)
+    delta_grid: list = _key("experiment", _list(_nonnegative), factory=list)
+    write_pgm: bool = _key("experiment", _boolean, False)
     raw_text: str = ""
 
     def resolved_hybrid_delta_fraction(self) -> float:
@@ -161,96 +174,71 @@ class ScenarioConfig:
         return 0.02 if self.noise_percent > 0 else 0.0
 
 
+# (section, key, name, parser) of every key, [medium] first: the lengths may be
+# in its correlation-length units.  [array] aperture is the one key that is
+# not a field: it sets pitch to aperture / (n - 1).
+_TABLE = sorted([(f.metadata["section"], f.metadata["key"] or f.name, f.name,
+                  f.metadata["parse"]) for f in fields(ScenarioConfig) if f.metadata]
+                + [("array", "aperture", "aperture", _positive_length)],
+                key=lambda row: row[0] != "medium")
+_KNOWN = {section: {row[1] for row in _TABLE if row[0] == section}
+          for section, *_ in _TABLE}
+
+
+def _invalid(parser, section, key, reason) -> ConfigurationError:
+    raw = parser.get(section, key, raw=True, fallback="")
+    return ConfigurationError(f"[{section}] {key} = {raw!r}: {reason}")
+
+
 def load_config(path) -> ScenarioConfig:
+    """Read a scenario INI; an unknown key or a bad value raises
+    ``ConfigurationError`` naming it."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
         text = fh.read()
-    parser.read_string(text)
-    _check_keys(parser)
-    cfg = ScenarioConfig(raw_text=text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed INI: {exc}") from exc
+    # a misspelt key must not silently leave its default in place
+    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+    unknown = sorted(set(sections) - _KNOWN.keys())
+    if unknown:
+        raise ConfigurationError(f"unknown sections {unknown}; valid: {sorted(_KNOWN)}")
+    for name in sections:
+        unknown = sorted(set(parser[name]) - _KNOWN[name])
+        if unknown:
+            raise ConfigurationError(
+                f"unknown keys {unknown} in [{name}]; valid: {sorted(_KNOWN[name])}")
 
-    if parser.has_section("medium"):
-        sec = parser["medium"]
-        cfg.medium_kind = sec.get("kind", cfg.medium_kind).strip()
-        if "correlation_length" in sec:
-            cfg.correlation_length = float(sec["correlation_length"])
-        cfg.sigma = sec.getfloat("sigma", cfg.sigma)
-        cfg.kernel = sec.get("kernel", cfg.kernel).strip()
-        if "lattice_spacing" in sec:
-            cfg.lattice_spacing = float(sec["lattice_spacing"])
-    if cfg.medium_kind not in ("homogeneous", "random-phase"):
-        raise ConfigurationError(f"unknown medium kind {cfg.medium_kind!r}")
+    values = {}
+    for section, key, name, parse in _TABLE:
+        if parser.has_option(section, key):
+            try:
+                values[name] = parse(parser.get(section, key),
+                                     values.get("correlation_length"))
+            except (ValueError, configparser.Error) as exc:
+                raise _invalid(parser, section, key, exc) from exc
+    aperture = values.pop("aperture", None)
+    cfg = ScenarioConfig(raw_text=text, **values)
+
     if cfg.medium_kind == "random-phase" and cfg.correlation_length is None:
-        raise ConfigurationError("random-phase medium requires correlation_length")
-    l = cfg.correlation_length
-
-    if parser.has_section("wave"):
-        cfg.wavelength = parser["wave"].getfloat("wavelength", cfg.wavelength)
-
-    if parser.has_section("array"):
-        sec = parser["array"]
-        cfg.n = sec.getint("n", cfg.n)
-        if "aperture" in sec:
-            if cfg.n < 2:
-                raise ConfigurationError("aperture-based layout needs n >= 2")
-            cfg.pitch = parse_length(sec["aperture"], l) / (cfg.n - 1)
-        elif "pitch" in sec:
-            cfg.pitch = parse_length(sec["pitch"], l)
-
-    if parser.has_section("window"):
-        sec = parser["window"]
-        cfg.center_range = parse_length(sec.get("center_range", cfg.center_range), l)
-        cfg.rows = sec.getint("rows", cfg.rows)
-        cfg.cols = sec.getint("cols", cfg.cols)
-        cfg.spacing = parse_length(sec.get("spacing", cfg.spacing), l)
-
-    if parser.has_section("scatterers"):
-        sec = parser["scatterers"]
-        cfg.cells = _cells(sec.get("cells", ""))
-        cfg.magnitudes = _floats(sec.get("magnitudes", ""))
-        phases = sec.get("phases", "random").strip()
-        cfg.phases = "random" if phases == "random" else _floats(phases)
-        if len(cfg.magnitudes) != len(cfg.cells):
-            raise ConfigurationError("magnitudes count does not match cells count")
-        if cfg.phases != "random" and len(cfg.phases) != len(cfg.cells):
-            raise ConfigurationError("phases count does not match cells count")
-
-    if parser.has_section("solver"):
-        sec = parser["solver"]
-        cfg.max_iterations = sec.getint("max_iterations", cfg.max_iterations)
-        cfg.tolerance = sec.getfloat("tolerance", cfg.tolerance)
-        cfg.support_threshold = sec.getfloat("support_threshold", cfg.support_threshold)
-        cfg.delta_factor = sec.getfloat("delta_factor", cfg.delta_factor)
-        if "hybrid_delta_fraction" in sec:
-            cfg.hybrid_delta_fraction = sec.getfloat("hybrid_delta_fraction")
-
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        cfg.scenario_id = sec.get("scenario_id", cfg.scenario_id).strip()
-        cfg.seed = sec.getint("seed", cfg.seed)
-        if "methods" in sec:
-            cfg.methods = parse_methods(sec["methods"])
-        cfg.noise_percent = sec.getfloat("noise_percent", cfg.noise_percent)
-        cfg.forward = sec.get("forward", cfg.forward).strip()
-        cfg.illuminations = sec.get("illuminations", cfg.illuminations).strip()
-        if "km_illuminations" in sec:
-            cfg.km_illuminations = sec["km_illuminations"].strip()
-        cfg.rank_threshold = sec.getfloat("rank_threshold", cfg.rank_threshold)
-        if sec.get("known_rank", "").strip():
-            cfg.known_rank = sec.getint("known_rank")
-        if "apertures" in sec:
-            cfg.apertures = [parse_length(tok, l)
-                             for tok in sec["apertures"].split(",") if tok.strip()]
-        cfg.realizations = sec.getint("realizations", cfg.realizations)
-        if "delta_grid" in sec:
-            cfg.delta_grid = _floats(sec["delta_grid"])
-        cfg.write_pgm = sec.getboolean("write_pgm", cfg.write_pgm)
-
-    if cfg.delta_factor < 1.0:
-        raise ConfigurationError("delta_factor must be >= 1")
-    if cfg.forward not in ("auto", "foldy-lax", "born"):
-        raise ConfigurationError(f"unknown forward model {cfg.forward!r}")
-    for spec in (cfg.illuminations, cfg.km_illuminations):
-        if spec is not None:
-            parse_illuminations(spec, cfg.n)
+        raise _invalid(parser, "medium", "kind", "needs [medium] correlation_length")
+    if aperture is not None:
+        if cfg.n < 2:
+            raise _invalid(parser, "array", "aperture", "needs [array] n >= 2")
+        cfg = replace(cfg, pitch=aperture / (cfg.n - 1))
+    for key in ("magnitudes", "phases"):
+        got = getattr(cfg, key)
+        if got != "random" and len(got) != len(cfg.cells):
+            raise _invalid(parser, "scatterers", key,
+                           f"has {len(got)} entries for {len(cfg.cells)} cells")
+    if cfg.known_rank is not None and cfg.known_rank > cfg.n:
+        raise _invalid(parser, "experiment", "known_rank", f"exceeds [array] n = {cfg.n}")
+    for key in ("illuminations", "km_illuminations"):
+        if getattr(cfg, key) is not None:
+            try:
+                parse_illuminations(getattr(cfg, key), cfg.n)
+            except ConfigurationError as exc:
+                raise _invalid(parser, "experiment", key, exc) from None
     return cfg

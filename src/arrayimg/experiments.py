@@ -71,7 +71,6 @@ class Scene:
     """Everything a trial needs: geometry, truth, and the noisy response."""
 
     cfg: ScenarioConfig
-    ctx: WaveContext
     sensing: object
     rho: object
     response: object          # noise-free response matrix
@@ -135,7 +134,7 @@ def build_scene(cfg: ScenarioConfig, seed: int,
     noisy_mat, _ = add_noise(response.matrix, cfg.noise_percent, seed=noise_seed)
     noise_matrix = noisy_mat - response.matrix
     noisy = type(response)(matrix=noisy_mat, provenance=response.provenance, seed=seed)
-    return Scene(cfg=cfg, ctx=ctx, sensing=sensing, rho=rho,
+    return Scene(cfg=cfg, sensing=sensing, rho=rho,
                  response=response, noisy=noisy, noise_matrix=noise_matrix)
 
 

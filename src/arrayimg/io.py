@@ -28,7 +28,6 @@ __all__ = [
     "write_support_csv",
     "write_image_csv",
     "write_pgm",
-    "write_field_csv",
 ]
 
 
@@ -179,12 +178,3 @@ def write_pgm(path, result, window) -> None:
         fh.write(f"P2\n{window.cols} {window.rows}\n255\n")
         for r in range(window.rows):
             fh.write(" ".join(str(v) for v in scaled[r]) + "\n")
-
-
-def write_field_csv(path, field) -> None:
-    """Lattice dump of one random-medium realization for inspection."""
-    with open(path, "w") as fh:
-        fh.write(f"# origin={field.origin[0]:.12g},{field.origin[1]:.12g} "
-                 f"spacing={field.spacing:.12g} seed={field.seed}\n")
-        for row in field.values:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")

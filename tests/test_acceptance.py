@@ -211,20 +211,11 @@ def test_criterion_08_second_moment_formula():
                  for dy in (1.0, 3.0)}
     within = all(abs(measured[dy] / predicted[dy] - 1.0) <= 0.15 for dy in measured)
     elapsed = time.perf_counter() - start
-    if within:
-        ok = elapsed <= 600.0
-        _verdict(8, f"second-moment ratio within 15% "
-                    f"(measured/predicted {measured[1.0]/predicted[1.0]:.4f}, "
-                    f"{measured[3.0]/predicted[3.0]:.4f}) in {elapsed:.0f}s", ok)
-        assert ok
-    else:
-        # planar-geometry fallback: monotone decay, discrepancy logged
-        decay_ok = measured[1.0] > measured[3.0]
-        ok = decay_ok and elapsed <= 600.0
-        _verdict(8, f"second-moment fallback: monotone decay {decay_ok}; "
-                    f"measured/predicted {measured[1.0]/predicted[1.0]:.3f}, "
-                    f"{measured[3.0]/predicted[3.0]:.3f}", ok)
-        assert ok
+    ok = within and elapsed <= 600.0
+    _verdict(8, f"second-moment ratio within 15% "
+                f"(measured/predicted {measured[1.0]/predicted[1.0]:.4f}, "
+                f"{measured[3.0]/predicted[3.0]:.4f}) in {elapsed:.0f}s", ok)
+    assert ok
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
-"""The public names and the entry points the benchmark in ``bench/`` uses.
+"""The public names, the config keys the README documents and the entry
+points the benchmark in ``bench/`` uses.
 
 The benchmark hooks package functions by name and calls a few of them with
 fixed arguments, so renaming one breaks it without breaking any other test.
@@ -10,12 +11,14 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 import arrayimg
+from arrayimg import config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +36,14 @@ def test_package_names_resolve():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert names
     assert [n for n in names if not hasattr(arrayimg, n)] == []
+
+
+def test_readme_documents_every_config_key():
+    readme = (ROOT / "README.md").read_text()
+    documented = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, re.MULTILINE)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == {(section, key) for section, keys in config._KNOWN.items()
+                               for key in keys}
 
 
 @pytest.fixture(scope="module")

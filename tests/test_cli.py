@@ -1,9 +1,11 @@
+import configparser
 import json
 import re
 
 import pytest
 
 from arrayimg.cli import main
+from arrayimg.config import _KNOWN
 
 CONFIG = """
 [array]
@@ -29,6 +31,46 @@ illuminations = central
 realizations = 10
 delta_grid = 0.0, 0.01
 """
+
+
+# Values load_config rejects, for every key it reads: a key added to the
+# table without a case here fails test_bad_value_returns_one.
+BAD_VALUES = {
+    ("wave", "wavelength"): ["0", "abc"],
+    ("array", "n"): ["abc", "0"],
+    ("array", "pitch"): ["-1", "25l"],  # no correlation length configured
+    ("array", "aperture"): ["-5"],
+    ("window", "center_range"): ["abc"],
+    ("window", "rows"): ["0"],
+    ("window", "cols"): ["2.5"],
+    ("window", "spacing"): ["-1"],
+    ("scatterers", "cells"): ["2,2,2", "2,x"],
+    ("scatterers", "magnitudes"): ["1.5, x", "1.5"],  # one value for two cells
+    ("scatterers", "phases"): ["sometimes", "0.0"],
+    ("medium", "kind"): ["plasma", "random-phase"],  # no correlation length
+    ("medium", "correlation_length"): ["0"],
+    ("medium", "sigma"): ["-0.1"],
+    ("medium", "kernel"): ["cubic"],
+    ("medium", "lattice_spacing"): ["0"],
+    ("solver", "max_iterations"): ["0"],
+    ("solver", "tolerance"): ["-1", "abc"],
+    ("solver", "support_threshold"): ["1.5"],
+    ("solver", "delta_factor"): ["0.5"],
+    ("solver", "hybrid_delta_fraction"): ["1"],
+    ("experiment", "scenario_id"): ["", "../up"],
+    ("experiment", "seed"): ["-1"],
+    ("experiment", "methods"): ["sorcery"],
+    ("experiment", "noise_percent"): ["-0.5"],
+    ("experiment", "forward"): ["ray"],
+    ("experiment", "illuminations"): ["centrl"],
+    ("experiment", "km_illuminations"): ["element:80"],
+    ("experiment", "rank_threshold"): ["2", "0"],
+    ("experiment", "known_rank"): ["0", "81"],  # n = 80
+    ("experiment", "apertures"): ["-10"],
+    ("experiment", "realizations"): ["0"],
+    ("experiment", "delta_grid"): ["-0.1"],
+    ("experiment", "write_pgm"): ["maybe"],
+}
 
 
 @pytest.fixture
@@ -128,8 +170,9 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("extra, name", [("[solver]\nmax_iteration = 5\n", "max_iteration"),
-                                             ("[solvers]\nmax_iterations = 5\n", "solvers")],
-                             ids=["key", "section"])
+                                             ("[solvers]\nmax_iterations = 5\n", "solvers"),
+                                             ("[experiment]\nseed = 4\n", "experiment")],
+                             ids=["key", "section", "duplicate"])
     def test_unknown_key_returns_one(self, extra, name, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(CONFIG + extra)
@@ -139,3 +182,22 @@ class TestCli:
         assert payload["error"] == "ConfigurationError"
         assert repr(name) in payload["message"]
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("section, key", sorted((section, key) for section, keys
+                                                    in _KNOWN.items() for key in keys))
+    def test_bad_value_returns_one(self, section, key, tmp_path, capsys):
+        for value in BAD_VALUES[(section, key)]:
+            parser = configparser.ConfigParser()
+            parser.read_string(CONFIG)
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, key, value)
+            bad = tmp_path / "bad.ini"
+            with open(bad, "w") as fh:
+                parser.write(fh)
+            rc = main(["image", "--config", str(bad), "--out", str(tmp_path / "runs")])
+            assert rc == 1, value
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert payload["error"] == "ConfigurationError"
+            assert f"[{section}] {key} = " in payload["message"], value
+            assert not (tmp_path / "runs").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -136,11 +138,11 @@ scenario_id = x
     def test_hybrid_delta_defaults(self):
         cfg = ScenarioConfig()
         assert cfg.resolved_hybrid_delta_fraction() == 0.0  # noiseless
-        cfg.noise_percent = 0.5
+        cfg = replace(cfg, noise_percent=0.5)
         assert cfg.resolved_hybrid_delta_fraction() == 0.02
-        cfg.medium_kind = "random-phase"
+        cfg = replace(cfg, medium_kind="random-phase")
         assert cfg.resolved_hybrid_delta_fraction() == 0.1
-        cfg.hybrid_delta_fraction = 0.07
+        cfg = replace(cfg, hybrid_delta_fraction=0.07)
         assert cfg.resolved_hybrid_delta_fraction() == 0.07
 
 
@@ -154,7 +156,7 @@ class TestScene:
         assert not np.array_equal(s1.rho.values, s3.rho.values)  # random phases
 
     def test_noise_injected_at_requested_level(self, small_cfg):
-        small_cfg.noise_percent = 0.25
+        small_cfg = replace(small_cfg, noise_percent=0.25)
         scene = build_scene(small_cfg, seed=5)
         ratio = np.linalg.norm(scene.noise_matrix) / np.linalg.norm(scene.response.matrix)
         assert ratio == pytest.approx(0.25, rel=1e-12)
@@ -182,7 +184,7 @@ class TestRunTrial:
         assert report.converged is None and report.iterations == 0
 
     def test_module_error_recorded(self, small_cfg):
-        small_cfg.known_rank = 9999
+        small_cfg = replace(small_cfg, known_rank=9999)
         scene = build_scene(small_cfg, seed=3)
         report, result = run_trial(scene, "music", seed=3)
         assert not report.support_exact
@@ -234,8 +236,7 @@ class TestRunScenario:
         assert s1 == s2
 
     def test_empty_scatterers_no_crash(self, small_cfg, tmp_path):
-        small_cfg.cells = []
-        small_cfg.magnitudes = []
+        small_cfg = replace(small_cfg, cells=[], magnitudes=[])
         reports = run_scenario(small_cfg, seed=3, out_dir=tmp_path / "r")
         assert all(r.error == "" for r in reports if r.method in ("smv", "km"))
         smv = [r for r in reports if r.method == "smv"][0]
@@ -290,8 +291,7 @@ known_rank = 2
             return sensing_matrix(*args)
 
         monkeypatch.setattr("arrayimg.experiments.sensing_matrix", counted)
-        small_cfg.methods = ["music"]
-        small_cfg.apertures = [40.0, 79.0]
+        small_cfg = replace(small_cfg, methods=["music"], apertures=[40.0, 79.0])
         rows = monte_carlo_stability(small_cfg, realizations=10)
         assert len(rows) == 2
         assert len(calls) == 2
@@ -344,7 +344,7 @@ delta_grid = 0.0, 0.1
         assert report["certified"]
 
     def test_report_rows_written(self, small_cfg):
-        small_cfg.delta_grid = [0.0, 1e-6]
+        small_cfg = replace(small_cfg, delta_grid=[0.0, 1e-6])
         report = coherence_report(small_cfg)
         assert len(report["bounds"]) == 2
         assert report["bounds"][0][1] == pytest.approx(0.0)

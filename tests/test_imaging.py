@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrayimg.errors import ConfigurationError
 from arrayimg.geometry import (WaveContext, build_image_window,
@@ -39,6 +40,20 @@ class TestSelectRank:
 
     def test_known_m_override(self):
         assert select_rank([5.0, 3.0, 1e-12], known_m=3) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(sv=st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=30).map(
+               lambda v: sorted(v, reverse=True)),
+           thresholds=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2,
+                               max_size=2).map(sorted),
+           data=st.data())
+    def test_rank_bounded_and_monotone(self, sv, thresholds, data):
+        low, high = thresholds
+        at_low = select_rank(sv, relative_threshold=low)
+        at_high = select_rank(sv, relative_threshold=high)
+        assert 1 <= at_high <= at_low <= len(sv)
+        known = data.draw(st.integers(1, len(sv)))
+        assert select_rank(sv, relative_threshold=high, known_m=known) == known
 
     def test_born_m4(self):
         mags = [0.8, 1.0, 0.5, 0.7]

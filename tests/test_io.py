@@ -10,10 +10,9 @@ from arrayimg.experiments import TrialReport
 from arrayimg.foldy_lax import ResponseMatrix
 from arrayimg.geometry import build_image_window
 from arrayimg.imaging import ImagingResult
-from arrayimg.random_medium import RandomFieldRealization
 from arrayimg.io import (load_matrix_csv, run_directory, save_matrix_csv,
                          save_response_matrix, write_certificates_csv,
-                         write_coherence_report, write_field_csv,
+                         write_coherence_report,
                          write_image_csv, write_monte_carlo_csv, write_pgm,
                          write_report_csv, write_stability_csv,
                          write_support_csv, write_timings_csv, write_trace_csv)
@@ -174,15 +173,6 @@ class TestImages:
             b"P2\n5 2\n255\n"
             b"0 0 0 0 0\n"
             b"0 0 0 0 0\n")
-
-    def test_field_with_header_line(self, tmp_path):
-        field = RandomFieldRealization(values=np.array([[0.5, -0.0], [1.0 / 3.0, 2.0]]),
-                                       origin=(-1.5, 0.0), spacing=0.25, seed=4,
-                                       spec=None)
-        assert written(tmp_path, write_field_csv, field) == (
-            b"# origin=-1.5,0 spacing=0.25 seed=4\n"
-            b"0.5,-0\n"
-            b"0.333333333333,2\n")
 
 
 class TestRunDirectory:

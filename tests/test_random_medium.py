@@ -15,7 +15,7 @@ from arrayimg.random_medium import (RandomMediumSpec, Region,
                                     random_green_vector, region_for,
                                     response_matrix_random, sample_field,
                                     stability_bound)
-from arrayimg.io import write_field_csv, write_stability_csv
+from arrayimg.io import write_stability_csv
 
 CTX = WaveContext(wavelength=1.0)
 L_CORR = 20.0
@@ -363,12 +363,3 @@ class TestExports:
         text = path.read_text().splitlines()
         assert text[0] == "aperture,ratio_estimate,std_error,closed_form_bound"
         assert text[1].startswith("500,0.001")
-
-    def test_field_csv(self, tmp_path):
-        spec = gaussian_spec()
-        field = sample_field(spec, Region(-20.0, 20.0, 0.0, 40.0), seed=1)
-        path = tmp_path / "field.csv"
-        write_field_csv(path, field)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# origin=")
-        assert len(lines) == 1 + field.values.shape[0]
