@@ -3,9 +3,8 @@
 import argparse
 import json
 import sys
-from dataclasses import replace
 
-from .config import load_config, parse_methods
+from .config import load_config
 from .errors import ConfigurationError
 from .experiments import build_scene, coherence_report, monte_carlo_stability, run_scenario
 from .io import run_directory, save_response_matrix
@@ -43,8 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    cfg = load_config(args.config)
-    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+    overrides = {"seed": args.seed, "methods": getattr(args, "methods", None)}
+    return load_config(args.config, {name: value for name, value in overrides.items()
+                                     if value is not None})
 
 
 def main(argv=None) -> int:
@@ -57,8 +57,6 @@ def main(argv=None) -> int:
             save_response_matrix(run_dir / "response.csv", scene.noisy)
             print(f"wrote {run_dir / 'response.csv'}")
         elif args.command == "image":
-            if args.methods is not None:
-                cfg = replace(cfg, methods=parse_methods(args.methods))
             reports = run_scenario(cfg, cfg.seed, out_dir=args.out)
             for r in reports:
                 status = "exact" if r.support_exact else "inexact"

@@ -190,9 +190,13 @@ def _invalid(parser, section, key, reason) -> ConfigurationError:
     return ConfigurationError(f"[{section}] {key} = {raw!r}: {reason}")
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path, overrides=None) -> ScenarioConfig:
     """Read a scenario INI; an unknown key or a bad value raises
-    ``ConfigurationError`` naming it."""
+    ``ConfigurationError`` naming it.
+
+    ``overrides`` maps field names to values that replace the file's, as if
+    written there, so they pass the same parsers and checks.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
         text = fh.read()
@@ -200,6 +204,11 @@ def load_config(path) -> ScenarioConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed INI: {exc}") from exc
+    for name, value in (overrides or {}).items():
+        section, key = next(row[:2] for row in _TABLE if row[2] == name)
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, str(value).replace("%", "%%"))
     # a misspelt key must not silently leave its default in place
     sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
     unknown = sorted(set(sections) - _KNOWN.keys())
@@ -228,6 +237,12 @@ def load_config(path) -> ScenarioConfig:
         if cfg.n < 2:
             raise _invalid(parser, "array", "aperture", "needs [array] n >= 2")
         cfg = replace(cfg, pitch=aperture / (cfg.n - 1))
+    outside = [cell for cell in cfg.cells
+               if not (0 <= cell[0] < cfg.rows and 0 <= cell[1] < cfg.cols)]
+    if outside:
+        raise _invalid(parser, "scatterers", "cells",
+                       f"{outside} outside the [window] rows x cols = "
+                       f"{cfg.rows} x {cfg.cols} lattice")
     for key in ("magnitudes", "phases"):
         got = getattr(cfg, key)
         if got != "random" and len(got) != len(cfg.cells):

@@ -3,6 +3,7 @@ functions, effective aperture and Monte-Carlo stability estimators."""
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -95,26 +96,43 @@ class RandomFieldRealization:
 
     def interpolate(self, points) -> np.ndarray:
         """Bilinear interpolation at (cross, range) points inside the lattice."""
+        return _BilinearPlan(self, points)(self.values)
+
+
+class _BilinearPlan:
+    """Bilinear interpolation at fixed points, planned once: the flat index of
+    each point's lower lattice corner and its two fractional offsets.  These
+    depend only on the lattice frame (origin, spacing, shape) of ``field``,
+    which every field sampled for one (spec, region) shares."""
+
+    def __init__(self, field: RandomFieldRealization, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        u = (p[:, 0] - self.origin[0]) / self.spacing
-        v = (p[:, 1] - self.origin[1]) / self.spacing
-        n0, n1 = self.values.shape
-        if np.any(u < -1e-9) or np.any(v < -1e-9) or \
-                np.any(u > n0 - 1 + 1e-9) or np.any(v > n1 - 1 + 1e-9):
+        u = (p[:, 0] - field.origin[0]) / field.spacing
+        v = (p[:, 1] - field.origin[1]) / field.spacing
+        n0, n1 = field.values.shape
+        # written so that a NaN coordinate fails it too
+        if not (np.all(u >= -1e-9) and np.all(v >= -1e-9)
+                and np.all(u <= n0 - 1 + 1e-9) and np.all(v <= n1 - 1 + 1e-9)):
             raise DomainError("interpolation point outside the sampled region")
         u = np.clip(u, 0.0, n0 - 1)
         v = np.clip(v, 0.0, n1 - 1)
         i0 = np.minimum(u.astype(int), n0 - 2) if n0 > 1 else np.zeros_like(u, dtype=int)
         j0 = np.minimum(v.astype(int), n1 - 2) if n1 > 1 else np.zeros_like(v, dtype=int)
-        fu = u - i0
-        fv = v - j0
-        i1 = np.minimum(i0 + 1, n0 - 1)
-        j1 = np.minimum(j0 + 1, n1 - 1)
-        vals = (self.values[i0, j0] * (1 - fu) * (1 - fv)
-                + self.values[i1, j0] * fu * (1 - fv)
-                + self.values[i0, j1] * (1 - fu) * fv
-                + self.values[i1, j1] * fu * fv)
-        return vals
+        self.fu = u - i0
+        self.fv = v - j0
+        self.corner = i0 * n1 + j0
+        # flat steps to the upper neighbours; an axis of one node has none
+        self.di = n1 if n0 > 1 else 0
+        self.dj = 1 if n1 > 1 else 0
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        flat = values.ravel()
+        k, fu, fv = self.corner, self.fu, self.fv
+        gu, gv = 1 - fu, 1 - fv
+        return (flat[k] * gu * gv
+                + flat[self.di:][k] * fu * gv
+                + flat[self.dj:][k] * gu * fv
+                + flat[self.di + self.dj:][k] * fu * fv)
 
 
 def autocorrelation_integral(kind: str) -> float:
@@ -169,6 +187,23 @@ def region_for(points, spec: RandomMediumSpec) -> Region:
                   range_min=float(low[1]), range_max=float(high[1]))
 
 
+@lru_cache(maxsize=8)
+def _spectral_amplitude(kernel: str, correlation_length: float, step: float,
+                        m_cross: int, m_range: int) -> np.ndarray:
+    """Square root of the circulant-embedding eigenvalues (clipped at 0) of
+    the covariance on the padded lattice: the seed-free factor of
+    ``sample_field``, cached and so returned read-only."""
+    ix = np.arange(m_cross)
+    iz = np.arange(m_range)
+    dx = np.minimum(ix, m_cross - ix) * step
+    dz = np.minimum(iz, m_range - iz) * step
+    r = np.sqrt(dx[:, None] ** 2 + dz[None, :] ** 2) / correlation_length
+    cov = _KERNELS[kernel]["r"](r)
+    amplitude = np.sqrt(np.maximum(fft2(cov).real, 0.0))
+    amplitude.flags.writeable = False
+    return amplitude
+
+
 def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFieldRealization:
     """Stationary Gaussian field with the requested autocorrelation.
 
@@ -183,23 +218,40 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
     pad = int(np.ceil(_KERNELS[spec.kernel]["pad"] * l / step))
     m_cross = next_fast_len(n_cross + pad)
     m_range = next_fast_len(n_range + pad)
-
-    ix = np.arange(m_cross)
-    iz = np.arange(m_range)
-    dx = np.minimum(ix, m_cross - ix) * step
-    dz = np.minimum(iz, m_range - iz) * step
-    r = np.sqrt(dx[:, None] ** 2 + dz[None, :] ** 2) / l
-    cov = _KERNELS[spec.kernel]["r"](r)
-    eig = np.maximum(fft2(cov).real, 0.0)
+    amplitude = _spectral_amplitude(spec.kernel, l, step, m_cross, m_range)
 
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((m_cross, m_range)) \
         + 1j * rng.standard_normal((m_cross, m_range))
-    sample = ifft2(np.sqrt(eig) * noise).real * np.sqrt(m_cross * m_range)
+    sample = ifft2(amplitude * noise).real * np.sqrt(m_cross * m_range)
     values = np.ascontiguousarray(sample[:n_cross, :n_range])
     return RandomFieldRealization(values=values,
                                   origin=(region.cross_min, region.range_min),
                                   spacing=step, seed=seed, spec=spec)
+
+
+def _ray_points(x, y, correlation_length: float):
+    """Quadrature nodes of ``phase_line_integral``: ``(points, segments,
+    steps)``, each segment's ``steps`` nodes in consecutive rows."""
+    starts = np.atleast_2d(np.asarray(x, dtype=float))
+    diffs = np.asarray(y, dtype=float)[None, :] - starts
+    dists = np.linalg.norm(diffs, axis=1)
+    steps = max(1, int(np.ceil(dists.max() / (correlation_length / 10.0))))
+    s = (np.arange(steps) + 0.5) / steps
+    pts = starts[:, None, :] + s[None, :, None] * diffs[:, None, :]
+    return pts.reshape(-1, 2), len(starts), steps
+
+
+class _RayPlan:
+    """``phase_line_integral(field, x, y)`` for an ``(n, 2)`` array ``x``,
+    planned once for every field on the lattice frame of ``field``."""
+
+    def __init__(self, field: RandomFieldRealization, x, y):
+        pts, self.segments, self.steps = _ray_points(x, y, field.spec.correlation_length)
+        self.bilinear = _BilinearPlan(field, pts)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        return self.bilinear(values).reshape(self.segments, self.steps).mean(axis=1)
 
 
 def phase_line_integral(field: RandomFieldRealization, x, y):
@@ -210,32 +262,30 @@ def phase_line_integral(field: RandomFieldRealization, x, y):
     step exceeds l / 10.  A single start point gives a float, an ``(n, 2)``
     array of them an ``(n,)`` array.
     """
-    starts = np.atleast_2d(np.asarray(x, dtype=float))
-    diffs = np.asarray(y, dtype=float)[None, :] - starts
-    dists = np.linalg.norm(diffs, axis=1)
-    steps = max(1, int(np.ceil(dists.max() / (field.spec.correlation_length / 10.0))))
-    s = (np.arange(steps) + 0.5) / steps
-    pts = starts[:, None, :] + s[None, :, None] * diffs[:, None, :]
-    nu = field.interpolate(pts.reshape(-1, 2)).reshape(len(starts), steps).mean(axis=1)
+    pts, segments, steps = _ray_points(x, y, field.spec.correlation_length)
+    nu = field.interpolate(pts).reshape(segments, steps).mean(axis=1)
     return float(nu[0]) if np.ndim(x) == 1 else nu
+
+
+def _random_phase(base, dists, nu, spec: RandomMediumSpec, ctx: WaveContext):
+    """Homogeneous value(s) ``base`` times exp(i sigma kappa |x - y| nu)."""
+    return base * np.exp(1j * spec.sigma * ctx.wavenumber * dists * nu)
 
 
 def green_random(field: RandomFieldRealization, x, y, ctx: WaveContext) -> complex:
     """Homogeneous kernel with a random phase from the medium line integral."""
-    base = green_homogeneous(x, y, ctx)
     dist = float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
-    nu = phase_line_integral(field, x, y)
-    return base * np.exp(1j * field.spec.sigma * ctx.wavenumber * dist * nu)
+    return _random_phase(green_homogeneous(x, y, ctx), dist,
+                         phase_line_integral(field, x, y), field.spec, ctx)
 
 
 def random_green_vector(field: RandomFieldRealization, geom: ArrayGeometry, y,
                         ctx: WaveContext) -> np.ndarray:
     """Random Green's vector from point ``y`` to all transducers."""
     y = np.asarray(y, dtype=float)
-    base = green_vector(geom, y, ctx)
     dists = np.linalg.norm(y[None, :] - geom.positions, axis=1)
-    nu = phase_line_integral(field, geom.positions, y)
-    return base * np.exp(1j * field.spec.sigma * ctx.wavenumber * dists * nu)
+    return _random_phase(green_vector(geom, y, ctx), dists,
+                         phase_line_integral(field, geom.positions, y), field.spec, ctx)
 
 
 def response_matrix_random(field: RandomFieldRealization, geom: ArrayGeometry,
@@ -273,6 +323,20 @@ def _variance_with_se(w: np.ndarray):
     return float(var), se
 
 
+def _realization_samples(spec: RandomMediumSpec, region: Region, seed0: int,
+                         realizations: int, planner) -> np.ndarray:
+    """One complex sample per realization of the field on ``region``, drawn
+    from ``_derived_seed(seed0, r)``.  ``planner(field)``, called on the first
+    field only, returns the map from any field's values to its sample."""
+    samples = np.empty(realizations, dtype=complex)
+    for r in range(realizations):
+        field = sample_field(spec, region, seed=_derived_seed(seed0, r))
+        if r == 0:
+            sample = planner(field)
+        samples[r] = sample(field.values)
+    return samples
+
+
 def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
                            realizations: int = 500,
                            master_seed: int | None = None):
@@ -287,13 +351,20 @@ def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
     x = np.asarray(x, dtype=float)
     pts = np.vstack([np.asarray(y1, float), np.asarray(y2, float)])
     region = region_for(np.vstack([x, pts]), spec)
-    samples = np.empty(realizations, dtype=complex)
-    for r in range(realizations):
-        field = sample_field(spec, region, seed=_derived_seed(seed0, r))
-        g1 = green_random(field, x, pts[0], ctx)
-        g2 = green_random(field, x, pts[1], ctx)
-        samples[r] = g1 * np.conj(g2)
-    base = green_homogeneous(x, pts[0], ctx) * np.conj(green_homogeneous(x, pts[1], ctx))
+    g0 = [green_homogeneous(x, y, ctx) for y in pts]
+    dists = [float(np.linalg.norm(y - x)) for y in pts]
+
+    def planner(field):
+        rays = [_RayPlan(field, x[None, :], y) for y in pts]
+
+        def sample(values):
+            g1, g2 = (_random_phase(g, d, float(ray(values)[0]), spec, ctx)
+                      for g, d, ray in zip(g0, dists, rays))
+            return g1 * np.conj(g2)
+        return sample
+
+    samples = _realization_samples(spec, region, seed0, realizations, planner)
+    base = g0[0] * np.conj(g0[1])
     ratio = np.abs(samples.mean()) / np.abs(base)
     se = float(np.std(samples / base, ddof=1) / np.sqrt(realizations))
     return float(ratio), se
@@ -324,15 +395,20 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
     region = region_for(np.vstack([geom.positions, y1, y2]), spec)
     g0_1 = green_vector(geom, y1, ctx)
     g0_2 = green_vector(geom, y2, ctx)
-    samples = np.empty(realizations, dtype=complex)
-    for r in range(realizations):
-        field = sample_field(spec, region, seed=_derived_seed(seed0, r))
-        g2 = random_green_vector(field, geom, y2, ctx)
-        if mode == "self":
-            g1 = random_green_vector(field, geom, y1, ctx)
-        else:
-            g1 = g0_1
-        samples[r] = np.vdot(g1, g2)
+    dists_1 = np.linalg.norm(y1[None, :] - geom.positions, axis=1)
+    dists_2 = np.linalg.norm(y2[None, :] - geom.positions, axis=1)
+
+    def planner(field):
+        rays_2 = _RayPlan(field, geom.positions, y2)
+        if mode == "mixed":
+            return lambda values: np.vdot(
+                g0_1, _random_phase(g0_2, dists_2, rays_2(values), spec, ctx))
+        rays_1 = _RayPlan(field, geom.positions, y1)
+        return lambda values: np.vdot(
+            _random_phase(g0_1, dists_1, rays_1(values), spec, ctx),
+            _random_phase(g0_2, dists_2, rays_2(values), spec, ctx))
+
+    samples = _realization_samples(spec, region, seed0, realizations, planner)
     # random phases preserve magnitudes, so the norms are deterministic
     denom = float(np.linalg.norm(g0_1) ** 2 * np.linalg.norm(g0_2) ** 2)
     var, se = _variance_with_se(samples)

@@ -44,7 +44,7 @@ BAD_VALUES = {
     ("window", "rows"): ["0"],
     ("window", "cols"): ["2.5"],
     ("window", "spacing"): ["-1"],
-    ("scatterers", "cells"): ["2,2,2", "2,x"],
+    ("scatterers", "cells"): ["2,2,2", "2,x", "2,2; 11,8", "-1,2; 8,8"],  # rows = cols = 11
     ("scatterers", "magnitudes"): ["1.5, x", "1.5"],  # one value for two cells
     ("scatterers", "phases"): ["sometimes", "0.0"],
     ("medium", "kind"): ["plasma", "random-phase"],  # no correlation length
@@ -156,6 +156,15 @@ class TestCli:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ConfigurationError"
+        assert not (tmp_path / "runs").exists()
+
+    def test_bad_seed_override_returns_one(self, config_path, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(config_path), "--seed", "-1",
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert "[experiment] seed = '-1'" in payload["message"]
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("spec", ["centrl", "element:80", "random:0", "optimal:x"])

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scipy.fft import fft2, ifft2, next_fast_len
+
+from arrayimg import random_medium
 from arrayimg.errors import ConfigurationError, DomainError
 from arrayimg.geometry import (WaveContext, build_image_window,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import green_homogeneous, green_vector, sensing_matrix
 from arrayimg.foldy_lax import response_matrix_born
-from arrayimg.random_medium import (RandomMediumSpec, Region,
+from arrayimg.random_medium import (_KERNELS, RandomMediumSpec, Region,
+                                    _derived_seed, _variance_with_se,
                                     autocorrelation_integral, effective_aperture,
                                     estimate_second_moment,
                                     estimate_stability_ratio, green_random,
@@ -164,6 +168,13 @@ class TestPhaseLineIntegral:
             phase_line_integral(field, [0.0, 0.0], [0.0, 300.0])
 
 
+    @pytest.mark.parametrize("point", [[np.nan, 10.0], [10.0, np.nan], [np.inf, 10.0]])
+    def test_non_finite_point_rejected(self, point):
+        field = sample_field(gaussian_spec(), Region(-40.0, 40.0, 0.0, 80.0), seed=0)
+        with pytest.raises(DomainError):
+            field.interpolate([point])
+
+
 class TestGreenRandom:
     def test_zero_sigma_reduces_to_homogeneous(self):
         spec = gaussian_spec(sigma=0.0)
@@ -311,6 +322,222 @@ class TestStabilityEstimators:
                                        master_seed=4)
         assert 0.0 <= est.estimate < 1.0
         assert est.std_error > 0
+
+
+# Reference spellings of the synthesis, the interpolation, the line integral
+# and both estimator loops as they were before the seed-free work (spectral
+# amplitude, ray plans) moved out of the realization loops.  The package must
+# match them bit for bit.
+
+def _reference_field_values(spec, region, seed):
+    step = spec.lattice_spacing
+    l = spec.correlation_length
+    n_cross = int(np.ceil((region.cross_max - region.cross_min) / step)) + 2
+    n_range = int(np.ceil((region.range_max - region.range_min) / step)) + 2
+    pad = int(np.ceil(_KERNELS[spec.kernel]["pad"] * l / step))
+    m_cross = next_fast_len(n_cross + pad)
+    m_range = next_fast_len(n_range + pad)
+
+    ix = np.arange(m_cross)
+    iz = np.arange(m_range)
+    dx = np.minimum(ix, m_cross - ix) * step
+    dz = np.minimum(iz, m_range - iz) * step
+    r = np.sqrt(dx[:, None] ** 2 + dz[None, :] ** 2) / l
+    cov = _KERNELS[spec.kernel]["r"](r)
+    eig = np.maximum(fft2(cov).real, 0.0)
+
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((m_cross, m_range)) \
+        + 1j * rng.standard_normal((m_cross, m_range))
+    sample = ifft2(np.sqrt(eig) * noise).real * np.sqrt(m_cross * m_range)
+    return np.ascontiguousarray(sample[:n_cross, :n_range])
+
+
+def _reference_interpolate(field, points):
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    u = (p[:, 0] - field.origin[0]) / field.spacing
+    v = (p[:, 1] - field.origin[1]) / field.spacing
+    n0, n1 = field.values.shape
+    if np.any(u < -1e-9) or np.any(v < -1e-9) or \
+            np.any(u > n0 - 1 + 1e-9) or np.any(v > n1 - 1 + 1e-9):
+        raise DomainError("interpolation point outside the sampled region")
+    u = np.clip(u, 0.0, n0 - 1)
+    v = np.clip(v, 0.0, n1 - 1)
+    i0 = np.minimum(u.astype(int), n0 - 2) if n0 > 1 else np.zeros_like(u, dtype=int)
+    j0 = np.minimum(v.astype(int), n1 - 2) if n1 > 1 else np.zeros_like(v, dtype=int)
+    fu = u - i0
+    fv = v - j0
+    i1 = np.minimum(i0 + 1, n0 - 1)
+    j1 = np.minimum(j0 + 1, n1 - 1)
+    vals = (field.values[i0, j0] * (1 - fu) * (1 - fv)
+            + field.values[i1, j0] * fu * (1 - fv)
+            + field.values[i0, j1] * (1 - fu) * fv
+            + field.values[i1, j1] * fu * fv)
+    return vals
+
+
+def _reference_phase_line_integral(field, x, y):
+    starts = np.atleast_2d(np.asarray(x, dtype=float))
+    diffs = np.asarray(y, dtype=float)[None, :] - starts
+    dists = np.linalg.norm(diffs, axis=1)
+    steps = max(1, int(np.ceil(dists.max() / (field.spec.correlation_length / 10.0))))
+    s = (np.arange(steps) + 0.5) / steps
+    pts = starts[:, None, :] + s[None, :, None] * diffs[:, None, :]
+    nu = _reference_interpolate(field, pts.reshape(-1, 2)).reshape(len(starts), steps) \
+        .mean(axis=1)
+    return float(nu[0]) if np.ndim(x) == 1 else nu
+
+
+def _reference_field(spec, region, seed):
+    return random_medium.RandomFieldRealization(
+        values=_reference_field_values(spec, region, seed),
+        origin=(region.cross_min, region.range_min),
+        spacing=spec.lattice_spacing, seed=seed, spec=spec)
+
+
+def _reference_green_random(field, x, y, ctx):
+    base = green_homogeneous(x, y, ctx)
+    dist = float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
+    nu = _reference_phase_line_integral(field, x, y)
+    return base * np.exp(1j * field.spec.sigma * ctx.wavenumber * dist * nu)
+
+
+def _reference_random_green_vector(field, geom, y, ctx):
+    y = np.asarray(y, dtype=float)
+    base = green_vector(geom, y, ctx)
+    dists = np.linalg.norm(y[None, :] - geom.positions, axis=1)
+    nu = _reference_phase_line_integral(field, geom.positions, y)
+    return base * np.exp(1j * field.spec.sigma * ctx.wavenumber * dists * nu)
+
+
+def _reference_second_moment(x, y1, y2, ctx, spec, realizations, master_seed):
+    seed0 = master_seed
+    x = np.asarray(x, dtype=float)
+    pts = np.vstack([np.asarray(y1, float), np.asarray(y2, float)])
+    region = region_for(np.vstack([x, pts]), spec)
+    samples = np.empty(realizations, dtype=complex)
+    for r in range(realizations):
+        field = _reference_field(spec, region, seed=_derived_seed(seed0, r))
+        g1 = _reference_green_random(field, x, pts[0], ctx)
+        g2 = _reference_green_random(field, x, pts[1], ctx)
+        samples[r] = g1 * np.conj(g2)
+    base = green_homogeneous(x, pts[0], ctx) * np.conj(green_homogeneous(x, pts[1], ctx))
+    ratio = np.abs(samples.mean()) / np.abs(base)
+    se = float(np.std(samples / base, ddof=1) / np.sqrt(realizations))
+    return float(ratio), se
+
+
+def _reference_stability_ratio(geom, y1, y2, ctx, spec, realizations, mode, master_seed):
+    seed0 = master_seed
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    region = region_for(np.vstack([geom.positions, y1, y2]), spec)
+    g0_1 = green_vector(geom, y1, ctx)
+    g0_2 = green_vector(geom, y2, ctx)
+    samples = np.empty(realizations, dtype=complex)
+    for r in range(realizations):
+        field = _reference_field(spec, region, seed=_derived_seed(seed0, r))
+        g2 = _reference_random_green_vector(field, geom, y2, ctx)
+        if mode == "self":
+            g1 = _reference_random_green_vector(field, geom, y1, ctx)
+        else:
+            g1 = g0_1
+        samples[r] = np.vdot(g1, g2)
+    denom = float(np.linalg.norm(g0_1) ** 2 * np.linalg.norm(g0_2) ** 2)
+    var, se = _variance_with_se(samples)
+    return random_medium.StabilityEstimate(estimate=var / denom, std_error=se / denom,
+                                           realizations=realizations)
+
+
+KERNELS = st.sampled_from(["gaussian", "power-law"])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+COORD = st.floats(-60.0, 60.0, allow_nan=False)
+
+
+def _spec(kernel, sigma=0.01, seed=0):
+    return RandomMediumSpec(correlation_length=L_CORR, sigma=sigma, kernel=kernel,
+                            master_seed=seed)
+
+
+class TestMatchesReference:
+    """The seed-free work built once gives the same bits as rebuilding it."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(kernel=KERNELS, seed=SEEDS,
+           low=st.tuples(COORD, COORD), size=st.tuples(st.floats(0.0, 90.0),
+                                                        st.floats(0.0, 90.0)))
+    def test_field_values(self, kernel, seed, low, size):
+        region = Region(low[0], low[0] + size[0], low[1], low[1] + size[1])
+        spec = _spec(kernel)
+        field = sample_field(spec, region, seed=seed)
+        assert field.values.tobytes() == \
+            _reference_field_values(spec, region, seed).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(kernel=KERNELS, seed=SEEDS,
+           starts=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6),
+           end=st.tuples(COORD, COORD))
+    @example(kernel="gaussian", seed=0, starts=[(-60.0, -60.0)], end=(60.0, 60.0))
+    def test_line_integrals_and_interpolation(self, kernel, seed, starts, end):
+        spec = _spec(kernel)
+        starts = np.array(starts)
+        field = sample_field(spec, region_for(np.vstack([starts, end]), spec), seed=seed)
+        assert np.array_equal(phase_line_integral(field, starts, end),
+                              _reference_phase_line_integral(field, starts, end))
+        single = phase_line_integral(field, starts[0], end)
+        assert type(single) is float
+        assert single == _reference_phase_line_integral(field, starts[0], end)
+        # lattice nodes, the far corner included, and the segment's end points
+        n0, n1 = field.values.shape
+        corners = np.array([[0, 0], [n0 - 1, n1 - 1], [n0 - 1, 0], [0, n1 - 1]])
+        points = np.vstack([np.asarray(field.origin) + corners * field.spacing,
+                            starts, end])
+        assert np.array_equal(field.interpolate(points),
+                              _reference_interpolate(field, points))
+
+    @settings(max_examples=6, deadline=None)
+    @given(kernel=KERNELS, seed=st.integers(0, 2 ** 16), offset=st.floats(0.5, 15.0),
+           mode=st.sampled_from(["self", "mixed"]))
+    def test_stability_ratio(self, kernel, seed, offset, mode):
+        spec = _spec(kernel)
+        geom = build_linear_array(5, 10.0)
+        y1, y2 = [0.0, 100.0], [offset, 100.0]
+        args = (geom, y1, y2, CTX, spec, 100, mode, seed)
+        assert estimate_stability_ratio(*args) == _reference_stability_ratio(*args)
+
+    @settings(max_examples=10, deadline=None)
+    @given(kernel=KERNELS, seed=st.integers(0, 2 ** 16),
+           x=st.tuples(COORD, COORD), offset=st.floats(0.5, 15.0),
+           realizations=st.integers(2, 20))
+    def test_second_moment(self, kernel, seed, x, offset, realizations):
+        spec = _spec(kernel)
+        y1, y2 = [x[0], x[1] + 80.0], [x[0] + offset, x[1] + 80.0]
+        args = (x, y1, y2, CTX, spec, realizations, seed)
+        assert estimate_second_moment(*args) == _reference_second_moment(*args)
+
+    def test_spectral_amplitude_shared_read_only(self):
+        spec = _spec("gaussian")
+        region = Region(-40.0, 40.0, 0.0, 80.0)
+        sample_field(spec, region, seed=1)
+        hits = random_medium._spectral_amplitude.cache_info().hits
+        sample_field(spec, region, seed=2)
+        assert random_medium._spectral_amplitude.cache_info().hits == hits + 1
+        amplitude = random_medium._spectral_amplitude.__wrapped__(
+            "gaussian", L_CORR, spec.lattice_spacing, 64, 64)
+        assert not amplitude.flags.writeable
+
+    @pytest.mark.parametrize("estimate", [
+        lambda geom, spec: estimate_stability_ratio(
+            geom, [0.0, 100.0], [5.0, 100.0], CTX, spec, realizations=100),
+        lambda geom, spec: estimate_second_moment(
+            [0.0, 0.0], [0.0, 100.0], [5.0, 100.0], CTX, spec, realizations=3),
+    ], ids=["stability", "second_moment"])
+    def test_plan_outside_region_raises(self, estimate, monkeypatch):
+        # a region that misses the far end of every ray
+        monkeypatch.setattr(random_medium, "region_for",
+                            lambda points, spec: Region(-30.0, 30.0, -10.0, 50.0))
+        with pytest.raises(DomainError):
+            estimate(build_linear_array(5, 10.0), _spec("gaussian"))
 
 
 class TestParaxialRatio:

@@ -2,7 +2,10 @@
 # Write every artifact of the byte-identity gate into <out_dir>, at one BLAS
 # thread: `arrayimg image` for the five shipped scenarios at seed 1,
 # `simulate` and `coherence` on fig2, and `stability --realizations 10` on
-# fig89, with each command's stdout.  Run it on two checkouts, then
+# fig89, with each command's stdout; and, in estimators.txt at 17 digits,
+# `estimate_stability_ratio` (N = 101, 100 realizations, self and mixed
+# modes) and `estimate_second_moment` (500 realizations).  Run it on two
+# checkouts, then
 #
 #     diff -r -x timings.csv parent_out/ change_out/
 #
@@ -28,3 +31,21 @@ arrayimg simulate --config "$fig2" --seed 1 --out simulate > simulate.txt
 arrayimg coherence --config "$fig2" --seed 1 --out coherence > coherence.txt
 arrayimg stability --config "$root/scenarios/fig89_random_medium.ini" --seed 1 \
     --realizations 10 --out stability > stability.txt
+python3 - > estimators.txt <<'EOF'
+from arrayimg.geometry import WaveContext, build_linear_array
+from arrayimg.random_medium import (RandomMediumSpec, estimate_second_moment,
+                                    estimate_stability_ratio)
+
+ctx = WaveContext(wavelength=1.0)
+geom = build_linear_array(101, 2000.0 / 100)  # fig89's 100l aperture
+y1, y2 = [0.0, 1000.0], [10.0, 1000.0]
+for kernel, mode in (("gaussian", "self"), ("power-law", "mixed")):
+    spec = RandomMediumSpec(correlation_length=20.0, sigma=0.001, kernel=kernel)
+    est = estimate_stability_ratio(geom, y1, y2, ctx, spec, realizations=100,
+                                   mode=mode, master_seed=1)
+    print(f"stability {kernel} {mode} {est.estimate:.17g} {est.std_error:.17g}")
+spec = RandomMediumSpec(correlation_length=20.0, sigma=0.001)
+ratio, se = estimate_second_moment([0.0, 0.0], y1, [3.0, 1000.0], ctx, spec,
+                                   realizations=500, master_seed=5)
+print(f"second_moment gaussian {ratio:.17g} {se:.17g}")
+EOF
