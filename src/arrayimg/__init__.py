@@ -11,13 +11,13 @@ from .foldy_lax import (ResponseMatrix, foldy_lax_matrix, solve_exciting_fields,
 from .sparse_solvers import (SolverParams, SparseSolution, solve_l1_smv,
                              solve_l1_mmv, brute_force_l0, rowsupp,
                              theorem2_error_bound)
-from .imaging import (ImagingResult, HybridSystem, select_rank, image_smv,
-                      image_mmv, optimal_illuminations, build_hybrid_system,
+from .imaging import (ImagingResult, select_rank, image_smv, image_mmv,
+                      optimal_illuminations, build_hybrid_system,
                       image_hybrid_l1, image_music, image_km)
 from .random_medium import (RandomMediumSpec, RandomFieldRealization,
                             autocorrelation_integral, effective_aperture,
                             sample_field, phase_line_integral,
-                            green_random, random_green_vector,
+                            random_green_vector,
                             response_matrix_random, estimate_stability_ratio,
                             paraxial_ratio)
 from .experiments import (TrialReport, add_noise, run_scenario,

@@ -233,6 +233,9 @@ def load_config(path, overrides=None) -> ScenarioConfig:
 
     if cfg.medium_kind == "random-phase" and cfg.correlation_length is None:
         raise _invalid(parser, "medium", "kind", "needs [medium] correlation_length")
+    if cfg.medium_kind == "random-phase" and cfg.forward == "foldy-lax":
+        raise _invalid(parser, "experiment", "forward", "must be auto or born: the "
+                       "[medium] kind = random-phase response is single scattering")
     if aperture is not None:
         if cfg.n < 2:
             raise _invalid(parser, "array", "aperture", "needs [array] n >= 2")
@@ -243,6 +246,9 @@ def load_config(path, overrides=None) -> ScenarioConfig:
         raise _invalid(parser, "scatterers", "cells",
                        f"{outside} outside the [window] rows x cols = "
                        f"{cfg.rows} x {cfg.cols} lattice")
+    repeated = sorted({cell for cell in cfg.cells if cfg.cells.count(cell) > 1})
+    if repeated:
+        raise _invalid(parser, "scatterers", "cells", f"repeats {repeated}")
     for key in ("magnitudes", "phases"):
         got = getattr(cfg, key)
         if got != "random" and len(got) != len(cfg.cells):

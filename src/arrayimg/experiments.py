@@ -117,15 +117,12 @@ def build_scene(cfg: ScenarioConfig, seed: int,
                for (r, c), v in zip(cfg.cells, values)]
     rho = place_scatterers(window, entries)
 
-    forward = cfg.forward
-    if forward == "auto":
-        forward = "random-phase" if cfg.medium_kind == "random-phase" else "foldy-lax"
     if cfg.medium_kind == "random-phase":
         spec = _medium_spec(cfg, seed)
         region = region_for(np.vstack([geom.positions, window.points]), spec)
         field = sample_field(spec, region, seed=seed)
         response = response_matrix_random(field, geom, window, rho, ctx)
-    elif forward == "born":
+    elif cfg.forward == "born":
         response = response_matrix_born(sensing, rho)
     else:
         response = response_matrix_foldy_lax(sensing, rho)

@@ -8,12 +8,10 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .greens import SensingMatrix, pairwise_green_matrix
 from .foldy_lax import ResponseMatrix
-from .sparse_solvers import (SolverParams, solve_l1_smv, solve_l1_mmv,
-                             theorem2_error_bound)
+from .sparse_solvers import SolverParams, solve_l1_smv, solve_l1_mmv
 
 __all__ = [
     "ImagingResult",
-    "HybridSystem",
     "select_rank",
     "reflectivities_from_sources",
     "image_smv",
@@ -24,7 +22,6 @@ __all__ = [
     "image_music",
     "image_km",
     "km_complex_image",
-    "hybrid_certificate",
 ]
 
 SCREEN_FLOOR_REL = 1e-12
@@ -50,14 +47,6 @@ class ImagingResult:
         return self.diagnostics.get("screened", [])
 
 
-@dataclass(frozen=True)
-class HybridSystem:
-    """Reduced M~ x K linear system obtained from the response-matrix SVD."""
-
-    matrix: np.ndarray      # (M~, K)
-    rhs: np.ndarray         # (M~,) singular values
-
-
 def select_rank(singular_values, relative_threshold: float = 0.05,
                 known_m: int | None = None) -> int:
     """Signal-space dimension: ``known_m`` override, else threshold on sigma_1."""
@@ -71,22 +60,6 @@ def select_rank(singular_values, relative_threshold: float = 0.05,
             raise ConfigurationError(f"known rank {known_m} outside [1, {sv.size}]")
         return int(known_m)
     return int(np.sum(sv >= relative_threshold * sv[0]))
-
-
-def _step1_support(sol, params: SolverParams, coherence, sparsity,
-                   sensing: SensingMatrix):
-    """Support after step one: Theorem-2 floor when usable, else threshold.
-
-    The stability floor lives in the unit-column frame, so recovered
-    magnitudes are weighted by their sensing-column norms before the
-    comparison.
-    """
-    if (params.delta > 0 and coherence is not None and sparsity is not None
-            and (sparsity - 1) * coherence < 1):
-        floor = theorem2_error_bound(params.delta, sparsity, coherence)
-        mags = np.abs(sol.solution).reshape(sensing.k, -1).max(axis=1)
-        return np.flatnonzero(mags * np.linalg.norm(sensing.matrix, axis=0) > floor)
-    return sol.support
 
 
 def reflectivities_from_sources(support, gamma_supp, illumination,
@@ -115,15 +88,15 @@ def _diagnostics(sol, screened, **extra) -> dict:
             "converged": sol.converged, "screened": screened, **extra}
 
 
-def _two_step_result(method, sol, illuminations, sensing: SensingMatrix,
-                     params: SolverParams, coherence, sparsity) -> ImagingResult:
+def _two_step_result(method, sol, illuminations,
+                     sensing: SensingMatrix) -> ImagingResult:
     """Step two on the step-one solution ``sol`` (one column per illumination).
 
     Reflectivities are estimated per illumination on the common support and
     averaged, skipping illuminations in which the component is screened; a
     component screened in every illumination is NaN.
     """
-    support = _step1_support(sol, params, coherence, sparsity, sensing)
+    support = sol.support
     sources = sol.solution.reshape(sensing.k, -1)
     reflectivity = np.zeros(sensing.k, dtype=complex)
     screened = []
@@ -149,9 +122,7 @@ def _two_step_result(method, sol, illuminations, sensing: SensingMatrix,
 
 
 def image_smv(b, illumination, sensing: SensingMatrix,
-              params: SolverParams | None = None,
-              coherence: float | None = None,
-              sparsity: int | None = None) -> ImagingResult:
+              params: SolverParams | None = None) -> ImagingResult:
     """Two-step single-illumination reconstruction.
 
     Step one recovers the effective source vector by l1 minimization; step
@@ -163,13 +134,11 @@ def image_smv(b, illumination, sensing: SensingMatrix,
     params = params or SolverParams()
     f = np.asarray(illumination, dtype=complex)[:, None]
     sol = solve_l1_smv(sensing.matrix, b, params)
-    return _two_step_result("smv", sol, f, sensing, params, coherence, sparsity)
+    return _two_step_result("smv", sol, f, sensing)
 
 
 def image_mmv(data, illuminations, sensing: SensingMatrix,
-              params: SolverParams | None = None,
-              coherence: float | None = None,
-              sparsity: int | None = None) -> ImagingResult:
+              params: SolverParams | None = None) -> ImagingResult:
     """Joint-sparsity reconstruction from multiple illuminations.
 
     Reflectivities are estimated per illumination on the common row support
@@ -185,7 +154,7 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
     if b.shape[1] != f.shape[1]:
         raise ConfigurationError("data and illumination column counts differ")
     sol = solve_l1_mmv(sensing.matrix, b, params)
-    return _two_step_result("mmv", sol, f, sensing, params, coherence, sparsity)
+    return _two_step_result("mmv", sol, f, sensing)
 
 
 def optimal_illuminations(resp: ResponseMatrix, count: int) -> np.ndarray:
@@ -199,12 +168,12 @@ def optimal_illuminations(resp: ResponseMatrix, count: int) -> np.ndarray:
 
 
 def build_hybrid_system(resp: ResponseMatrix, sensing: SensingMatrix,
-                        m_tilde: int) -> HybridSystem:
+                        m_tilde: int) -> tuple[np.ndarray, np.ndarray]:
     """Project singular-vector data onto the left singular subspace.
 
-    Row ``i`` of the reduced matrix at column ``j`` is
-    ``conj(g0*(y_j) U_i) * (g0^T(y_j) V_i)`` and the right side is the
-    vector of retained singular values.
+    Returns the reduced ``(M~, K)`` matrix, whose row ``i`` at column ``j``
+    is ``conj(g0*(y_j) U_i) * (g0^T(y_j) V_i)``, and the right side, the
+    ``(M~,)`` vector of retained singular values.
     """
     u, s, vh = resp.svd()
     if not 1 <= m_tilde <= s.size:
@@ -213,7 +182,7 @@ def build_hybrid_system(resp: ResponseMatrix, sensing: SensingMatrix,
     vn = vh.conj().T[:, :m_tilde]
     g = sensing.matrix
     mat = (un.conj().T @ g) * (vn.T @ g)
-    return HybridSystem(matrix=mat, rhs=s[:m_tilde].astype(complex))
+    return mat, s[:m_tilde].astype(complex)
 
 
 def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
@@ -229,9 +198,9 @@ def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
     _, s, _ = resp.svd()
     if m_tilde is None:
         m_tilde = select_rank(s)
-    hybrid = build_hybrid_system(resp, sensing, m_tilde)
-    delta_h = delta_fraction * float(np.linalg.norm(hybrid.rhs))
-    sol = solve_l1_smv(hybrid.matrix, hybrid.rhs, replace(params, delta=delta_h))
+    mat, rhs = build_hybrid_system(resp, sensing, m_tilde)
+    delta_h = delta_fraction * float(np.linalg.norm(rhs))
+    sol = solve_l1_smv(mat, rhs, replace(params, delta=delta_h))
     support = sol.support
     reflectivity = np.zeros(sensing.k, dtype=complex)
     reflectivity[support] = sol.solution[support]
@@ -308,16 +277,13 @@ def image_km(b, illumination, sensing: SensingMatrix,
     grid stores magnitudes; ``peak_count`` requests a peak listing (no support
     claim is made otherwise).
     """
-    b = np.asarray(b, dtype=complex)
-    f = np.asarray(illumination, dtype=complex)
-    if b.ndim == 1:
-        values = km_complex_image(b, f, sensing)
-    else:
-        if f.ndim != 2 or f.shape[1] != b.shape[1]:
-            raise ConfigurationError("data and illumination column counts differ")
-        values = np.zeros(sensing.k, dtype=complex)
-        for j in range(b.shape[1]):
-            values += km_complex_image(b[:, j], f[:, j], sensing)
+    b = np.asarray(b, dtype=complex).reshape(len(b), -1)  # a vector is one column
+    f = np.asarray(illumination, dtype=complex).reshape(len(illumination), -1)
+    if f.shape[1] != b.shape[1]:
+        raise ConfigurationError("data and illumination column counts differ")
+    values = np.zeros(sensing.k, dtype=complex)
+    for j in range(b.shape[1]):
+        values += km_complex_image(b[:, j], f[:, j], sensing)
     magnitudes = np.abs(values)
     window = sensing.window
     if peak_count:
@@ -328,49 +294,3 @@ def image_km(b, illumination, sensing: SensingMatrix,
                          reflectivity=np.zeros(sensing.k, dtype=complex),
                          image=magnitudes,
                          diagnostics={"complex_image": values, "screened": []})
-
-
-def hybrid_certificate(hybrid: HybridSystem, support) -> dict:
-    """Theorem-style uniqueness diagnostics for the reduced system.
-
-    Reports the normalized-column certificate ``||S|| < 1 - ||E - I||`` and
-    the diagonal-scaled variant used in random media; both in the 1->1
-    induced norm.  Purely diagnostic: no recovery decision is made here.
-    """
-    support = np.asarray(support, dtype=int)
-    mat = hybrid.matrix
-    norms = np.linalg.norm(mat, axis=0)
-    normed = mat / np.maximum(norms, 1e-300)[None, :]
-    rest = np.setdiff1d(np.arange(mat.shape[1]), support)
-
-    def norm_11(m):
-        return float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
-
-    report = {}
-    e_block = normed[:, support]
-    s_block = normed[:, rest]
-    s_norm = norm_11(s_block)
-    if e_block.shape[0] == e_block.shape[1]:
-        e_dev = norm_11(e_block - np.eye(e_block.shape[0]))
-        report["normalized"] = {
-            "s_norm": s_norm, "e_minus_i_norm": e_dev,
-            "certified": bool(s_norm < 1 - e_dev),
-        }
-    else:
-        report["normalized"] = {
-            "s_norm": s_norm, "e_minus_i_norm": None,
-            "certified": False, "note": "rank != support size; not comparable",
-        }
-    raw_e = mat[:, support]
-    if raw_e.shape[0] == raw_e.shape[1]:
-        d = np.diag(raw_e)
-        if np.all(np.abs(d) > 0):
-            d_inv = np.diag(1.0 / d)
-            off = raw_e - np.diag(d)
-            ds_norm = norm_11(d_inv @ mat[:, rest])
-            de_norm = norm_11(d_inv @ off)
-            report["diagonal_scaled"] = {
-                "s_norm": ds_norm, "e_norm": de_norm,
-                "certified": bool(ds_norm < 1 - de_norm),
-            }
-    return report

@@ -24,7 +24,6 @@ __all__ = [
     "sample_field",
     "region_for",
     "phase_line_integral",
-    "green_random",
     "random_green_vector",
     "response_matrix_random",
     "estimate_second_moment",
@@ -270,13 +269,6 @@ def phase_line_integral(field: RandomFieldRealization, x, y):
 def _random_phase(base, dists, nu, spec: RandomMediumSpec, ctx: WaveContext):
     """Homogeneous value(s) ``base`` times exp(i sigma kappa |x - y| nu)."""
     return base * np.exp(1j * spec.sigma * ctx.wavenumber * dists * nu)
-
-
-def green_random(field: RandomFieldRealization, x, y, ctx: WaveContext) -> complex:
-    """Homogeneous kernel with a random phase from the medium line integral."""
-    dist = float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
-    return _random_phase(green_homogeneous(x, y, ctx), dist,
-                         phase_line_integral(field, x, y), field.spec, ctx)
 
 
 def random_green_vector(field: RandomFieldRealization, geom: ArrayGeometry, y,

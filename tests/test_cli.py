@@ -44,7 +44,8 @@ BAD_VALUES = {
     ("window", "rows"): ["0"],
     ("window", "cols"): ["2.5"],
     ("window", "spacing"): ["-1"],
-    ("scatterers", "cells"): ["2,2,2", "2,x", "2,2; 11,8", "-1,2; 8,8"],  # rows = cols = 11
+    ("scatterers", "cells"): ["2,2,2", "2,x", "2,2; 11,8", "-1,2; 8,8",  # rows = cols = 11
+                              "2,2; 2,2"],
     ("scatterers", "magnitudes"): ["1.5, x", "1.5"],  # one value for two cells
     ("scatterers", "phases"): ["sometimes", "0.0"],
     ("medium", "kind"): ["plasma", "random-phase"],  # no correlation length
@@ -191,6 +192,19 @@ class TestCli:
         assert payload["error"] == "ConfigurationError"
         assert repr(name) in payload["message"]
         assert not (tmp_path / "runs").exists()
+
+    def test_forward_under_random_medium(self, tmp_path, capsys):
+        # the random-phase response is single scattering: foldy-lax is refused
+        medium = "[medium]\nkind = random-phase\ncorrelation_length = 20\n"
+        for forward in ("foldy-lax", "born", "auto"):
+            path = tmp_path / f"{forward}.ini"
+            path.write_text(CONFIG + f"forward = {forward}\n" + medium)
+            rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / forward)])
+            assert rc == (1 if forward == "foldy-lax" else 0), forward
+            assert (tmp_path / forward).exists() == (rc == 0)
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert payload["error"] == "ConfigurationError"
+        assert "[experiment] forward = 'foldy-lax'" in payload["message"]
 
     @pytest.mark.parametrize("section, key", sorted((section, key) for section, keys
                                                     in _KNOWN.items() for key in keys))

@@ -163,6 +163,28 @@ class TestResponseMatrices:
         for a, b in zip(ratios, ratios[1:]):
             assert a / b == pytest.approx(2.0, rel=0.2)
 
+    @settings(max_examples=40, deadline=None)
+    @given(scatterers=SCATTERERS.filter(lambda s: len(s) <= 4),
+           target=st.floats(min_value=1e-3, max_value=0.5))
+    def test_born_limit_bound(self, scatterers, target):
+        # P_FL - P_Born = G_S diag(a) (Z^-1 - I) G_S^T with Z = I - G_pair diag(a),
+        # and the Neumann series bounds ||Z^-1 - I||_2 by q / (1 - q) for
+        # q = ||G_pair diag(a)||_2 < 1; the alphas are scaled to q = target
+        cells, alphas = zip(*scatterers)
+        sens, rho, _ = small_scene(cells, alphas)
+        pair = pairwise_green_matrix(sens.window.points[rho.support], CTX)
+        q = np.linalg.norm(pair * rho.values[rho.support][None, :], 2)
+        if q > 0:  # one scatterer has no pair term: P_FL = P_Born
+            sens, rho, _ = small_scene(cells, np.array(alphas) * (target / q))
+        alphas = rho.values[rho.support]
+        q = np.linalg.norm(pair * alphas[None, :], 2)
+        g_s = sens.matrix[:, rho.support]
+        full = response_matrix_foldy_lax(sens, rho).matrix
+        born = response_matrix_born(sens, rho).matrix
+        bound = (np.linalg.norm(g_s * alphas[None, :], 2) * np.linalg.norm(g_s, 2)
+                 * q / (1 - q))
+        assert np.linalg.norm(full - born, 2) <= bound + 1e-12 * np.linalg.norm(born, 2)
+
     def test_born_rank_and_singular_values_section54(self):
         mags = [0.8, 1.0, 0.5, 0.7]
         cells = [(1, 1), (2, 7), (6, 2), (7, 6)]

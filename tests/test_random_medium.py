@@ -14,7 +14,7 @@ from arrayimg.random_medium import (_KERNELS, RandomMediumSpec, Region,
                                     _derived_seed, _variance_with_se,
                                     autocorrelation_integral, effective_aperture,
                                     estimate_second_moment,
-                                    estimate_stability_ratio, green_random,
+                                    estimate_stability_ratio,
                                     paraxial_ratio, phase_line_integral,
                                     random_green_vector, region_for,
                                     response_matrix_random, sample_field,
@@ -176,26 +176,6 @@ class TestPhaseLineIntegral:
 
 
 class TestGreenRandom:
-    def test_zero_sigma_reduces_to_homogeneous(self):
-        spec = gaussian_spec(sigma=0.0)
-        region = Region(-40.0, 40.0, 0.0, 80.0)
-        field = sample_field(spec, region, seed=1)
-        x, y = [0.0, 0.0], [5.0, 70.0]
-        assert green_random(field, x, y, CTX) == pytest.approx(
-            green_homogeneous(x, y, CTX), rel=1e-13)
-
-    def test_magnitude_preserved(self):
-        spec = gaussian_spec(sigma=0.01)
-        region = Region(-40.0, 40.0, 0.0, 80.0)
-        rng = np.random.default_rng(5)
-        for seed in range(5):
-            field = sample_field(spec, region, seed=seed)
-            x = [rng.uniform(-30, 30), 0.0]
-            y = [rng.uniform(-20, 20), rng.uniform(50, 75)]
-            g = green_random(field, x, y, CTX)
-            assert abs(g) == pytest.approx(abs(green_homogeneous(x, y, CTX)),
-                                           rel=1e-12)
-
     def test_vector_norm_preserved(self):
         spec = gaussian_spec(sigma=0.01)
         geom = build_linear_array(64, 1.0)
