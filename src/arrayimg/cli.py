@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    overrides = {"seed": args.seed, "methods": getattr(args, "methods", None)}
+    overrides = {"seed": args.seed, "methods": getattr(args, "methods", None),
+                 "realizations": getattr(args, "realizations", None)}
     return load_config(args.config, {name: value for name, value in overrides.items()
                                      if value is not None})
 
@@ -67,8 +68,7 @@ def main(argv=None) -> int:
                     print(f"{r.method}: not converged after {r.iterations} "
                           f"iterations (residual {r.residual:.3g})", file=sys.stderr)
         elif args.command == "stability":
-            rows = monte_carlo_stability(cfg, realizations=args.realizations,
-                                         out_dir=args.out)
+            rows = monte_carlo_stability(cfg, out_dir=args.out)
             for row in rows:
                 print(f"aperture={row['aperture']:g} {row['method']}: "
                       f"success={row['success_rate']:.2f}")

@@ -240,6 +240,18 @@ def load_config(path, overrides=None) -> ScenarioConfig:
         if cfg.n < 2:
             raise _invalid(parser, "array", "aperture", "needs [array] n >= 2")
         cfg = replace(cfg, pitch=aperture / (cfg.n - 1))
+    if cfg.apertures and cfg.n < 2:
+        raise _invalid(parser, "experiment", "apertures", "needs [array] n >= 2")
+    nearest = cfg.center_range - (cfg.rows - 1) / 2 * cfg.spacing
+    if nearest <= 0:
+        raise _invalid(parser, "window", "center_range",
+                       f"puts the nearest window row at range {nearest:g}, "
+                       "on or behind the array")
+    # the same bound as RandomMediumSpec, which checks it for library callers
+    if cfg.lattice_spacing is not None and cfg.correlation_length is not None \
+            and cfg.lattice_spacing > cfg.correlation_length / 5.0 + 1e-12:
+        raise _invalid(parser, "medium", "lattice_spacing", "exceeds [medium] "
+                       f"correlation_length / 5 = {cfg.correlation_length / 5.0:g}")
     outside = [cell for cell in cfg.cells
                if not (0 <= cell[0] < cfg.rows and 0 <= cell[1] < cfg.cols)]
     if outside:

@@ -117,8 +117,7 @@ def _two_step_result(method, sol, illuminations,
     return ImagingResult(method=method, support=np.sort(support),
                          reflectivity=reflectivity,
                          image=np.abs(np.nan_to_num(reflectivity)),
-                         diagnostics=_diagnostics(sol, screened,
-                                                  effective_sources=sol.solution))
+                         diagnostics=_diagnostics(sol, screened))
 
 
 def image_smv(b, illumination, sensing: SensingMatrix,
@@ -145,13 +144,9 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
     and averaged, skipping illuminations in which the component is screened.
     """
     params = params or SolverParams()
-    b = np.atleast_2d(np.asarray(data, dtype=complex))
-    f = np.atleast_2d(np.asarray(illuminations, dtype=complex))
-    if b.shape[0] == 1 and b.shape[1] == sensing.n:  # row vector input
-        b = b.T
-    if f.shape[0] == 1 and f.shape[1] == sensing.n:
-        f = f.T
-    if b.shape[1] != f.shape[1]:
+    b = np.asarray(data, dtype=complex)
+    f = np.asarray(illuminations, dtype=complex)
+    if b.shape[1:] != f.shape[1:]:
         raise ConfigurationError("data and illumination column counts differ")
     sol = solve_l1_mmv(sensing.matrix, b, params)
     return _two_step_result("mmv", sol, f, sensing)
@@ -186,8 +181,7 @@ def build_hybrid_system(resp: ResponseMatrix, sensing: SensingMatrix,
 
 
 def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
-                    params: SolverParams | None = None,
-                    m_tilde: int | None = None,
+                    params: SolverParams | None = None, *, m_tilde: int,
                     delta_fraction: float = 0.0) -> ImagingResult:
     """Single-step l1 recovery on the SVD-reduced system (Born regime).
 
@@ -195,9 +189,6 @@ def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
     zero requests the equality-constrained problem.
     """
     params = params or SolverParams()
-    _, s, _ = resp.svd()
-    if m_tilde is None:
-        m_tilde = select_rank(s)
     mat, rhs = build_hybrid_system(resp, sensing, m_tilde)
     delta_h = delta_fraction * float(np.linalg.norm(rhs))
     sol = solve_l1_smv(mat, rhs, replace(params, delta=delta_h))
@@ -234,15 +225,13 @@ def _local_maxima(values: np.ndarray, rows: int, cols: int, count: int,
 
 
 def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
-                m_tilde: int | None = None) -> ImagingResult:
+                m_tilde: int) -> ImagingResult:
     """Noise-subspace projection functional, normalized to peak at one.
 
     Peaks are 4-neighbor local maxima above ``MUSIC_PEAK_FLOOR`` times the
     global maximum, separation-limited and capped at the signal rank.
     """
     u, s, _ = resp.svd()
-    if m_tilde is None:
-        m_tilde = select_rank(s)
     if not 1 <= m_tilde <= s.size:
         raise ConfigurationError(f"rank {m_tilde} outside [1, {s.size}]")
     g = sensing.matrix

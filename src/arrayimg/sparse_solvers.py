@@ -1,11 +1,11 @@
 """Convex sparse-recovery engines.
 
-``solve_l1_smv`` / ``solve_l1_mmv`` solve ``min ||x||_1`` (``sum_i ||X_i.||_2``
-in MMV) subject to ``||A x - b|| <= delta`` with two-block ADMM (Boyd et al.,
-*Found. Trends Mach. Learn.* 3, 2011): ``x`` is the exact projection of
-``y - u`` onto the constraint set, ``y`` the soft threshold of ``x + u`` and
-``u`` the running sum of ``x - y``.  ``brute_force_l0`` is an independent
-enumeration oracle for small instances.
+``solve_l1_mmv`` solves ``min sum_i ||X_i.||_2`` s.t. ``||A X - B||_F <= delta``
+with two-block ADMM (Boyd et al., *Found. Trends Mach. Learn.* 3, 2011): ``x``
+is the exact projection of ``y - u`` onto the constraint set, ``y`` the row
+soft threshold of ``x + u`` and ``u`` the running sum of ``x - y``.
+``solve_l1_smv`` (``min ||x||_1``) is its one-column case, bit for bit.
+``brute_force_l0`` is an independent enumeration oracle for small instances.
 """
 
 from dataclasses import dataclass, field
@@ -59,25 +59,21 @@ class SparseSolution:
     trace: list = field(default_factory=list)
 
 
-def _soft_entries(x: np.ndarray, t: float) -> np.ndarray:
-    """Complex soft threshold in place: shrink magnitude by t, keep phase."""
-    mag = np.abs(x)
-    scale = np.maximum(0.0, 1.0 - t / np.maximum(mag, 1e-300))
-    x *= scale
-    return x
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """l2 norm of each row of a ``(K, J)`` array; with one column, the modulus."""
+    return np.abs(x[:, 0]) if x.shape[1] == 1 else np.linalg.norm(x, axis=1)
 
 
-def _soft_rows(x: np.ndarray, t: float) -> np.ndarray:
+def _shrink(x: np.ndarray, t: float) -> np.ndarray:
     """Block soft threshold in place: shrink each row's l2 norm by t, keep
-    direction."""
-    norms = np.linalg.norm(x, axis=1)
-    scale = np.maximum(0.0, 1.0 - t / np.maximum(norms, 1e-300))
+    direction (with one column, the complex soft threshold)."""
+    scale = np.maximum(0.0, 1.0 - t / np.maximum(_row_norms(x), 1e-300))
     x *= scale[:, None]
     return x
 
 
 class _BallProjection:
-    """Exact projection onto ``{x : ||A x - b||_F <= delta}``.
+    """Exact projection onto ``{x : ||A x - b||_F <= delta}``, ``b`` (N, J).
 
     With the thin SVD ``A = U S V^H`` (singular values below ``SVD_RCOND``
     times the largest dropped), ``x = V c + x_perp`` and the constraint reads
@@ -96,7 +92,7 @@ class _BallProjection:
         u, s, vh = u[:, keep], s[keep], vh[keep]
         self.vh = vh
         self.v = np.ascontiguousarray(vh.conj().T)
-        self.s = s if b.ndim == 1 else s[:, None]
+        self.s = s[:, None]
         self.ub = u.conj().T @ b
         outside_sq = np.linalg.norm(b - u @ self.ub) ** 2
         self.radius = float(np.sqrt(max(delta ** 2 - outside_sq, 0.0)))
@@ -109,9 +105,7 @@ class _BallProjection:
             p += self.v @ (self.ub / self.s - q)
             return p
         w = self.s * q - self.ub
-        w_sq = np.abs(w) ** 2
-        if w_sq.ndim > 1:
-            w_sq = w_sq.sum(axis=1)
+        w_sq = np.sum(np.abs(w) ** 2, axis=1)
         if w_sq.sum() <= self.radius ** 2:
             return p
         s_sq = self.s.ravel() ** 2
@@ -131,14 +125,14 @@ class _BallProjection:
         return p
 
 
-def _iterate(a, b, params: SolverParams, row_mode: bool):
-    """Shared SMV/MMV ADMM loop; ``b`` is (N,) or (N, v).
+def _iterate(a, b, params: SolverParams) -> SparseSolution:
+    """The ADMM loop on ``(N, J)`` data ``b``; SMV is the case J = 1.
 
-    The soft threshold is the fixed ``max |A^H b|`` (row norms in MMV) of the
-    operator rescaled to unit spectral norm, ``max |A^H b| / ||A||_2^2``.
+    The soft threshold is fixed at ``max_i ||(A^H b)_i.|| / ||A||_2^2``, the
+    largest row norm of ``A^H b`` (the modulus for one column) of the operator
+    rescaled to unit spectral norm.
     """
     a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or np.all(a == 0):
         raise ConfigurationError("system matrix must be a nonzero 2-D array")
     if b.shape[0] != a.shape[0]:
@@ -146,8 +140,7 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
 
     project = _BallProjection(a, b, params.delta)
     atb = a.conj().T @ b
-    mags = np.linalg.norm(atb, axis=1) if row_mode else np.abs(atb)
-    t = float(np.max(mags)) / project.spectral_norm ** 2
+    t = float(np.max(_row_norms(atb))) / project.spectral_norm ** 2
     bound = params.delta + FEASIBILITY_SLACK
 
     y = np.zeros_like(atb)
@@ -155,10 +148,9 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
         res_norm = float(np.linalg.norm(b))
         return SparseSolution(
             solution=y, iterations=0, residual_norm=res_norm,
-            support=_threshold_support(y, params.support_threshold, row_mode),
+            support=_threshold_support(y, params.support_threshold),
             converged=res_norm <= bound)
 
-    shrink = _soft_rows if row_mode else _soft_entries
     dual = np.zeros_like(y)
     snapshot = y.copy()  # convergence is judged on 50-iteration windows
     trace = []
@@ -166,7 +158,7 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
     it = 0
     for it in range(1, params.max_iterations + 1):
         x = project(y - dual)
-        y = shrink(x + dual, t)
+        y = _shrink(x + dual, t)
         dual += x
         dual -= y
 
@@ -176,9 +168,7 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
             continue
         res_norm = np.linalg.norm(b - a @ y)
         if traced:
-            obj = float(np.sum(np.linalg.norm(y, axis=1))) if row_mode \
-                else float(np.sum(np.abs(y)))
-            trace.append((it, obj, float(res_norm)))
+            trace.append((it, float(np.sum(_row_norms(y))), float(res_norm)))
         if checked:
             change = np.linalg.norm(y - snapshot)
             snapshot = y.copy()
@@ -191,14 +181,14 @@ def _iterate(a, b, params: SolverParams, row_mode: bool):
         solution=y,
         iterations=it,
         residual_norm=res_norm,
-        support=_threshold_support(y, params.support_threshold, row_mode),
+        support=_threshold_support(y, params.support_threshold),
         converged=converged,
         trace=trace,
     )
 
 
-def _threshold_support(x, threshold, row_mode):
-    mags = np.linalg.norm(x, axis=1) if row_mode else np.abs(x)
+def _threshold_support(x, threshold):
+    mags = _row_norms(x)
     top = mags.max() if mags.size else 0.0
     if top == 0.0:
         return np.array([], dtype=int)
@@ -206,21 +196,22 @@ def _threshold_support(x, threshold, row_mode):
 
 
 def solve_l1_smv(a, b, params: SolverParams | None = None) -> SparseSolution:
-    """min ||x||_1 s.t. ||A x - b||_2 <= delta (delta = 0: equality)."""
-    params = params or SolverParams()
+    """min ||x||_1 s.t. ||A x - b||_2 <= delta (delta = 0: equality), solved
+    as the one-column MMV; the solution is ``(K,)``."""
     b = np.asarray(b, dtype=complex)
     if b.ndim != 1:
         raise ConfigurationError("SMV data must be a vector")
-    return _iterate(a, b, params, row_mode=False)
+    sol = _iterate(a, b[:, None], params or SolverParams())
+    sol.solution = sol.solution[:, 0]
+    return sol
 
 
 def solve_l1_mmv(a, b, params: SolverParams | None = None) -> SparseSolution:
     """min sum_i ||X_i.||_2 s.t. ||A X - B||_F <= delta."""
-    params = params or SolverParams()
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[1] < 1:
         raise ConfigurationError("MMV data must be a matrix with >= 1 column")
-    return _iterate(a, b, params, row_mode=True)
+    return _iterate(a, b, params or SolverParams())
 
 
 def rowsupp(x, threshold: float = 0.0) -> np.ndarray:
@@ -228,7 +219,7 @@ def rowsupp(x, threshold: float = 0.0) -> np.ndarray:
     if not 0 <= threshold < 1:
         raise ConfigurationError("threshold must lie in [0, 1)")
     x = np.asarray(x)
-    return _threshold_support(x[:, None] if x.ndim == 1 else x, threshold, row_mode=True)
+    return _threshold_support(x[:, None] if x.ndim == 1 else x, threshold)
 
 
 def brute_force_l0(a, b, max_support: int = 3, delta: float = 0.0):

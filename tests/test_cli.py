@@ -40,7 +40,7 @@ BAD_VALUES = {
     ("array", "n"): ["abc", "0"],
     ("array", "pitch"): ["-1", "25l"],  # no correlation length configured
     ("array", "aperture"): ["-5"],
-    ("window", "center_range"): ["abc"],
+    ("window", "center_range"): ["abc", "10", "-5"],  # rows = 11, spacing = 2: row 0 at 0
     ("window", "rows"): ["0"],
     ("window", "cols"): ["2.5"],
     ("window", "spacing"): ["-1"],
@@ -168,6 +168,23 @@ class TestCli:
         assert "[experiment] seed = '-1'" in payload["message"]
         assert not (tmp_path / "runs").exists()
 
+    def test_bad_realizations_override_returns_one(self, config_path, tmp_path, capsys):
+        rc = main(["stability", "--config", str(config_path), "--realizations", "5",
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert "[experiment] realizations = '5'" in payload["message"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_override_into_missing_section(self, tmp_path, capsys):
+        path = tmp_path / "no_experiment.ini"
+        path.write_text(CONFIG[:CONFIG.index("[experiment]")])
+        rc = main(["simulate", "--config", str(path), "--seed", "3",
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 0
+        assert (tmp_path / "runs" / "scenario" / "3" / "response.csv").exists()
+
     @pytest.mark.parametrize("spec", ["centrl", "element:80", "random:0", "optimal:x"])
     def test_bad_illumination_spec_returns_one(self, spec, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -205,6 +222,32 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[0])
         assert payload["error"] == "ConfigurationError"
         assert "[experiment] forward = 'foldy-lax'" in payload["message"]
+
+    @pytest.mark.parametrize("settings, named", [
+        ({("array", "n"): "1", ("experiment", "apertures"): "40"},
+         "[experiment] apertures = '40': needs [array] n >= 2"),
+        ({("array", "n"): "1", ("array", "aperture"): "40"},
+         "[array] aperture = '40': needs [array] n >= 2"),
+        ({("medium", "kind"): "random-phase", ("medium", "correlation_length"): "20",
+          ("medium", "lattice_spacing"): "4.5"},
+         "[medium] lattice_spacing = '4.5': exceeds [medium] correlation_length / 5 = 4"),
+    ], ids=["apertures", "aperture", "lattice_spacing"])
+    def test_bad_key_combination_returns_one(self, settings, named, tmp_path, capsys):
+        parser = configparser.ConfigParser()
+        parser.read_string(CONFIG)
+        for (section, key), value in settings.items():
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, key, value)
+        bad = tmp_path / "bad.ini"
+        with open(bad, "w") as fh:
+            parser.write(fh)
+        rc = main(["stability", "--config", str(bad), "--out", str(tmp_path / "runs")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert named in payload["message"]
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("section, key", sorted((section, key) for section, keys
                                                     in _KNOWN.items() for key in keys))
