@@ -103,19 +103,22 @@ def _sensing(cfg: ScenarioConfig, aperture: float | None = None) -> SensingMatri
                           WaveContext(wavelength=cfg.wavelength))
 
 
+def _truth(cfg: ScenarioConfig, seed: int, sensing: SensingMatrix | None = None):
+    """The ``(sensing, rho)`` pair of ``build_scene``, without a forward model."""
+    sensing = _sensing(cfg) if sensing is None else sensing
+    values = _scatterer_values(cfg, np.random.default_rng([seed, 1]))
+    entries = [(sensing.window.rowcol_to_index(r, c), v)
+               for (r, c), v in zip(cfg.cells, values)]
+    return sensing, place_scatterers(sensing.window, entries)
+
+
 def build_scene(cfg: ScenarioConfig, seed: int,
                 sensing: SensingMatrix | None = None) -> Scene:
     """Construct geometry, draw scatterer phases, run the forward model and
     inject noise.  Sub-seeds are derived deterministically from ``seed``.
     ``sensing`` reuses a matrix ``_sensing`` built for this ``cfg``."""
-    sensing = _sensing(cfg) if sensing is None else sensing
+    sensing, rho = _truth(cfg, seed, sensing)
     ctx, geom, window = sensing.ctx, sensing.geom, sensing.window
-
-    phase_rng = np.random.default_rng([seed, 1])
-    values = _scatterer_values(cfg, phase_rng)
-    entries = [(window.rowcol_to_index(r, c), v)
-               for (r, c), v in zip(cfg.cells, values)]
-    rho = place_scatterers(window, entries)
 
     if cfg.medium_kind == "random-phase":
         spec = _medium_spec(cfg, seed)
@@ -249,12 +252,11 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
         for method, result in results.items():
             write_support_csv(run_dir / f"{method}_support.csv", result,
                               scene.sensing.window)
-            if result.image is not None:
-                write_image_csv(run_dir / f"{method}_image.csv", result,
-                                scene.sensing.window)
-                if cfg.write_pgm:
-                    write_pgm(run_dir / f"{method}_image.pgm", result,
-                              scene.sensing.window)
+            write_image_csv(run_dir / f"{method}_image.csv", result,
+                            scene.sensing.window)
+            if cfg.write_pgm:
+                write_pgm(run_dir / f"{method}_image.pgm", result,
+                          scene.sensing.window)
     return reports
 
 
@@ -268,9 +270,8 @@ def monte_carlo_stability(cfg: ScenarioConfig, realizations: int | None = None,
     realizations = cfg.realizations if realizations is None else realizations
     if realizations < 10:
         raise ConfigurationError("Monte-Carlo batches need >= 10 realizations")
-    apertures = cfg.apertures or [(cfg.n - 1) * cfg.pitch]
     rows = []
-    for aperture in apertures:
+    for aperture in cfg.apertures or [None]:  # None: the configured array
         per_method = {m: [] for m in cfg.methods}
         sensing = _sensing(cfg, aperture)
         for seed in range(1, realizations + 1):
@@ -281,7 +282,7 @@ def monte_carlo_stability(cfg: ScenarioConfig, realizations: int | None = None,
         for method in cfg.methods:
             batch = per_method[method]
             rows.append({
-                "aperture": aperture,
+                "aperture": (cfg.n - 1) * cfg.pitch if aperture is None else aperture,
                 "method": method,
                 "success_rate": float(np.mean([r.support_exact for r in batch])),
                 "mean_precision": float(np.mean([r.precision for r in batch])),
@@ -300,17 +301,17 @@ def coherence_report(cfg: ScenarioConfig, out_dir=None) -> dict:
 
     The grid-wide coherence is reported alongside the support-restricted one
     (the recovery condition only needs to hold on the scatterer support).
+    Both depend on the sensing matrix alone, so no forward model runs.
     """
-    scene = build_scene(cfg, cfg.seed)
-    eps, pair = mutual_coherence(scene.sensing)
-    m = scene.rho.m
+    sensing, rho = _truth(cfg, cfg.seed)
+    eps, pair = mutual_coherence(sensing)
+    m = rho.m
     report = {"grid_coherence": eps, "grid_pair": pair, "m": m}
     eps_for_margin = eps
     if m >= 2:
-        sub = scene.sensing.matrix[:, scene.rho.support]
-        eps_supp, pair_supp = mutual_coherence(sub)
+        supp = rho.support
+        eps_supp, pair_supp = mutual_coherence(sensing.matrix[:, supp])
         report["support_coherence"] = eps_supp
-        supp = scene.rho.support
         report["support_pair"] = (int(supp[pair_supp[0]]), int(supp[pair_supp[1]]))
         eps_for_margin = eps_supp
     margin = theorem1_margin(eps_for_margin, m)

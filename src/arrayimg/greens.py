@@ -103,8 +103,7 @@ def mutual_coherence(mat, block_size: int = 4096):
     for start in range(0, k, block_size):
         stop = min(start + block_size, k)
         gram = np.abs(cols[:, start:stop].conj().T @ cols)  # (stop-start, K)
-        for local_i in range(stop - start):
-            gram[local_i, start + local_i] = -1.0  # mask self products
+        np.fill_diagonal(gram[:, start:stop], -1.0)  # mask self products
         flat = int(np.argmax(gram))
         i_local, j = divmod(flat, k)
         val = float(gram[i_local, j])

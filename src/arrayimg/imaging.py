@@ -36,10 +36,9 @@ PEAK_SEPARATION = 2  # lattice cells (Chebyshev distance) between listed peaks
 class ImagingResult:
     """Output of one imaging method over the full grid."""
 
-    method: str
-    support: np.ndarray                 # sorted grid indices
-    reflectivity: np.ndarray            # (K,) complex; nonzero on support
-    image: np.ndarray | None = None     # (K,) nonnegative values
+    support: np.ndarray       # sorted grid indices
+    reflectivity: np.ndarray  # (K,) complex; nonzero on support
+    image: np.ndarray         # (K,) nonnegative values
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -62,34 +61,38 @@ def select_rank(singular_values, relative_threshold: float = 0.05,
     return int(np.sum(sv >= relative_threshold * sv[0]))
 
 
-def reflectivities_from_sources(support, gamma_supp, illumination,
+def reflectivities_from_sources(support, sources, illuminations,
                                 sensing: SensingMatrix):
     """Second step of the two-step reconstruction.
 
-    Rebuilds the exciting fields at the support points from the recovered
-    effective sources and divides them out.  Returns ``(values, screened)``
-    where ``screened`` marks components whose exciting field magnitude falls
-    below ``1e-12 * ||f||``; their values are NaN, never a silent division.
+    ``sources`` holds the recovered effective sources on ``support``, one
+    column per column of ``illuminations``.  Rebuilds the exciting fields at
+    the support points and divides them out.  Returns ``(values, screened)``,
+    both ``(M, J)``, where ``screened`` marks entries whose exciting field
+    magnitude falls below ``1e-12 * ||f_j||``; their values are NaN, never a
+    silent division.
     """
     support = np.asarray(support, dtype=int)
-    gamma_supp = np.asarray(gamma_supp, dtype=complex)
-    f = np.asarray(illumination, dtype=complex)
+    gamma = np.asarray(sources, dtype=complex)
+    f = np.asarray(illuminations, dtype=complex)
     pair = pairwise_green_matrix(sensing.window.points[support], sensing.ctx)
-    exciting = sensing.matrix[:, support].T @ f + pair @ gamma_supp
-    floor = SCREEN_FLOOR_REL * np.linalg.norm(f)
+    g_t = sensing.matrix[:, support].T
+    # one product per column: a blocked G_S^T F product rounds differently
+    exciting = np.column_stack([g_t @ f_j + pair @ gamma_j
+                                for f_j, gamma_j in zip(f.T, gamma.T)])
+    floor = SCREEN_FLOOR_REL * np.array([np.linalg.norm(f_j) for f_j in f.T])
     screened = np.abs(exciting) < floor
-    values = np.full(support.size, complex(np.nan, np.nan))
-    values[~screened] = gamma_supp[~screened] / exciting[~screened]
+    values = np.full(gamma.shape, complex(np.nan, np.nan))
+    values[~screened] = gamma[~screened] / exciting[~screened]
     return values, screened
 
 
-def _diagnostics(sol, screened, **extra) -> dict:
+def _diagnostics(sol, **extra) -> dict:
     return {"iterations": sol.iterations, "residual": sol.residual_norm,
-            "converged": sol.converged, "screened": screened, **extra}
+            "converged": sol.converged, **extra}
 
 
-def _two_step_result(method, sol, illuminations,
-                     sensing: SensingMatrix) -> ImagingResult:
+def _two_step_result(sol, illuminations, sensing: SensingMatrix) -> ImagingResult:
     """Step two on the step-one solution ``sol`` (one column per illumination).
 
     Reflectivities are estimated per illumination on the common support and
@@ -97,27 +100,18 @@ def _two_step_result(method, sol, illuminations,
     component screened in every illumination is NaN.
     """
     support = sol.support
-    sources = sol.solution.reshape(sensing.k, -1)
+    sources = sol.solution.reshape(sensing.k, -1)[support]
+    values, screened = reflectivities_from_sources(support, sources, illuminations,
+                                                   sensing)
+    count = np.count_nonzero(~screened, axis=1)
+    total = np.where(screened, 0, values).sum(axis=1)
+    lost = count == 0
     reflectivity = np.zeros(sensing.k, dtype=complex)
-    screened = []
-    if support.size:
-        estimates = np.zeros((support.size, illuminations.shape[1]), dtype=complex)
-        valid = np.zeros(estimates.shape, dtype=bool)
-        for j in range(illuminations.shape[1]):
-            values, screen_mask = reflectivities_from_sources(
-                support, sources[support, j], illuminations[:, j], sensing)
-            valid[:, j] = ~screen_mask
-            estimates[~screen_mask, j] = values[~screen_mask]
-        for local, idx in enumerate(support):
-            if valid[local].any():
-                reflectivity[idx] = estimates[local, valid[local]].mean()
-            else:
-                screened.append(int(idx))
-                reflectivity[idx] = complex(np.nan, np.nan)
-    return ImagingResult(method=method, support=np.sort(support),
-                         reflectivity=reflectivity,
+    reflectivity[support[lost]] = complex(np.nan, np.nan)
+    reflectivity[support[~lost]] = total[~lost] / count[~lost]
+    return ImagingResult(support=np.sort(support), reflectivity=reflectivity,
                          image=np.abs(np.nan_to_num(reflectivity)),
-                         diagnostics=_diagnostics(sol, screened))
+                         diagnostics=_diagnostics(sol, screened=support[lost].tolist()))
 
 
 def image_smv(b, illumination, sensing: SensingMatrix,
@@ -133,7 +127,7 @@ def image_smv(b, illumination, sensing: SensingMatrix,
     params = params or SolverParams()
     f = np.asarray(illumination, dtype=complex)[:, None]
     sol = solve_l1_smv(sensing.matrix, b, params)
-    return _two_step_result("smv", sol, f, sensing)
+    return _two_step_result(sol, f, sensing)
 
 
 def image_mmv(data, illuminations, sensing: SensingMatrix,
@@ -149,7 +143,7 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
     if b.shape[1:] != f.shape[1:]:
         raise ConfigurationError("data and illumination column counts differ")
     sol = solve_l1_mmv(sensing.matrix, b, params)
-    return _two_step_result("mmv", sol, f, sensing)
+    return _two_step_result(sol, f, sensing)
 
 
 def optimal_illuminations(resp: ResponseMatrix, count: int) -> np.ndarray:
@@ -195,10 +189,9 @@ def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
     support = sol.support
     reflectivity = np.zeros(sensing.k, dtype=complex)
     reflectivity[support] = sol.solution[support]
-    return ImagingResult(method="hybrid-l1", support=np.sort(support),
-                         reflectivity=reflectivity,
+    return ImagingResult(support=np.sort(support), reflectivity=reflectivity,
                          image=np.abs(reflectivity),
-                         diagnostics=_diagnostics(sol, [], rank=m_tilde, delta=delta_h))
+                         diagnostics=_diagnostics(sol, rank=m_tilde, delta=delta_h))
 
 
 def _local_maxima(values: np.ndarray, rows: int, cols: int, count: int,
@@ -244,10 +237,9 @@ def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
     window = sensing.window
     support = _local_maxima(functional, window.rows, window.cols, m_tilde,
                             floor_fraction=MUSIC_PEAK_FLOOR)
-    diagnostics = {"rank": m_tilde, "screened": []}
-    return ImagingResult(method="music", support=support,
+    return ImagingResult(support=support,
                          reflectivity=np.zeros(sensing.k, dtype=complex),
-                         image=functional, diagnostics=diagnostics)
+                         image=functional, diagnostics={"rank": m_tilde})
 
 
 def km_complex_image(b, illumination, sensing: SensingMatrix) -> np.ndarray:
@@ -258,28 +250,27 @@ def km_complex_image(b, illumination, sensing: SensingMatrix) -> np.ndarray:
     return np.conj(g.T @ f) * (g.conj().T @ b)
 
 
-def image_km(b, illumination, sensing: SensingMatrix,
+def image_km(data, illuminations, sensing: SensingMatrix,
              peak_count: int | None = None) -> ImagingResult:
-    """Kirchhoff migration image; multiple illuminations are summed coherently.
+    """Kirchhoff migration image; the illumination columns are summed coherently.
 
-    ``b``/``illumination`` may be vectors or matching-column matrices.  The
-    grid stores magnitudes; ``peak_count`` requests a peak listing (no support
-    claim is made otherwise).
+    ``data``/``illuminations`` are matching-column matrices.  The grid stores
+    magnitudes; ``peak_count`` requests a peak listing (no support claim is
+    made otherwise).
     """
-    b = np.asarray(b, dtype=complex).reshape(len(b), -1)  # a vector is one column
-    f = np.asarray(illumination, dtype=complex).reshape(len(illumination), -1)
-    if f.shape[1] != b.shape[1]:
+    b = np.asarray(data, dtype=complex)
+    f = np.asarray(illuminations, dtype=complex)
+    if b.shape[1:] != f.shape[1:]:
         raise ConfigurationError("data and illumination column counts differ")
     values = np.zeros(sensing.k, dtype=complex)
-    for j in range(b.shape[1]):
-        values += km_complex_image(b[:, j], f[:, j], sensing)
+    for b_j, f_j in zip(b.T, f.T):  # per column: one summed product rounds differently
+        values += km_complex_image(b_j, f_j, sensing)
     magnitudes = np.abs(values)
     window = sensing.window
     if peak_count:
         support = _local_maxima(magnitudes, window.rows, window.cols, peak_count)
     else:
         support = np.array([], dtype=int)
-    return ImagingResult(method="km", support=support,
+    return ImagingResult(support=support,
                          reflectivity=np.zeros(sensing.k, dtype=complex),
-                         image=magnitudes,
-                         diagnostics={"complex_image": values, "screened": []})
+                         image=magnitudes)

@@ -301,7 +301,6 @@ def response_matrix_random(field: RandomFieldRealization, geom: ArrayGeometry,
 class StabilityEstimate:
     estimate: float
     std_error: float
-    realizations: int
 
 
 def _variance_with_se(w: np.ndarray):
@@ -337,8 +336,8 @@ def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
     Returns ``(ratio_estimate, standard_error)``; the normalizing homogeneous
     product has unit ratio in the absence of fluctuations.
     """
-    if realizations < 1:
-        raise ConfigurationError("need at least one realization")
+    if realizations < 2:
+        raise ConfigurationError("need at least two realizations")
     seed0 = spec.master_seed if master_seed is None else master_seed
     x = np.asarray(x, dtype=float)
     pts = np.vstack([np.asarray(y1, float), np.asarray(y2, float)])
@@ -404,8 +403,7 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
     # random phases preserve magnitudes, so the norms are deterministic
     denom = float(np.linalg.norm(g0_1) ** 2 * np.linalg.norm(g0_2) ** 2)
     var, se = _variance_with_se(samples)
-    return StabilityEstimate(estimate=var / denom, std_error=se / denom,
-                             realizations=realizations)
+    return StabilityEstimate(estimate=var / denom, std_error=se / denom)
 
 
 def stability_bound(spec: RandomMediumSpec, aperture: float, range_distance: float,

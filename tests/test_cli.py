@@ -134,6 +134,18 @@ class TestCli:
         assert "success=" in capsys.readouterr().out
         assert (tmp_path / "runs" / "cli-demo_stability.csv").exists()
 
+    def test_stability_single_element(self, tmp_path, capsys):
+        # no [experiment] apertures: the configured array runs, even at n = 1
+        path = tmp_path / "one.ini"
+        path.write_text("[array]\nn = 1\npitch = 1.0\n\n"
+                        "[window]\ncenter_range = 80\nrows = 5\ncols = 5\nspacing = 2.0\n\n"
+                        "[scatterers]\ncells = 2,2\nmagnitudes = 1.0\nphases = 0.0\n\n"
+                        "[experiment]\nscenario_id = one\nmethods = km\nrealizations = 10\n")
+        rc = main(["stability", "--config", str(path), "--out", str(tmp_path / "runs")])
+        assert rc == 0
+        table = (tmp_path / "runs" / "one_stability.csv").read_text().splitlines()
+        assert len(table) == 2 and table[1].startswith("0,km,")
+
     def test_missing_config_machine_readable_error(self, tmp_path, capsys):
         rc = main(["image", "--config", str(tmp_path / "nope.ini")])
         assert rc != 0

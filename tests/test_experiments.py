@@ -350,6 +350,22 @@ class TestCoherenceReport:
         assert report["margin"] > 0
         assert report["certified"]
 
+    @pytest.mark.parametrize("medium", ["", "[medium]\nkind = random-phase\n"
+                                            "correlation_length = 20\nsigma = 0.001\n"])
+    def test_no_forward_model(self, medium, tmp_path, monkeypatch):
+        # the bounds depend on the sensing matrix alone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("coherence_report ran the forward model")
+
+        for name in ("response_matrix_foldy_lax", "response_matrix_born",
+                     "response_matrix_random", "sample_field", "add_noise"):
+            monkeypatch.setattr(f"arrayimg.experiments.{name}", forbidden)
+        path = tmp_path / "small.ini"
+        path.write_text(SMALL_INI + medium)
+        report = coherence_report(load_config(path), out_dir=tmp_path)
+        assert report["m"] == 2 and report["certified"]
+        assert (tmp_path / "small_certificates.csv").exists()
+
     def test_report_rows_written(self, small_cfg):
         small_cfg = replace(small_cfg, delta_grid=[0.0, 1e-6])
         report = coherence_report(small_cfg)

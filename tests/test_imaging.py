@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arrayimg.errors import ConfigurationError
 from arrayimg.geometry import (WaveContext, build_image_window,
                                build_linear_array, place_scatterers)
-from arrayimg.greens import green_homogeneous, sensing_matrix
+from arrayimg.greens import green_homogeneous, pairwise_green_matrix, sensing_matrix
 from arrayimg.foldy_lax import (response_matrix_born,
                                 response_matrix_foldy_lax, simulate_data)
-from arrayimg.sparse_solvers import SolverParams
-from arrayimg.imaging import (PEAK_SEPARATION, _local_maxima, build_hybrid_system,
+from arrayimg.sparse_solvers import SolverParams, SparseSolution
+from arrayimg.imaging import (PEAK_SEPARATION, SCREEN_FLOOR_REL, _local_maxima,
+                              _two_step_result, build_hybrid_system,
                               image_hybrid_l1, image_km, image_mmv,
                               image_music, image_smv, km_complex_image,
                               optimal_illuminations, reflectivities_from_sources,
@@ -111,10 +112,106 @@ class TestImageSmv:
         gval = green_homogeneous(pts[0], pts[1], CTX)
         incident2 = sens.matrix[:, idx[1]] @ f
         gamma = np.array([-incident2 / gval, 0.5 + 0j])
-        values, screened = reflectivities_from_sources(idx, gamma, f, sens)
+        values, screened = reflectivities_from_sources(idx, gamma[:, None], f[:, None],
+                                                       sens)
+        values, screened = values[:, 0], screened[:, 0]
         assert list(screened) == [False, True]
         assert np.isnan(values[1].real)
         assert np.isfinite(values[0])
+
+
+def _reference_two_step(sol, illuminations, sens):
+    """The per-illumination step two the column block replaced: one pairwise
+    Green's matrix and one division per column, then a mean over each
+    component's unscreened estimates.  Returns ``(reflectivity, screened)``."""
+    support = sol.support
+    sources = sol.solution.reshape(sens.k, -1)
+    reflectivity = np.zeros(sens.k, dtype=complex)
+    screened = []
+    if support.size:
+        estimates = np.zeros((support.size, illuminations.shape[1]), dtype=complex)
+        valid = np.zeros(estimates.shape, dtype=bool)
+        for j in range(illuminations.shape[1]):
+            f = illuminations[:, j]
+            gamma = sources[support, j]
+            pair = pairwise_green_matrix(sens.window.points[support], sens.ctx)
+            exciting = sens.matrix[:, support].T @ f + pair @ gamma
+            screen = np.abs(exciting) < SCREEN_FLOOR_REL * np.linalg.norm(f)
+            valid[:, j] = ~screen
+            estimates[~screen, j] = gamma[~screen] / exciting[~screen]
+        for local, idx in enumerate(support):
+            if valid[local].any():
+                reflectivity[idx] = estimates[local, valid[local]].mean()
+            else:
+                screened.append(int(idx))
+                reflectivity[idx] = complex(np.nan, np.nan)
+    return reflectivity, screened
+
+
+STEP_TWO_SCENE = scene([], [])[0]
+
+
+class TestStepTwoMatchesReference:
+    @staticmethod
+    def forced_illuminations(sens, support, gamma, screen, rng):
+        """Random illuminations, each corrected (minimum norm) so that the
+        exciting field vanishes to rounding exactly where ``screen`` is set."""
+        g_t = sens.matrix[:, support].T
+        pair = pairwise_green_matrix(sens.window.points[support], sens.ctx)
+        f = rng.standard_normal((sens.n, gamma.shape[1])) \
+            + 1j * rng.standard_normal((sens.n, gamma.shape[1]))
+        for j in range(f.shape[1]):
+            rows = screen[:, j]
+            if rows.any():
+                target = -(pair @ gamma[:, j])[rows] - g_t[rows] @ f[:, j]
+                f[:, j] += np.linalg.lstsq(g_t[rows], target, rcond=None)[0]
+        return f
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 5), j=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           bits=st.integers(0, 2 ** 25 - 1))
+    @example(m=0, j=3, seed=0, bits=0)               # empty support
+    @example(m=3, j=3, seed=1, bits=0b000_111_000)   # one component screened throughout
+    @example(m=2, j=5, seed=2, bits=0b11111_00000)
+    def test_matches_per_column_reference(self, m, j, seed, bits):
+        sens = STEP_TWO_SCENE
+        rng = np.random.default_rng(seed)
+        support = np.sort(rng.choice(sens.k, size=m, replace=False))
+        screen = ((bits >> np.arange(m * j)) & 1).astype(bool).reshape(m, j)
+        gamma = rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j))
+        f = self.forced_illuminations(sens, support, gamma, screen, rng)
+        solution = np.zeros((sens.k, j), dtype=complex)
+        solution[support] = gamma
+        sol = SparseSolution(solution=solution, iterations=1, residual_norm=0.0,
+                             support=support, converged=True)
+        got = _two_step_result(sol, f, sens)
+        expected, screened = _reference_two_step(sol, f, sens)
+        assert got.screened == screened == support[screen.all(axis=1)].tolist()
+        # a component kept in some but not all of J >= 4 columns is summed in
+        # numpy's pairwise order over all J slots, not over the kept ones, so
+        # its mean may differ in the last bits; every other byte is equal
+        partial = support[screen.any(axis=1) & ~screen.all(axis=1)]
+        exact = np.ones(sens.k, dtype=bool)
+        if j >= 4:
+            exact[partial] = False
+        assert got.reflectivity[exact].tobytes() == expected[exact].tobytes()
+        assert got.image[exact].tobytes() == np.abs(np.nan_to_num(expected[exact])).tobytes()
+        np.testing.assert_allclose(got.reflectivity, expected, rtol=1e-12)
+
+    def test_pairwise_matrix_built_once_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(points, ctx):
+            calls.append(len(points))
+            return pairwise_green_matrix(points, ctx)
+
+        monkeypatch.setattr("arrayimg.imaging.pairwise_green_matrix", counted)
+        sens, rho, idx = scene([(1, 1), (3, 3)], [1.2, 0.8j], n=30, rows=5, cols=5)
+        f = np.zeros((30, 3), dtype=complex)
+        f[[5, 15, 25], [0, 1, 2]] = 1.0
+        res = image_mmv(response_matrix_born(sens, rho).matrix @ f, f, sens)
+        assert list(res.support) == idx
+        assert calls == [2]
 
 
 class TestImageMmv:
@@ -246,7 +343,7 @@ class TestImageKm:
     def test_zero_data(self):
         sens, _, _ = scene([(10, 10)], [1.0])
         f = central_element(50)
-        res = image_km(np.zeros(50, dtype=complex), f, sens)
+        res = image_km(np.zeros((50, 1), dtype=complex), f[:, None], sens)
         assert not res.image.any()
         assert res.support.size == 0
 
@@ -255,7 +352,7 @@ class TestImageKm:
         sens, rho, idx = scene([(10, 10)], [1.5], n=200, center=200.0)
         f = central_element(200)
         b = simulate_data(response_matrix_born(sens, rho), f)
-        res = image_km(b, f, sens, peak_count=1)
+        res = image_km(b[:, None], f[:, None], sens, peak_count=1)
         assert int(np.argmax(res.image)) == idx[0]
         assert list(res.support) == idx
 
@@ -281,7 +378,7 @@ class TestImageKm:
             rho = place_scatterers(win, [(scatterer, 1.0)])
             f = central_element(501)
             b = simulate_data(response_matrix_born(sens, rho), f)
-            res = image_km(b, f, sens)
+            res = image_km(b[:, None], f[:, None], sens)
             prof = res.image / res.image.max()
             above = np.flatnonzero(prof >= 0.5)
             fwhms.append((above[-1] - above[0] + 1) * 0.125)

@@ -33,7 +33,7 @@ def written(tmp_path, write, *args) -> bytes:
 
 def result_with(image, support=(), reflectivity=None, screened=()):
     refl = np.zeros(WINDOW.k, dtype=complex) if reflectivity is None else reflectivity
-    return ImagingResult(method="smv", support=np.array(support, dtype=int),
+    return ImagingResult(support=np.array(support, dtype=int),
                          reflectivity=refl, image=np.asarray(image, dtype=float),
                          diagnostics={"screened": list(screened)})
 

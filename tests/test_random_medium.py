@@ -266,6 +266,17 @@ class TestStabilityEstimators:
             estimate_stability_ratio(geom, [0.0, 1000.0], [5.0, 1000.0], CTX,
                                      spec, realizations=10)
 
+    @pytest.mark.parametrize("realizations, ok", [(1, False), (2, True)])
+    def test_second_moment_needs_two_realizations(self, realizations, ok):
+        # one realization leaves the standard error zero degrees of freedom
+        args = ([0.0, 0.0], [0.0, 100.0], [3.0, 100.0], CTX, gaussian_spec())
+        if ok:
+            ratio, se = estimate_second_moment(*args, realizations=realizations)
+            assert np.isfinite(ratio) and np.isfinite(se)
+        else:
+            with pytest.raises(ConfigurationError):
+                estimate_second_moment(*args, realizations=realizations)
+
     def test_bad_mode(self):
         spec = gaussian_spec()
         geom = build_linear_array(16, 2.0)
@@ -425,8 +436,7 @@ def _reference_stability_ratio(geom, y1, y2, ctx, spec, realizations, mode, mast
         samples[r] = np.vdot(g1, g2)
     denom = float(np.linalg.norm(g0_1) ** 2 * np.linalg.norm(g0_2) ** 2)
     var, se = _variance_with_se(samples)
-    return random_medium.StabilityEstimate(estimate=var / denom, std_error=se / denom,
-                                           realizations=realizations)
+    return random_medium.StabilityEstimate(estimate=var / denom, std_error=se / denom)
 
 
 KERNELS = st.sampled_from(["gaussian", "power-law"])
