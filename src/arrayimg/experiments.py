@@ -61,7 +61,9 @@ def add_noise(data: np.ndarray, percent: float, seed: int = 0):
     if target == 0.0:
         return data.copy(), 0.0
     rng = np.random.default_rng(seed)
-    e = rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
+    e = np.empty(data.shape, dtype=complex)
+    e.real = rng.standard_normal(data.shape)
+    e.imag = rng.standard_normal(data.shape)
     e *= target / np.linalg.norm(e)
     return data + e, float(target)
 
@@ -156,9 +158,11 @@ def _solver_params(cfg: ScenarioConfig, delta: float) -> SolverParams:
 
 
 def _rank(scene: Scene) -> int:
-    _, s, _ = scene.noisy.svd()
-    return select_rank(s, relative_threshold=scene.cfg.rank_threshold,
-                       known_m=scene.cfg.known_rank)
+    known = scene.cfg.known_rank
+    # a known rank reads the top values only; the threshold, and the error for
+    # a known rank below one, read the whole spectrum
+    _, s, _ = scene.noisy.svd(known if known and known > 0 else None)
+    return select_rank(s, relative_threshold=scene.cfg.rank_threshold, known_m=known)
 
 
 def run_trial(scene: Scene, method: str, seed: int):

@@ -20,6 +20,12 @@ __all__ = [
 ]
 
 CONDITION_CAP = 1e8
+# range finder of ResponseMatrix.svd: sketch columns beyond the k requested,
+# the fixed seed of its Gaussian test matrix (never a scenario seed), and the
+# relative residual ||P - Q Q^H P||_F / ||P||_F below which its basis is kept
+SKETCH_OVERSAMPLING = 10
+SKETCH_SEED = 2011
+SKETCH_CERTIFICATE = 1e-12
 
 
 @dataclass
@@ -35,11 +41,36 @@ class ResponseMatrix:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def svd(self):
-        """``(U, sigma, Vh)`` with descending singular values, cached."""
-        if self._svd is None:
-            self._svd = np.linalg.svd(self.matrix, full_matrices=False)
-        return self._svd
+    def svd(self, k: int | None = None):
+        """Top-``k`` triplets ``(U[:, :k], sigma[:k], Vh[:k])``, descending, or
+        all of them when ``k`` is None or at least ``n``.  Cached in ``_svd``;
+        a request for more triplets than the cache holds recomputes."""
+        k = self.n if k is None else min(k, self.n)
+        if self._svd is None or self._svd[1].size < k:
+            self._svd = _top_svd(self.matrix, k)
+        u, s, vh = self._svd
+        return self._svd if s.size == k else (u[:, :k], s[:k], vh[:k])
+
+
+def _top_svd(p: np.ndarray, k: int):
+    """Top-``k`` SVD triplets of ``p`` from a seeded randomized range finder
+    with one power step (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011).
+
+    The basis Q of the sketch is kept only if ``||P - Q Q^H P||_F`` is at most
+    ``SKETCH_CERTIFICATE * ||P||_F``; otherwise, or when the sketch would
+    span the whole space, Q = I, which is ``np.linalg.svd(p)`` with every
+    triplet.
+    """
+    width = k + SKETCH_OVERSAMPLING
+    if width < min(p.shape):
+        omega = np.random.default_rng(SKETCH_SEED).standard_normal((p.shape[1], width))
+        q = np.linalg.qr(p @ omega)[0]
+        q = np.linalg.qr(p @ (p.conj().T @ q))[0]
+        b = q.conj().T @ p
+        if np.linalg.norm(p - q @ b) <= SKETCH_CERTIFICATE * np.linalg.norm(p):
+            ub, s, vh = np.linalg.svd(b, full_matrices=False)
+            return q @ ub[:, :k], s[:k], vh[:k]
+    return np.linalg.svd(p, full_matrices=False)
 
 
 def foldy_lax_matrix(reflectivities, greens) -> np.ndarray:

@@ -148,12 +148,14 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
 
 def optimal_illuminations(resp: ResponseMatrix, count: int) -> np.ndarray:
     """Top right singular vectors of the response matrix, as columns."""
-    u, s, vh = resp.svd()
+    if 1 <= count <= resp.n:
+        _, s, vh = resp.svd(count)
+        if s[count - 1] > RANK_TOL * s[0]:
+            return vh.conj().T
+    s = resp.svd()[1]  # the error reports the rank of the whole spectrum
     rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
-    if not 1 <= count <= rank:
-        raise ConfigurationError(
-            f"requested {count} illuminations but numerical rank is {rank}")
-    return vh.conj().T[:, :count]
+    raise ConfigurationError(
+        f"requested {count} illuminations but numerical rank is {rank}")
 
 
 def build_hybrid_system(resp: ResponseMatrix, sensing: SensingMatrix,
@@ -164,14 +166,13 @@ def build_hybrid_system(resp: ResponseMatrix, sensing: SensingMatrix,
     is ``conj(g0*(y_j) U_i) * (g0^T(y_j) V_i)``, and the right side, the
     ``(M~,)`` vector of retained singular values.
     """
-    u, s, vh = resp.svd()
-    if not 1 <= m_tilde <= s.size:
-        raise ConfigurationError(f"rank {m_tilde} outside [1, {s.size}]")
-    un = u[:, :m_tilde]
-    vn = vh.conj().T[:, :m_tilde]
+    if not 1 <= m_tilde <= resp.n:
+        raise ConfigurationError(f"rank {m_tilde} outside [1, {resp.n}]")
+    un, s, vh = resp.svd(m_tilde)
+    vn = vh.conj().T
     g = sensing.matrix
     mat = (un.conj().T @ g) * (vn.T @ g)
-    return mat, s[:m_tilde].astype(complex)
+    return mat, s.astype(complex)
 
 
 def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
@@ -224,11 +225,10 @@ def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
     Peaks are 4-neighbor local maxima above ``MUSIC_PEAK_FLOOR`` times the
     global maximum, separation-limited and capped at the signal rank.
     """
-    u, s, _ = resp.svd()
-    if not 1 <= m_tilde <= s.size:
-        raise ConfigurationError(f"rank {m_tilde} outside [1, {s.size}]")
+    if not 1 <= m_tilde <= resp.n:
+        raise ConfigurationError(f"rank {m_tilde} outside [1, {resp.n}]")
+    un, _, _ = resp.svd(m_tilde)
     g = sensing.matrix
-    un = u[:, :m_tilde]
     projected = un @ (un.conj().T @ g) - g
     norms = np.linalg.norm(projected, axis=0)
     if not np.any(norms > 0):

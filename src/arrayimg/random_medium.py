@@ -220,8 +220,9 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
     amplitude = _spectral_amplitude(spec.kernel, l, step, m_cross, m_range)
 
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((m_cross, m_range)) \
-        + 1j * rng.standard_normal((m_cross, m_range))
+    noise = np.empty((m_cross, m_range), dtype=complex)
+    noise.real = rng.standard_normal((m_cross, m_range))
+    noise.imag = rng.standard_normal((m_cross, m_range))
     sample = ifft2(amplitude * noise).real * np.sqrt(m_cross * m_range)
     values = np.ascontiguousarray(sample[:n_cross, :n_range])
     return RandomFieldRealization(values=values,

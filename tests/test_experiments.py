@@ -83,6 +83,16 @@ class TestAddNoise:
         with pytest.raises(ConfigurationError):
             add_noise(np.ones(2), -0.1)
 
+    def test_draw_order(self):
+        # the real parts take the first standard-normal draws, the imaginary
+        # parts the next ones, bit for bit as standard_normal + 1j * standard_normal
+        data = np.arange(1.0, 13.0).reshape(3, 4).astype(complex)
+        noisy, target = add_noise(data, 0.25, seed=11)
+        rng = np.random.default_rng(11)
+        e = rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
+        e *= target / np.linalg.norm(e)
+        assert noisy.tobytes() == (data + e).tobytes()
+
 
 class TestConfig:
     def test_parse_length_units(self):
@@ -205,7 +215,7 @@ class TestRunTrial:
         scene = build_scene(small_cfg, seed=3)
         report, result = run_trial(scene, "music", seed=3)
         assert not report.support_exact
-        assert "ConfigurationError" in report.error
+        assert report.error == "ConfigurationError: known rank 9999 outside [1, 80]"
         assert result is None
 
     def test_unknown_method_raises(self, small_cfg):

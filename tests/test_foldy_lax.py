@@ -7,11 +7,12 @@ from arrayimg.geometry import (WaveContext, build_image_window,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import (green_homogeneous,
                              pairwise_green_matrix, sensing_matrix)
-from arrayimg.foldy_lax import (effective_source_vector,
+from arrayimg.foldy_lax import (ResponseMatrix, effective_source_vector,
                                 foldy_lax_matrix, multiple_scattering_ratio,
                                 response_matrix_born, response_matrix_foldy_lax,
                                 simulate_data,
                                 solve_exciting_fields)
+from arrayimg.imaging import select_rank
 from arrayimg.io import load_matrix_csv, save_response_matrix
 
 CTX = WaveContext(wavelength=1.0)
@@ -311,3 +312,83 @@ class TestSvdCacheAndSerialization:
         assert np.allclose(mat, resp.matrix, atol=1e-15)
         assert header["provenance"] == "foldy-lax"
         assert header["n"] == 20 and header["seed"] == 17
+
+
+# five scatterers on the 9 x 9 lattice with distinct magnitudes, so the top
+# singular values of their Born response are well separated
+FIVE_CELLS = [(1, 1), (2, 7), (4, 4), (7, 2), (7, 7)]
+FIVE_ALPHAS = [1.0, 0.8 * np.exp(0.4j), 0.6j, 0.45, 0.3 * np.exp(-2.1j)]
+
+
+def born_response(count, n=101):
+    sens, rho, _ = small_scene(FIVE_CELLS[:count], FIVE_ALPHAS[:count], n=n)
+    return response_matrix_born(sens, rho)
+
+
+def assert_top_triplets(resp, u, s, vh, k):
+    """The triplets match np.linalg.svd in values, left and right projectors
+    and reconstruction of the rank-k part, to 1e-12."""
+    u0, s0, vh0 = np.linalg.svd(resp.matrix, full_matrices=False)
+    assert u.shape == (resp.n, k) and s.shape == (k,) and vh.shape == (k, resp.n)
+    assert np.all(np.abs(s - s0[:k]) <= 1e-12 * s0[:k])
+    proj = u @ u.conj().T - u0[:, :k] @ u0[:, :k].conj().T
+    assert np.linalg.norm(proj) <= 1e-12
+    proj = vh.conj().T @ vh - vh0[:k].conj().T @ vh0[:k]
+    assert np.linalg.norm(proj) <= 1e-12
+    # the phases of u_i and v_i agree: U diag(s) Vh is the rank-k part of P
+    part = (u0[:, :k] * s0[:k]) @ vh0[:k]
+    assert np.linalg.norm((u * s) @ vh - part) <= 1e-12 * s0[0]
+
+
+class TestTopSvd:
+    def test_low_rank_top_triplets(self):
+        resp = born_response(4)
+        u, s, vh = resp.svd(4)
+        assert resp._svd[1].size == 4  # the range finder kept its basis
+        assert_top_triplets(resp, u, s, vh, 4)
+
+    @pytest.mark.parametrize("n, k", [(100, 4), (12, 2)])  # certificate fails; k + 10 >= n
+    def test_noisy_full_rank_takes_whole_space(self, n, k):
+        clean = born_response(4, n=n).matrix
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+        p = clean + noise * (0.5 * np.linalg.norm(clean) / np.linalg.norm(noise))
+        resp = ResponseMatrix(matrix=p, provenance="born")
+        u, s, vh = resp.svd(k)
+        u0, s0, vh0 = np.linalg.svd(p, full_matrices=False)
+        assert np.array_equal(u, u0[:, :k]) and np.array_equal(s, s0[:k])
+        assert np.array_equal(vh, vh0[:k])
+        assert resp._svd[1].size == n  # every triplet is cached
+
+    def test_fresh_objects_bit_identical(self):
+        mat = born_response(4).matrix
+        first = ResponseMatrix(matrix=mat.copy(), provenance="born").svd(4)
+        second = ResponseMatrix(matrix=mat.copy(), provenance="born").svd(4)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    def test_larger_request_recomputes(self):
+        resp = born_response(5)
+        u2, s2, vh2 = resp.svd(2)
+        assert resp._svd[1].size == 2
+        assert_top_triplets(resp, u2, s2, vh2, 2)
+        u, s, vh = resp.svd(5)
+        assert resp._svd[1].size == 5
+        assert_top_triplets(resp, u, s, vh, 5)
+        assert resp.svd(3)[1].tobytes() == s[:3].tobytes()  # sliced from the cache
+        full = resp.svd()
+        assert full is resp._svd and full[1].size == resp.n
+
+    def test_request_beyond_n_returns_all(self):
+        resp = born_response(4, n=30)
+        assert resp.svd(9999) is resp._svd and resp._svd[1].size == 30
+
+    def test_zero_matrix_raises_in_select_rank(self):
+        resp = ResponseMatrix(matrix=np.zeros((101, 101), dtype=complex),
+                              provenance="born")
+        _, s, _ = resp.svd(4)
+        assert s.shape == (4,) and not np.any(s)
+        with pytest.raises(ConfigurationError, match="zero response matrix"):
+            select_rank(s, known_m=4)
+        with pytest.raises(ConfigurationError, match="zero response matrix"):
+            select_rank(resp.svd()[1])

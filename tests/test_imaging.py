@@ -260,7 +260,7 @@ class TestOptimalIlluminations:
     def test_count_exceeding_rank(self):
         sens, rho, _ = scene([(10, 10)], [1.7])
         resp = response_matrix_born(sens, rho)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="numerical rank is 1$"):
             optimal_illuminations(resp, 2)
 
     def test_data_equals_scaled_left_vectors(self):
