@@ -6,11 +6,9 @@ from .greens import (SensingMatrix, green_homogeneous, green_vector,
                      sensing_matrix, mutual_coherence, theorem1_margin)
 from .foldy_lax import (ResponseMatrix, foldy_lax_matrix, solve_exciting_fields,
                         response_matrix_foldy_lax, response_matrix_born,
-                        effective_source_vector, simulate_data,
-                        multiple_scattering_ratio)
+                        effective_source_vector, multiple_scattering_ratio)
 from .sparse_solvers import (SolverParams, SparseSolution, solve_l1_smv,
-                             solve_l1_mmv, brute_force_l0, rowsupp,
-                             theorem2_error_bound)
+                             solve_l1_mmv, brute_force_l0, theorem2_error_bound)
 from .imaging import (ImagingResult, select_rank, image_smv, image_mmv,
                       optimal_illuminations, build_hybrid_system,
                       image_hybrid_l1, image_music, image_km)

@@ -310,14 +310,11 @@ def coherence_report(cfg: ScenarioConfig, out_dir=None) -> dict:
     sensing, rho = _truth(cfg, cfg.seed)
     eps, pair = mutual_coherence(sensing)
     m = rho.m
-    report = {"grid_coherence": eps, "grid_pair": pair, "m": m}
+    report = {"grid_coherence": eps, "m": m}
     eps_for_margin = eps
     if m >= 2:
-        supp = rho.support
-        eps_supp, pair_supp = mutual_coherence(sensing.matrix[:, supp])
-        report["support_coherence"] = eps_supp
-        report["support_pair"] = (int(supp[pair_supp[0]]), int(supp[pair_supp[1]]))
-        eps_for_margin = eps_supp
+        eps_for_margin, _ = mutual_coherence(sensing.matrix[:, rho.support])
+        report["support_coherence"] = eps_for_margin
     margin = theorem1_margin(eps_for_margin, m)
     report["margin"] = margin
     report["certified"] = margin > 0

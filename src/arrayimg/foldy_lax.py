@@ -15,7 +15,6 @@ __all__ = [
     "response_matrix_foldy_lax",
     "response_matrix_born",
     "effective_source_vector",
-    "simulate_data",
     "multiple_scattering_ratio",
 ]
 
@@ -45,6 +44,8 @@ class ResponseMatrix:
         """Top-``k`` triplets ``(U[:, :k], sigma[:k], Vh[:k])``, descending, or
         all of them when ``k`` is None or at least ``n``.  Cached in ``_svd``;
         a request for more triplets than the cache holds recomputes."""
+        if k is not None and k < 0:
+            raise ConfigurationError(f"number of singular triplets k = {k} is negative")
         k = self.n if k is None else min(k, self.n)
         if self._svd is None or self._svd[1].size < k:
             self._svd = _top_svd(self.matrix, k)
@@ -154,14 +155,6 @@ def effective_source_vector(sensing: SensingMatrix, rho: ReflectivityVector,
         exciting = solve_exciting_fields(z, incident)
         values[support] = alphas * exciting
     return values
-
-
-def simulate_data(resp: ResponseMatrix, illumination: np.ndarray) -> np.ndarray:
-    """Array data for one illumination: b = P f."""
-    f = np.asarray(illumination, dtype=complex)
-    if f.shape[0] != resp.n:
-        raise ConfigurationError("illumination length does not match response matrix size")
-    return resp.matrix @ f
 
 
 def multiple_scattering_ratio(rho: ReflectivityVector, illumination: np.ndarray,

@@ -18,6 +18,9 @@ __all__ = [
 ]
 
 _COINCIDENCE_TOL = 1e-14
+# columns per block of the coherence scan, so the K x K Gram matrix of a
+# large grid is never materialized at once
+COHERENCE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,12 @@ def sensing_matrix(geom: ArrayGeometry, window: ImageWindow, ctx: WaveContext) -
                          geom=geom, window=window, ctx=ctx)
 
 
-def mutual_coherence(mat, block_size: int = 4096):
+def mutual_coherence(mat):
     """Maximum normalized inner product between distinct columns.
 
     Accepts a :class:`SensingMatrix` or a plain complex matrix.  Returns
     ``(epsilon, (i, j))`` with ``i < j`` the maximizing column pair.  The scan
-    is blocked so the K x K Gram matrix is never fully materialized for
-    large grids.
+    runs over ``COHERENCE_BLOCK`` columns at a time.
     """
     a = mat.matrix if isinstance(mat, SensingMatrix) else np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[1] < 2:
@@ -100,8 +102,8 @@ def mutual_coherence(mat, block_size: int = 4096):
     k = cols.shape[1]
     best = -1.0
     best_pair = (0, 1)
-    for start in range(0, k, block_size):
-        stop = min(start + block_size, k)
+    for start in range(0, k, COHERENCE_BLOCK):
+        stop = min(start + COHERENCE_BLOCK, k)
         gram = np.abs(cols[:, start:stop].conj().T @ cols)  # (stop-start, K)
         np.fill_diagonal(gram[:, start:stop], -1.0)  # mask self products
         flat = int(np.argmax(gram))

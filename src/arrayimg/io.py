@@ -11,12 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 __all__ = [
     "run_directory",
     "save_matrix_csv",
-    "load_matrix_csv",
     "save_response_matrix",
     "write_coherence_report",
     "write_certificates_csv",
@@ -51,27 +48,6 @@ def save_matrix_csv(path, matrix: np.ndarray, header: dict | None = None) -> Non
             fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         for row in m.view(float):
             fh.write(row_format % tuple(row.tolist()))
-
-
-def load_matrix_csv(path):
-    """Inverse of :func:`save_matrix_csv`; returns ``(matrix, header_or_None)``."""
-    header = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header = json.loads(line.lstrip("# "))
-                continue
-            vals = np.array([float(tok) for tok in line.split(",")])
-            if vals.size % 2:
-                raise ConfigurationError("odd number of fields in re,im CSV row")
-            rows.append(vals.view(complex))
-    if not rows:
-        raise ConfigurationError(f"no matrix rows found in {path}")
-    return np.vstack(rows), header
 
 
 def save_response_matrix(path, resp) -> None:

@@ -21,7 +21,6 @@ __all__ = [
     "solve_l1_smv",
     "solve_l1_mmv",
     "brute_force_l0",
-    "rowsupp",
     "theorem2_error_bound",
 ]
 
@@ -212,14 +211,6 @@ def solve_l1_mmv(a, b, params: SolverParams | None = None) -> SparseSolution:
     if b.ndim != 2 or b.shape[1] < 1:
         raise ConfigurationError("MMV data must be a matrix with >= 1 column")
     return _iterate(a, b, params or SolverParams())
-
-
-def rowsupp(x, threshold: float = 0.0) -> np.ndarray:
-    """Rows whose l2 norm exceeds ``threshold`` times the largest row norm."""
-    if not 0 <= threshold < 1:
-        raise ConfigurationError("threshold must lie in [0, 1)")
-    x = np.asarray(x)
-    return _threshold_support(x[:, None] if x.ndim == 1 else x, threshold)
 
 
 def brute_force_l0(a, b, max_support: int = 3, delta: float = 0.0):

@@ -38,6 +38,37 @@ def test_package_names_resolve():
     assert [n for n in names if not hasattr(arrayimg, n)] == []
 
 
+# public names that no command, workload, tool or acceptance criterion reads,
+# each kept for a stated reason; every other name in an ``__all__`` must be
+# read somewhere beyond its definition and the unit tests
+UNREFERENCED_PUBLIC = {
+    "effective_source_vector": "step-one truth for labelling failed trials (ROADMAP item 3)",
+    "write_trace_csv": "writer of the solver trace that --trace will reach (ROADMAP item 6)",
+    "paraxial_ratio": "the paper's closed-form paraxial ratio, checked against Monte Carlo",
+}
+
+
+def test_every_public_name_is_read_outside_unit_tests():
+    """A definition is no ``ast.Name``, so a name counts as read once a package
+    module (``__init__.py`` aside), ``bench/``, ``tools/``, the Python in
+    ``tools/golden.sh`` or the acceptance suite uses it."""
+    sources = [path.read_text() for path in
+               sorted((ROOT / "src" / "arrayimg").glob("*.py"))
+               + sorted((ROOT / "bench").glob("*.py"))
+               + sorted((ROOT / "tools").glob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"]
+               if path.name != "__init__.py"]
+    sources += re.findall(r"<<'EOF'\n(.*?)\nEOF\n", (ROOT / "tools" / "golden.sh").read_text(),
+                          re.S)
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    public = {name for m in pkgutil.iter_modules(arrayimg.__path__)
+              for name in getattr(importlib.import_module(f"arrayimg.{m.name}"), "__all__", [])}
+    assert set(UNREFERENCED_PUBLIC) <= public
+    assert public - read == set(UNREFERENCED_PUBLIC)
+
+
 def test_readme_documents_every_config_key():
     readme = (ROOT / "README.md").read_text()
     documented = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, re.MULTILINE)

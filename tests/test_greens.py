@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arrayimg.errors import ConfigurationError, DomainError
+from arrayimg import greens
+from arrayimg.errors import DomainError
 from arrayimg.geometry import (ArrayGeometry, WaveContext, build_image_window,
                                build_linear_array)
 from arrayimg.greens import (green_homogeneous, green_vector,
                              mutual_coherence, pairwise_green_matrix,
                              sensing_matrix, theorem1_margin)
-from arrayimg.io import load_matrix_csv, save_matrix_csv, write_coherence_report
+from arrayimg.io import write_coherence_report
 
 CTX = WaveContext(wavelength=1.0)
 
@@ -141,11 +142,12 @@ class TestMutualCoherence:
         assert eps == pytest.approx(best, rel=1e-12)
         assert pair == best_pair
 
-    def test_blocked_scan_matches_direct(self):
+    def test_blocked_scan_matches_direct(self, monkeypatch):
         rng = np.random.default_rng(5)
         mat = rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40))
         eps_direct, pair_direct = mutual_coherence(mat)
-        eps_blocked, pair_blocked = mutual_coherence(mat, block_size=7)
+        monkeypatch.setattr(greens, "COHERENCE_BLOCK", 7)
+        eps_blocked, pair_blocked = mutual_coherence(mat)
         assert eps_blocked == pytest.approx(eps_direct, rel=1e-14)
         assert pair_blocked == pair_direct
 
@@ -178,21 +180,6 @@ class TestTheorem1Margin:
 
 
 class TestCsvRoundTrip:
-    def test_matrix_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        mat = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        path = tmp_path / "mat.csv"
-        save_matrix_csv(path, mat, header={"n": 4, "provenance": "test", "seed": 1})
-        loaded, header = load_matrix_csv(path)
-        assert np.allclose(loaded, mat, rtol=0, atol=1e-15)
-        assert header == {"n": 4, "provenance": "test", "seed": 1}
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ConfigurationError):
-            load_matrix_csv(path)
-
     def test_coherence_report(self, tmp_path):
         path = tmp_path / "coh.csv"
         write_coherence_report(path, 0.12, (3, 9), {3: 0.14})

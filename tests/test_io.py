@@ -5,12 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from arrayimg.errors import ConfigurationError
 from arrayimg.experiments import TrialReport
 from arrayimg.foldy_lax import ResponseMatrix
 from arrayimg.geometry import build_image_window
 from arrayimg.imaging import ImagingResult
-from arrayimg.io import (load_matrix_csv, run_directory, save_matrix_csv,
+from arrayimg.io import (run_directory, save_matrix_csv,
                          save_response_matrix, write_certificates_csv,
                          write_coherence_report,
                          write_image_csv, write_monte_carlo_csv, write_pgm,
@@ -62,19 +61,6 @@ class TestMatrixCsv:
         save_matrix_csv(path, MATRIX[:, ::-1].T)  # a non-contiguous view
         assert path.read_bytes() == (b"-0,inf,0.10000000000000001,0\n"
                                      b"1,2,nan,-1.5\n")
-
-    def test_round_trip_keeps_nan_inf_and_signed_zero(self, tmp_path):
-        path = tmp_path / "m.csv"
-        save_matrix_csv(path, MATRIX, header={"n": 2})
-        loaded, header = load_matrix_csv(path)
-        assert header == {"n": 2}
-        assert loaded.tobytes() == MATRIX.tobytes()
-
-    def test_odd_row_rejected(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2,3\n")
-        with pytest.raises(ConfigurationError):
-            load_matrix_csv(path)
 
     def test_response_matrix(self, tmp_path):
         resp = ResponseMatrix(matrix=np.array([[1.0, 2.0j], [2.0j, complex(-0.0, 0.0)]]),

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arrayimg import sparse_solvers
 from arrayimg.errors import ConfigurationError, DomainError
 from arrayimg.sparse_solvers import (FEASIBILITY_SLACK, SVD_RCOND, SolverParams,
                                      SparseSolution, _BallProjection, _shrink,
-                                     brute_force_l0, rowsupp, solve_l1_mmv,
+                                     brute_force_l0, solve_l1_mmv,
                                      solve_l1_smv, theorem2_error_bound)
 from arrayimg.io import write_trace_csv
 
@@ -210,28 +211,28 @@ class TestBruteForceL0:
 
 class TestRowsupp:
     def test_zero_matrix(self):
-        assert rowsupp(np.zeros((5, 3))).size == 0
+        assert sparse_solvers._threshold_support(np.zeros((5, 3)), 0.0).size == 0
 
     def test_single_row(self):
         x = np.zeros((8, 2), dtype=complex)
         x[5] = [1.0, 1j]
-        assert list(rowsupp(x)) == [5]
+        assert list(sparse_solvers._threshold_support(x, 0.0)) == [5]
 
     def test_threshold_filters_background(self):
         rng = np.random.default_rng(19)
         x = 0.01 * (rng.standard_normal((14, 4)) + 1j * rng.standard_normal((14, 4)))
         for row in (2, 7, 11):
             x[row] *= 100.0
-        assert list(rowsupp(x, threshold=0.2)) == [2, 7, 11]
+        assert list(sparse_solvers._threshold_support(x, 0.2)) == [2, 7, 11]
 
-    def test_vector_input(self):
-        v = np.array([0.0, 3.0, 0.0, 1e-12])
-        assert list(rowsupp(v)) == [1, 3]
-        assert list(rowsupp(v, threshold=0.1)) == [1]
 
-    def test_bad_threshold(self):
+class TestSolverParams:
+    @pytest.mark.parametrize("kwargs", [{"support_threshold": -0.1},
+                                        {"support_threshold": 1.0}, {"delta": -1.0}],
+                             ids=["threshold-negative", "threshold-one", "delta-negative"])
+    def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
-            rowsupp(np.ones((3, 2)), threshold=1.0)
+            SolverParams(**kwargs)
 
 
 class TestTheorem2Bound:

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Write every artifact of the byte-identity gate into <out_dir>, at one BLAS
-# thread: `arrayimg image` for the five shipped scenarios at seed 1,
-# `simulate` and `coherence` on fig2, and `stability --realizations 10` on
-# fig89, with each command's stdout; and, in estimators.txt at 17 digits,
-# `estimate_stability_ratio` (N = 101, 100 realizations, self and mixed
-# modes) and `estimate_second_moment` (500 realizations).  Run it on two
-# checkouts, then
+# thread: `arrayimg image` for the five shipped scenarios at seed 1 and for
+# fig89 at seeds 6 and 9, `simulate` and `coherence` on fig2, and
+# `stability --realizations 10` on fig89, with each command's stdout; and, in
+# estimators.txt at 17 digits, `estimate_stability_ratio` (N = 101, 100
+# realizations, self and mixed modes) and `estimate_second_moment` (500
+# realizations).  Run it on two checkouts, then
 #
 #     diff -r -x timings.csv parent_out/ change_out/
 #
@@ -26,11 +26,15 @@ for ini in "$root"/scenarios/*.ini; do
     name=$(basename "$ini" .ini)
     arrayimg image --config "$ini" --seed 1 --out image > "image_$name.txt"
 done
+fig89="$root/scenarios/fig89_random_medium.ini"
+for seed in 6 9; do  # seeds whose image files are sensitive in their last digits
+    arrayimg image --config "$fig89" --seed $seed --out image > "image_fig89_seed$seed.txt"
+done
 fig2="$root/scenarios/fig2_smv_noiseless.ini"
 arrayimg simulate --config "$fig2" --seed 1 --out simulate > simulate.txt
 arrayimg coherence --config "$fig2" --seed 1 --out coherence > coherence.txt
-arrayimg stability --config "$root/scenarios/fig89_random_medium.ini" --seed 1 \
-    --realizations 10 --out stability > stability.txt
+arrayimg stability --config "$fig89" --seed 1 --realizations 10 --out stability \
+    > stability.txt
 python3 - > estimators.txt <<'EOF'
 from arrayimg.geometry import WaveContext, build_linear_array
 from arrayimg.random_medium import (RandomMediumSpec, estimate_second_moment,

@@ -1,8 +1,9 @@
 """List the functions of src/arrayimg that the byte-identity gate never enters.
 
 Runs the command set of tools/golden.sh in this one process under
-``sys.setprofile``: `arrayimg image` for the five shipped scenarios at seed 1,
-`simulate` and `coherence` on fig2, `stability --realizations 10` on fig89,
+``sys.setprofile``: `arrayimg image` for the five shipped scenarios at seed 1
+and for fig89 at seeds 6 and 9, `simulate` and `coherence` on fig2,
+`stability --realizations 10` on fig89,
 and the estimator script that golden.sh feeds to Python (read from golden.sh
 itself, so the two cannot drift apart).  Then prints each function, method,
 nested function and property of the package that was never called, with its
@@ -57,12 +58,15 @@ def _estimator_script() -> str:
 def _run_gate(main):
     scenarios = ROOT / "scenarios"
     fig2 = str(scenarios / "fig2_smv_noiseless.ini")
+    fig89 = str(scenarios / "fig89_random_medium.ini")
     commands = [["image", "--config", str(ini), "--seed", "1", "--out", "image"]
                 for ini in sorted(scenarios.glob("*.ini"))]
+    commands += [["image", "--config", fig89, "--seed", seed, "--out", "image"]
+                 for seed in ("6", "9")]
     commands += [["simulate", "--config", fig2, "--seed", "1", "--out", "simulate"],
                  ["coherence", "--config", fig2, "--seed", "1", "--out", "coherence"],
-                 ["stability", "--config", str(scenarios / "fig89_random_medium.ini"),
-                  "--seed", "1", "--realizations", "10", "--out", "stability"]]
+                 ["stability", "--config", fig89, "--seed", "1", "--realizations", "10",
+                  "--out", "stability"]]
 
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
