@@ -145,7 +145,6 @@ class ScenarioConfig:
     max_iterations: int = _key("solver", _count, 50_000)
     tolerance: float = _key("solver", _positive, 1e-8)
     support_threshold: float = _key("solver", _fraction, 0.1)
-    delta_factor: float = _key("solver", _checked(_float, ">= 1", lambda v: v >= 1), 1.0)
     # default depends on medium kind; at >= 1 the zero vector is feasible
     hybrid_delta_fraction: float | None = _key("solver", _fraction)
     scenario_id: str = _key("experiment", _name, "scenario")
@@ -155,9 +154,6 @@ class ScenarioConfig:
     forward: str = _key("experiment", _words("auto", "foldy-lax", "born"), "auto")
     illuminations: str = _key("experiment", _text, "central")  # checked against n
     km_illuminations: str | None = _key("experiment", _text)
-    # in (0, 1] select_rank keeps at least one singular value
-    rank_threshold: float = _key(
-        "experiment", _checked(_float, "in (0, 1]", lambda v: 0 < v <= 1), 0.05)
     known_rank: int | None = _key("experiment", _count)  # checked against n
     apertures: list = _key("experiment", _list(_positive_length), factory=list)
     realizations: int = _key(  # the Monte-Carlo minimum

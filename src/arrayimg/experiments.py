@@ -162,7 +162,7 @@ def _rank(scene: Scene) -> int:
     # a known rank reads the top values only; the threshold, and the error for
     # a known rank below one, read the whole spectrum
     _, s, _ = scene.noisy.svd(known if known and known > 0 else None)
-    return select_rank(s, relative_threshold=scene.cfg.rank_threshold, known_m=known)
+    return select_rank(s, known_m=known)
 
 
 def run_trial(scene: Scene, method: str, seed: int):
@@ -181,10 +181,8 @@ def run_trial(scene: Scene, method: str, seed: int):
             if method == "smv":
                 f = f[:, :1]
             data = scene.noisy.matrix @ f
-            # delta from the exact noise component of the consumed data
-            noise_in_data = float(np.linalg.norm(scene.noise_matrix @ f))
-            delta = cfg.delta_factor * noise_in_data if noise_in_data > 0 else 0.0
-            params = _solver_params(cfg, delta)
+            # delta is the exact norm of the noise in the consumed data
+            params = _solver_params(cfg, float(np.linalg.norm(scene.noise_matrix @ f)))
             if method == "smv":
                 result = image_smv(data[:, 0], f[:, 0], scene.sensing, params)
             else:

@@ -251,12 +251,11 @@ def km_complex_image(b, illumination, sensing: SensingMatrix) -> np.ndarray:
 
 
 def image_km(data, illuminations, sensing: SensingMatrix,
-             peak_count: int | None = None) -> ImagingResult:
+             peak_count: int) -> ImagingResult:
     """Kirchhoff migration image; the illumination columns are summed coherently.
 
     ``data``/``illuminations`` are matching-column matrices.  The grid stores
-    magnitudes; ``peak_count`` requests a peak listing (no support claim is
-    made otherwise).
+    magnitudes; the support lists up to ``peak_count`` of its peaks.
     """
     b = np.asarray(data, dtype=complex)
     f = np.asarray(illuminations, dtype=complex)
@@ -267,10 +266,7 @@ def image_km(data, illuminations, sensing: SensingMatrix,
         values += km_complex_image(b_j, f_j, sensing)
     magnitudes = np.abs(values)
     window = sensing.window
-    if peak_count:
-        support = _local_maxima(magnitudes, window.rows, window.cols, peak_count)
-    else:
-        support = np.array([], dtype=int)
-    return ImagingResult(support=support,
+    return ImagingResult(support=_local_maxima(magnitudes, window.rows, window.cols,
+                                               peak_count),
                          reflectivity=np.zeros(sensing.k, dtype=complex),
                          image=magnitudes)

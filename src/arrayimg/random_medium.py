@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.fft import fft2, ifft2, next_fast_len
 
 from .errors import ConfigurationError, DomainError
@@ -139,6 +138,10 @@ def autocorrelation_integral(kind: str) -> float:
     if kind not in _KERNELS:
         raise ConfigurationError(
             f"unsupported kernel {kind!r}; use one of {sorted(_KERNELS)}")
+    # imported here, not at module level: scipy.integrate pulls in
+    # scipy.optimize and scipy.linalg, which nothing else on the import path
+    # of the package and its CLI needs
+    from scipy.integrate import quad
     value, _ = quad(_KERNELS[kind]["rdot_over_t"], 0.0, np.inf)
     return float(value)
 
@@ -231,27 +234,24 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
 
 
 def _ray_points(x, y, correlation_length: float):
-    """Quadrature nodes of ``phase_line_integral``: ``(points, segments,
-    steps)``, each segment's ``steps`` nodes in consecutive rows."""
+    """Quadrature nodes of ``phase_line_integral``: ``(points, steps)``, each
+    segment's ``steps`` nodes in consecutive rows."""
     starts = np.atleast_2d(np.asarray(x, dtype=float))
     diffs = np.asarray(y, dtype=float)[None, :] - starts
     dists = np.linalg.norm(diffs, axis=1)
     steps = max(1, int(np.ceil(dists.max() / (correlation_length / 10.0))))
     s = (np.arange(steps) + 0.5) / steps
     pts = starts[:, None, :] + s[None, :, None] * diffs[:, None, :]
-    return pts.reshape(-1, 2), len(starts), steps
+    return pts.reshape(-1, 2), steps
 
 
-class _RayPlan:
-    """``phase_line_integral(field, x, y)`` for an ``(n, 2)`` array ``x``,
-    planned once for every field on the lattice frame of ``field``."""
-
-    def __init__(self, field: RandomFieldRealization, x, y):
-        pts, self.segments, self.steps = _ray_points(x, y, field.spec.correlation_length)
-        self.bilinear = _BilinearPlan(field, pts)
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.bilinear(values).reshape(self.segments, self.steps).mean(axis=1)
+def _ray_plan(field: RandomFieldRealization, x, y):
+    """``phase_line_integral(field, x, y)`` for an ``(n, 2)`` array ``x`` as a
+    map from field values, planned once for every field on the lattice frame
+    of ``field``."""
+    pts, steps = _ray_points(x, y, field.spec.correlation_length)
+    bilinear = _BilinearPlan(field, pts)
+    return lambda values: bilinear(values).reshape(-1, steps).mean(axis=1)
 
 
 def phase_line_integral(field: RandomFieldRealization, x, y):
@@ -262,8 +262,8 @@ def phase_line_integral(field: RandomFieldRealization, x, y):
     step exceeds l / 10.  A single start point gives a float, an ``(n, 2)``
     array of them an ``(n,)`` array.
     """
-    pts, segments, steps = _ray_points(x, y, field.spec.correlation_length)
-    nu = field.interpolate(pts).reshape(segments, steps).mean(axis=1)
+    pts, steps = _ray_points(x, y, field.spec.correlation_length)
+    nu = field.interpolate(pts).reshape(-1, steps).mean(axis=1)
     return float(nu[0]) if np.ndim(x) == 1 else nu
 
 
@@ -315,18 +315,12 @@ def _variance_with_se(w: np.ndarray):
     return float(var), se
 
 
-def _realization_samples(spec: RandomMediumSpec, region: Region, seed0: int,
-                         realizations: int, planner) -> np.ndarray:
-    """One complex sample per realization of the field on ``region``, drawn
-    from ``_derived_seed(seed0, r)``.  ``planner(field)``, called on the first
-    field only, returns the map from any field's values to its sample."""
-    samples = np.empty(realizations, dtype=complex)
+def _realizations(spec: RandomMediumSpec, region: Region, seed0: int,
+                  realizations: int):
+    """The fields of one estimate on ``region``, the r-th drawn from
+    ``_derived_seed(seed0, r)``; all share one lattice frame."""
     for r in range(realizations):
-        field = sample_field(spec, region, seed=_derived_seed(seed0, r))
-        if r == 0:
-            sample = planner(field)
-        samples[r] = sample(field.values)
-    return samples
+        yield sample_field(spec, region, seed=_derived_seed(seed0, r))
 
 
 def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
@@ -345,17 +339,13 @@ def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
     region = region_for(np.vstack([x, pts]), spec)
     g0 = [green_homogeneous(x, y, ctx) for y in pts]
     dists = [float(np.linalg.norm(y - x)) for y in pts]
-
-    def planner(field):
-        rays = [_RayPlan(field, x[None, :], y) for y in pts]
-
-        def sample(values):
-            g1, g2 = (_random_phase(g, d, float(ray(values)[0]), spec, ctx)
-                      for g, d, ray in zip(g0, dists, rays))
-            return g1 * np.conj(g2)
-        return sample
-
-    samples = _realization_samples(spec, region, seed0, realizations, planner)
+    samples = np.empty(realizations, dtype=complex)
+    for r, field in enumerate(_realizations(spec, region, seed0, realizations)):
+        if r == 0:
+            rays = [_ray_plan(field, x[None, :], y) for y in pts]
+        g1, g2 = (_random_phase(g, d, float(ray(field.values)[0]), spec, ctx)
+                  for g, d, ray in zip(g0, dists, rays))
+        samples[r] = g1 * np.conj(g2)
     base = g0[0] * np.conj(g0[1])
     ratio = np.abs(samples.mean()) / np.abs(base)
     se = float(np.std(samples / base, ddof=1) / np.sqrt(realizations))
@@ -389,18 +379,16 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
     g0_2 = green_vector(geom, y2, ctx)
     dists_1 = np.linalg.norm(y1[None, :] - geom.positions, axis=1)
     dists_2 = np.linalg.norm(y2[None, :] - geom.positions, axis=1)
-
-    def planner(field):
-        rays_2 = _RayPlan(field, geom.positions, y2)
-        if mode == "mixed":
-            return lambda values: np.vdot(
-                g0_1, _random_phase(g0_2, dists_2, rays_2(values), spec, ctx))
-        rays_1 = _RayPlan(field, geom.positions, y1)
-        return lambda values: np.vdot(
-            _random_phase(g0_1, dists_1, rays_1(values), spec, ctx),
-            _random_phase(g0_2, dists_2, rays_2(values), spec, ctx))
-
-    samples = _realization_samples(spec, region, seed0, realizations, planner)
+    samples = np.empty(realizations, dtype=complex)
+    for r, field in enumerate(_realizations(spec, region, seed0, realizations)):
+        if r == 0:
+            rays_2 = _ray_plan(field, geom.positions, y2)
+            if mode == "self":  # mixed mode keeps g0_1 and plans no rays to y1
+                rays_1 = _ray_plan(field, geom.positions, y1)
+        g1 = g0_1 if mode == "mixed" else _random_phase(
+            g0_1, dists_1, rays_1(field.values), spec, ctx)
+        g2 = _random_phase(g0_2, dists_2, rays_2(field.values), spec, ctx)
+        samples[r] = np.vdot(g1, g2)
     # random phases preserve magnitudes, so the norms are deterministic
     denom = float(np.linalg.norm(g0_1) ** 2 * np.linalg.norm(g0_2) ** 2)
     var, se = _variance_with_se(samples)

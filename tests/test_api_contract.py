@@ -10,8 +10,10 @@ set-up code (no workload) against the package.
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,6 +69,20 @@ def test_every_public_name_is_read_outside_unit_tests():
               for name in getattr(importlib.import_module(f"arrayimg.{m.name}"), "__all__", [])}
     assert set(UNREFERENCED_PUBLIC) <= public
     assert public - read == set(UNREFERENCED_PUBLIC)
+
+
+def test_import_path_stays_light():
+    """Importing the package and its CLI loads neither scipy.integrate nor
+    scipy.optimize: only ``autocorrelation_integral`` needs them, and it
+    imports ``quad`` when called."""
+    code = ("import sys, arrayimg, arrayimg.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_readme_documents_every_config_key():

@@ -56,7 +56,6 @@ BAD_VALUES = {
     ("solver", "max_iterations"): ["0"],
     ("solver", "tolerance"): ["-1", "abc"],
     ("solver", "support_threshold"): ["1.5"],
-    ("solver", "delta_factor"): ["0.5"],
     ("solver", "hybrid_delta_fraction"): ["1"],
     ("experiment", "scenario_id"): ["", "../up"],
     ("experiment", "seed"): ["-1"],
@@ -65,7 +64,6 @@ BAD_VALUES = {
     ("experiment", "forward"): ["ray"],
     ("experiment", "illuminations"): ["centrl"],
     ("experiment", "km_illuminations"): ["element:80"],
-    ("experiment", "rank_threshold"): ["2", "0"],
     ("experiment", "known_rank"): ["0", "81"],  # n = 80
     ("experiment", "apertures"): ["-10"],
     ("experiment", "realizations"): ["0"],

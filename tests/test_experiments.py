@@ -156,12 +156,6 @@ scenario_id = x
         with pytest.raises(ConfigurationError):
             load_config(path)
 
-    def test_delta_factor_floor(self, tmp_path):
-        path = tmp_path / "bad3.ini"
-        path.write_text("[solver]\ndelta_factor = 0.5\n")
-        with pytest.raises(ConfigurationError):
-            load_config(path)
-
     def test_hybrid_delta_defaults(self):
         cfg = ScenarioConfig()
         assert cfg.resolved_hybrid_delta_fraction() == 0.0  # noiseless

@@ -342,7 +342,7 @@ class TestImageKm:
     def test_zero_data(self):
         sens, _, _ = scene([(10, 10)], [1.0])
         f = central_element(50)
-        res = image_km(np.zeros((50, 1), dtype=complex), f[:, None], sens)
+        res = image_km(np.zeros((50, 1), dtype=complex), f[:, None], sens, peak_count=1)
         assert not res.image.any()
         assert res.support.size == 0
 
@@ -377,7 +377,7 @@ class TestImageKm:
             rho = place_scatterers(win, [(scatterer, 1.0)])
             f = central_element(501)
             b = response_matrix_born(sens, rho).matrix @ f
-            res = image_km(b[:, None], f[:, None], sens)
+            res = image_km(b[:, None], f[:, None], sens, peak_count=1)
             prof = res.image / res.image.max()
             above = np.flatnonzero(prof >= 0.5)
             fwhms.append((above[-1] - above[0] + 1) * 0.125)

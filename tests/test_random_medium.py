@@ -529,6 +529,29 @@ class TestMatchesReference:
         with pytest.raises(DomainError):
             estimate(build_linear_array(5, 10.0), _spec("gaussian"))
 
+    @pytest.mark.parametrize("realizations", [100, 120])
+    @pytest.mark.parametrize("estimate, plans", [
+        (lambda geom, spec, r: estimate_stability_ratio(
+            geom, [0.0, 100.0], [5.0, 100.0], CTX, spec, realizations=r, mode="self"), 2),
+        (lambda geom, spec, r: estimate_stability_ratio(
+            geom, [0.0, 100.0], [5.0, 100.0], CTX, spec, realizations=r, mode="mixed"), 1),
+        (lambda geom, spec, r: estimate_second_moment(
+            [0.0, 0.0], [0.0, 100.0], [5.0, 100.0], CTX, spec, realizations=r), 2),
+    ], ids=["self", "mixed", "second_moment"])
+    def test_rays_planned_once_per_estimate(self, estimate, plans, realizations,
+                                            monkeypatch):
+        # one plan per ray set on the first field, whatever the realization count
+        made = []
+
+        class CountingPlan(random_medium._BilinearPlan):
+            def __init__(self, field, points):
+                made.append(field.seed)
+                super().__init__(field, points)
+
+        monkeypatch.setattr(random_medium, "_BilinearPlan", CountingPlan)
+        estimate(build_linear_array(5, 10.0), _spec("gaussian"), realizations)
+        assert len(made) == plans and len(set(made)) == 1  # all on one field
+
 
 class TestParaxialRatio:
     def test_zero_offsets(self):

@@ -4,8 +4,10 @@
 # fig89 at seeds 6 and 9, `simulate` and `coherence` on fig2, and
 # `stability --realizations 10` on fig89, with each command's stdout; and, in
 # estimators.txt at 17 digits, `estimate_stability_ratio` (N = 101, 100
-# realizations, self and mixed modes) and `estimate_second_moment` (500
-# realizations).  Run it on two checkouts, then
+# realizations, self and mixed modes), `estimate_second_moment` (500
+# realizations), `autocorrelation_integral` for both kernels, and fig89's
+# medium at L = 1000: `effective_aperture` and `stability_bound` at apertures
+# 500 and 2000.  Run it on two checkouts, then
 #
 #     diff -r -x timings.csv parent_out/ change_out/
 #
@@ -37,8 +39,9 @@ arrayimg stability --config "$fig89" --seed 1 --realizations 10 --out stability 
     > stability.txt
 python3 - > estimators.txt <<'EOF'
 from arrayimg.geometry import WaveContext, build_linear_array
-from arrayimg.random_medium import (RandomMediumSpec, estimate_second_moment,
-                                    estimate_stability_ratio)
+from arrayimg.random_medium import (RandomMediumSpec, autocorrelation_integral,
+                                    effective_aperture, estimate_second_moment,
+                                    estimate_stability_ratio, stability_bound)
 
 ctx = WaveContext(wavelength=1.0)
 geom = build_linear_array(101, 2000.0 / 100)  # fig89's 100l aperture
@@ -52,4 +55,10 @@ spec = RandomMediumSpec(correlation_length=20.0, sigma=0.001)
 ratio, se = estimate_second_moment([0.0, 0.0], y1, [3.0, 1000.0], ctx, spec,
                                    realizations=500, master_seed=5)
 print(f"second_moment gaussian {ratio:.17g} {se:.17g}")
+for kernel in ("gaussian", "power-law"):
+    print(f"autocorrelation_integral {kernel} {autocorrelation_integral(kernel):.17g}")
+print(f"effective_aperture gaussian {effective_aperture(spec, 1000.0):.17g}")
+for aperture in (500.0, 2000.0):
+    bound = stability_bound(spec, aperture, 1000.0, 10.0, ctx)
+    print(f"stability_bound {aperture:g} {bound:.17g}")
 EOF
