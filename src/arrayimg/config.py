@@ -19,9 +19,6 @@ __all__ = ["ScenarioConfig", "load_config", "parse_length", "parse_illuminations
 def parse_length(text, correlation_length=None) -> float:
     """Parse a length in wavelength units; trailing ``l`` means multiples of l."""
     s = str(text).strip()
-    if s.endswith("lambda"):
-        s = s[: -len("lambda")]
-        return float(s)
     if s.endswith("l"):
         if correlation_length is None:
             raise ConfigurationError(

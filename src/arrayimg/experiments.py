@@ -306,7 +306,7 @@ def coherence_report(cfg: ScenarioConfig, out_dir=None) -> dict:
     Both depend on the sensing matrix alone, so no forward model runs.
     """
     sensing, rho = _truth(cfg, cfg.seed)
-    eps, pair = mutual_coherence(sensing)
+    eps, pair = mutual_coherence(sensing.matrix)
     m = rho.m
     report = {"grid_coherence": eps, "m": m}
     eps_for_margin = eps

@@ -113,16 +113,13 @@ def _support_system(sensing: SensingMatrix, rho: ReflectivityVector):
     alphas = rho.values[support]
     points = sensing.window.points[support]
     g_sub = sensing.matrix[:, support]
-    greens = pairwise_green_matrix(points, sensing.ctx) if support.size else np.zeros((0, 0))
+    greens = pairwise_green_matrix(points, sensing.ctx)
     return support, alphas, g_sub, foldy_lax_matrix(alphas, greens)
 
 
 def response_matrix_foldy_lax(sensing: SensingMatrix, rho: ReflectivityVector) -> ResponseMatrix:
     """Full multiple-scattering response, computed on the scatterer support."""
-    n = sensing.n
-    support, alphas, g_sub, z = _support_system(sensing, rho)
-    if support.size == 0:
-        return ResponseMatrix(matrix=np.zeros((n, n), dtype=complex), provenance="foldy-lax")
+    _, alphas, g_sub, z = _support_system(sensing, rho)
     # P = G diag(alpha) Z^{-1} G^T restricted to the support columns; column
     # j of Z^{-1} G^T holds the exciting fields of element j's illumination
     inner = solve_exciting_fields(z, g_sub.T)  # (M, N)
@@ -133,9 +130,6 @@ def response_matrix_foldy_lax(sensing: SensingMatrix, rho: ReflectivityVector) -
 def response_matrix_born(sensing: SensingMatrix, rho: ReflectivityVector) -> ResponseMatrix:
     """Single-scattering (Born) response: G diag(rho) G^T."""
     support = rho.support
-    n = sensing.n
-    if support.size == 0:
-        return ResponseMatrix(matrix=np.zeros((n, n), dtype=complex), provenance="born")
     g_sub = sensing.matrix[:, support]
     alphas = rho.values[support]
     mat = (g_sub * alphas[None, :]) @ g_sub.T
@@ -150,21 +144,18 @@ def effective_source_vector(sensing: SensingMatrix, rho: ReflectivityVector,
         raise ConfigurationError("illumination length does not match transducer count")
     values = np.zeros(sensing.k, dtype=complex)
     support, alphas, g_sub, z = _support_system(sensing, rho)
-    if support.size:
-        incident = g_sub.T @ f
-        exciting = solve_exciting_fields(z, incident)
-        values[support] = alphas * exciting
+    values[support] = alphas * solve_exciting_fields(z, g_sub.T @ f)
     return values
 
 
 def multiple_scattering_ratio(rho: ReflectivityVector, illumination: np.ndarray,
                               sensing: SensingMatrix) -> float:
-    """Multiple-over-single scattering data ratio ||(P - Pi) f|| / ||Pi f||."""
-    full = response_matrix_foldy_lax(sensing, rho)
-    born = response_matrix_born(sensing, rho)
-    f = np.asarray(illumination, dtype=complex)
-    single = born.matrix @ f
+    """Multiple-over-single scattering data ratio ||(P - Pi) f|| / ||Pi f||,
+    with P f = G gamma from the effective sources gamma and Pi f = G (rho o G^T f)."""
+    g = sensing.matrix
+    full = g @ effective_source_vector(sensing, rho, illumination)
+    single = g @ (rho.values * (g.T @ np.asarray(illumination, dtype=complex)))
     denom = np.linalg.norm(single)
     if denom == 0:
         raise DomainError("single-scattering field is zero; ratio undefined")
-    return float(np.linalg.norm(full.matrix @ f - single) / denom)
+    return float(np.linalg.norm(full - single) / denom)

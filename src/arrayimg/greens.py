@@ -86,13 +86,12 @@ def sensing_matrix(geom: ArrayGeometry, window: ImageWindow, ctx: WaveContext) -
 
 
 def mutual_coherence(mat):
-    """Maximum normalized inner product between distinct columns.
+    """Maximum normalized inner product between distinct columns of a matrix.
 
-    Accepts a :class:`SensingMatrix` or a plain complex matrix.  Returns
-    ``(epsilon, (i, j))`` with ``i < j`` the maximizing column pair.  The scan
-    runs over ``COHERENCE_BLOCK`` columns at a time.
+    Returns ``(epsilon, (i, j))`` with ``i < j`` the maximizing column pair.
+    The scan runs over ``COHERENCE_BLOCK`` columns at a time.
     """
-    a = mat.matrix if isinstance(mat, SensingMatrix) else np.asarray(mat, dtype=complex)
+    a = np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[1] < 2:
         raise DomainError("mutual coherence needs at least two columns")
     norms = np.linalg.norm(a, axis=0)

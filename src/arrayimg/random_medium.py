@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft2, ifft2, next_fast_len
 
 from .errors import ConfigurationError, DomainError
 from .foldy_lax import ResponseMatrix
@@ -195,6 +194,9 @@ def _spectral_amplitude(kernel: str, correlation_length: float, step: float,
     """Square root of the circulant-embedding eigenvalues (clipped at 0) of
     the covariance on the padded lattice: the seed-free factor of
     ``sample_field``, cached and so returned read-only."""
+    # imported where a field is synthesized, so that importing the package
+    # and its CLI loads no scipy module
+    from scipy.fft import fft2
     ix = np.arange(m_cross)
     iz = np.arange(m_range)
     dx = np.minimum(ix, m_cross - ix) * step
@@ -213,6 +215,8 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
     the target covariance is exact on-lattice up to the negligible wraparound
     beyond the padding distance.  Deterministic per seed.
     """
+    # imported here for the reason given in _spectral_amplitude
+    from scipy.fft import ifft2, next_fast_len
     step = spec.lattice_spacing
     l = spec.correlation_length
     n_cross = int(np.ceil((region.cross_max - region.cross_min) / step)) + 2

@@ -32,19 +32,10 @@ def test_all_names_resolve(name):
     assert not missing
 
 
-def test_package_names_resolve():
-    tree = ast.parse((ROOT / "src" / "arrayimg" / "__init__.py").read_text())
-    names = [alias.asname or alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert names
-    assert [n for n in names if not hasattr(arrayimg, n)] == []
-
-
 # public names that no command, workload, tool or acceptance criterion reads,
 # each kept for a stated reason; every other name in an ``__all__`` must be
 # read somewhere beyond its definition and the unit tests
 UNREFERENCED_PUBLIC = {
-    "effective_source_vector": "step-one truth for labelling failed trials (ROADMAP item 3)",
     "write_trace_csv": "writer of the solver trace that --trace will reach (ROADMAP item 6)",
     "paraxial_ratio": "the paper's closed-form paraxial ratio, checked against Monte Carlo",
 }
@@ -71,18 +62,31 @@ def test_every_public_name_is_read_outside_unit_tests():
     assert public - read == set(UNREFERENCED_PUBLIC)
 
 
-def test_import_path_stays_light():
-    """Importing the package and its CLI loads neither scipy.integrate nor
-    scipy.optimize: only ``autocorrelation_integral`` needs them, and it
-    imports ``quad`` when called."""
-    code = ("import sys, arrayimg, arrayimg.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
+def _fresh_modules(statement, prefixes):
+    """Modules whose names start with one of ``prefixes`` that ``statement``
+    leaves loaded in a fresh interpreter."""
+    code = (f"import sys; {statement}; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_path_stays_light():
+    """Importing the package and its CLI loads neither scipy.fft,
+    scipy.integrate nor scipy.optimize: field synthesis imports the FFTs and
+    ``autocorrelation_integral`` imports ``quad`` when called."""
+    assert _fresh_modules("import arrayimg, arrayimg.cli",
+                          ("scipy.fft", "scipy.integrate", "scipy.optimize")) == "[]"
+
+
+def test_package_root_imports_nothing():
+    """Public names are imported from their modules; the package root
+    re-exports none of them, so ``import arrayimg`` loads no submodule and
+    no NumPy."""
+    assert _fresh_modules("import arrayimg", ("arrayimg.", "numpy")) == "[]"
 
 
 def test_readme_documents_every_config_key():

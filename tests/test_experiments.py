@@ -97,7 +97,6 @@ class TestAddNoise:
 class TestConfig:
     def test_parse_length_units(self):
         assert parse_length("25", None) == 25.0
-        assert parse_length("3lambda", None) == 3.0
         assert parse_length("25l", 20.0) == 500.0
         with pytest.raises(ConfigurationError):
             parse_length("25l", None)
@@ -355,7 +354,8 @@ class TestCoherenceReport:
         assert report["certified"]
 
     @pytest.mark.parametrize("medium", ["", "[medium]\nkind = random-phase\n"
-                                            "correlation_length = 20\nsigma = 0.001\n"])
+                                            "correlation_length = 20\nsigma = 0.001\n"],
+                             ids=["homogeneous", "random-phase"])
     def test_no_forward_model(self, medium, tmp_path, monkeypatch):
         # the bounds depend on the sensing matrix alone
         def forbidden(*args, **kwargs):

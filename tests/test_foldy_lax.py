@@ -106,6 +106,8 @@ class TestResponseMatrices:
             resp = builder(sens, rho)
             assert not resp.matrix.any()
             assert resp.matrix.shape == (20, 20)
+        gamma = effective_source_vector(sens, rho, np.ones(20, dtype=complex))
+        assert gamma.shape == (81,) and not gamma.any()
 
     def test_single_scatterer_rank_one(self):
         sens, rho, idx = small_scene([(4, 4)], [1.3 - 0.7j])
@@ -249,6 +251,26 @@ class TestMultipleScatteringRatio:
                 assert ratio < prev
             prev = ratio
         assert prev < 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(scatterers=SCATTERERS, element=st.integers(0, 19))
+    def test_matches_response_matrices(self, scatterers, element):
+        # the ratio from the one support solve equals ||(P - Pi) f|| / ||Pi f||
+        # built from the two N x N responses; P f - Pi f cancels all but
+        # ~1e-4 of P f for weak, far-apart scatterers, so the rounding of
+        # P f (a few ulps of ||P f|| / ||Pi f|| ~ 1) needs an absolute floor
+        cells, alphas = zip(*scatterers)
+        sens, rho, _ = small_scene(cells, alphas)
+        f = np.zeros(20, dtype=complex)
+        f[element] = 1.0
+        try:
+            ratio = multiple_scattering_ratio(rho, f, sens)
+        except ResonanceError:
+            assume(False)
+        single = response_matrix_born(sens, rho).matrix @ f
+        full = response_matrix_foldy_lax(sens, rho).matrix @ f
+        expected = np.linalg.norm(full - single) / np.linalg.norm(single)
+        assert ratio == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_zero_single_scattering_rejected(self):
         sens, rho, _ = small_scene([], [])
