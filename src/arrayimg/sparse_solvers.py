@@ -3,7 +3,13 @@
 ``solve_l1_mmv`` solves ``min sum_i ||X_i.||_2`` s.t. ``||A X - B||_F <= delta``
 with two-block ADMM (Boyd et al., *Found. Trends Mach. Learn.* 3, 2011): ``x``
 is the exact projection of ``y - u`` onto the constraint set, ``y`` the row
-soft threshold of ``x + u`` and ``u`` the running sum of ``x - y``.
+soft threshold of ``x + u`` and ``u`` the running sum of ``x - y``.  With
+``A = U S V^H``, every projection is ``x = p - V g`` for an ``(r, J)``
+correction ``g`` that depends on ``p`` only through ``V^H p``.  So
+``x + u = y - V g``, the new dual is ``u' = y - V g - y'``, and the next
+projection needs only ``V^H (y' - u') = 2 V^H y' - V^H y + g``: the loop keeps
+``y`` and those coefficients, and never forms ``x`` or ``u``.  An iteration
+makes one product ``V g`` and one ``V^H y'`` on the rows the threshold keeps.
 ``solve_l1_smv`` (``min ||x||_1``) is its one-column case, bit for bit.
 ``brute_force_l0`` is an independent enumeration oracle for small instances.
 """
@@ -42,8 +48,15 @@ class SolverParams:
     trace_every: int = 0
 
     def __post_init__(self):
-        if self.delta < 0:
+        # written so that NaN fails every check
+        if not self.delta >= 0:
             raise ConfigurationError("noise radius delta must be nonnegative")
+        if not self.max_iterations >= 1:
+            raise ConfigurationError("max_iterations must be >= 1")
+        if not self.tolerance > 0:
+            raise ConfigurationError("tolerance must be > 0")
+        if not self.trace_every >= 0:
+            raise ConfigurationError("trace_every must be >= 0 (0: no trace)")
         if not 0 <= self.support_threshold < 1:
             raise ConfigurationError("support threshold must lie in [0, 1)")
 
@@ -65,63 +78,63 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def _shrink(x: np.ndarray, t: float) -> np.ndarray:
     """Block soft threshold in place: shrink each row's l2 norm by t, keep
-    direction (with one column, the complex soft threshold)."""
+    direction (with one column, the complex soft threshold).  Returns the
+    indices of the rows left nonzero."""
     scale = np.maximum(0.0, 1.0 - t / np.maximum(_row_norms(x), 1e-300))
     x *= scale[:, None]
-    return x
+    return (scale > 0).nonzero()[0]
 
 
 class _BallProjection:
-    """Exact projection onto ``{x : ||A x - b||_F <= delta}``, ``b`` (N, J).
+    """Exact projection onto ``{x : ||A x - b||_F <= delta}``, ``b`` (N, J), in
+    the coefficients of ``A``'s right singular vectors.
 
     With the thin SVD ``A = U S V^H`` (singular values below ``SVD_RCOND``
     times the largest dropped), ``x = V c + x_perp`` and the constraint reads
-    ``||S c - U^H b||^2 <= delta^2 - ||b_perp||^2``; only ``c`` moves, so a
-    projection makes the two products ``V^H p`` and ``V dc``.  For
+    ``||S c - U^H b||^2 <= delta^2 - ||b_perp||^2``; only ``c`` moves, so the
+    projection of ``p`` is ``p - V g`` with ``g = correction(V^H p)``.  For
     ``delta = 0`` (or a radius that ``b_perp`` alone exhausts) ``c`` is the
     least-squares ``S^{-1} U^H b``; otherwise it solves
     ``(I + lam S^2) c = V^H p + lam S U^H b`` with the scalar multiplier
-    ``lam`` set by Newton steps on ``1/||S c - U^H b|| - 1/radius``.
+    ``lam`` set by Newton steps on ``1/||S c - U^H b|| - 1/radius``, and a
+    point already inside gets ``g = 0``.
     """
 
     def __init__(self, a, b, delta):
         u, s, vh = np.linalg.svd(a, full_matrices=False)
         self.spectral_norm = float(s[0])
         keep = s > SVD_RCOND * s[0]
-        u, s, vh = u[:, keep], s[keep], vh[keep]
-        self.vh = vh
-        self.v = np.ascontiguousarray(vh.conj().T)
+        u, s = u[:, keep], s[keep]
+        self.v = np.ascontiguousarray(vh[keep].conj().T)
         self.s = s[:, None]
+        self.s_sq = s ** 2
         self.ub = u.conj().T @ b
         outside_sq = np.linalg.norm(b - u @ self.ub) ** 2
         self.radius = float(np.sqrt(max(delta ** 2 - outside_sq, 0.0)))
         self.lam = 0.0  # warm start: the multiplier moves little between calls
 
-    def __call__(self, p: np.ndarray) -> np.ndarray:
-        """Project ``p`` in place; a point already inside is left as it is."""
-        q = self.vh @ p
+    def correction(self, q: np.ndarray) -> np.ndarray:
+        """The ``(r, J)`` correction ``g`` for ``q = V^H p``."""
         if self.radius == 0.0:
-            p += self.v @ (self.ub / self.s - q)
-            return p
+            return q - self.ub / self.s
         w = self.s * q - self.ub
-        w_sq = np.sum(np.abs(w) ** 2, axis=1)
+        w_sq = (np.abs(w) ** 2).sum(axis=1)
         if w_sq.sum() <= self.radius ** 2:
-            return p
-        s_sq = self.s.ravel() ** 2
+            return np.zeros_like(q)
+        s_sq = self.s_sq
         lam = self.lam
         for _ in range(60):
             d = 1.0 + lam * s_sq
-            norm = np.sqrt(np.sum(w_sq / d ** 2))
+            norm = np.sqrt((w_sq / d ** 2).sum())
             if abs(norm - self.radius) <= 1e-12 * self.radius:
                 break
             # 1/norm is concave in lam, so Newton steps from below the root
             # rise to it monotonically; a step from above lands below, and a
             # negative multiplier is clipped to 0, which also lies below
-            slope = np.sum(w_sq * s_sq / d ** 3) / norm ** 3
+            slope = (w_sq * s_sq / d ** 3).sum() / norm ** 3
             lam = max(lam - (1.0 / norm - 1.0 / self.radius) / slope, 0.0)
         self.lam = lam
-        p -= self.v @ (lam * self.s * w / (1.0 + lam * self.s ** 2))
-        return p
+        return lam * self.s * w / (1.0 + lam * self.s ** 2)
 
 
 def _iterate(a, b, params: SolverParams) -> SparseSolution:
@@ -150,16 +163,20 @@ def _iterate(a, b, params: SolverParams) -> SparseSolution:
             support=_threshold_support(y, params.support_threshold),
             converged=res_norm <= bound)
 
-    dual = np.zeros_like(y)
+    v = project.v
+    vy = np.zeros_like(project.ub)  # V^H y
+    q = vy                          # V^H (y - u)
     snapshot = y.copy()  # convergence is judged on 50-iteration windows
     trace = []
     converged = False
     it = 0
     for it in range(1, params.max_iterations + 1):
-        x = project(y - dual)
-        y = _shrink(x + dual, t)
-        dual += x
-        dual -= y
+        g = project.correction(q)
+        y = y - v @ g  # x + u
+        kept = _shrink(y, t)
+        vy_next = v[kept].conj().T @ y[kept]
+        q = 2 * vy_next - vy + g
+        vy = vy_next
 
         checked = it % 50 == 0
         traced = params.trace_every and it % params.trace_every == 0

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,63 @@ class TestSolveL1Mmv:
             solve_l1_mmv(a, np.ones(4, dtype=complex))
 
 
+def _scale_problem(columns, noisy):
+    rng = np.random.default_rng([51, columns, noisy])
+    a = random_unit_columns(rng, 32, 64)
+    x0 = np.zeros((64, columns), dtype=complex)
+    x0[rng.choice(64, size=3, replace=False)] = (
+        rng.uniform(0.5, 2.0, (3, columns))
+        * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, columns))))
+    b = a @ x0
+    delta = 0.0
+    if noisy:
+        e = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+        e *= 0.05 * np.linalg.norm(b) / np.linalg.norm(e)
+        b = b + e
+        delta = float(np.linalg.norm(e))
+    return a, b, delta
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_solve(columns, noisy, a_exp, b_exp):
+    """Solve the problem with A scaled by 2^a_exp and (b, delta) by 2^b_exp.
+    The cap lies far above the unscaled iterations, so a run that loses
+    scale invariance stops at it instead of at 50,000."""
+    a, b, delta = _scale_problem(columns, noisy)
+    params = SolverParams(delta=delta * 2.0 ** b_exp, max_iterations=5_000)
+    a, b = a * 2.0 ** a_exp, b * 2.0 ** b_exp
+    return solve_l1_mmv(a, b, params) if columns > 1 else solve_l1_smv(a, b[:, 0], params)
+
+
+# FEASIBILITY_SLACK is an absolute 1e-8, so it binds on the noisy runs once
+# b and delta are scaled: scaled up, the residual must come closer to delta
+# relative to ||b||, which takes 1,400-1,500 iterations (b*2^10) or never
+# happens (b*2^20; 950-1,000 unscaled); scaled down, the mmv run stops at 950,
+# where the unscaled run passed the motion test but was still more than 1e-8
+# above delta (it stops at 1,000)
+_SLACK_BINDS = pytest.mark.xfail(
+    strict=True, reason="the absolute FEASIBILITY_SLACK does not scale with b")
+
+
+class TestScaleInvariance:
+    # scaling A by 2^i and (b, delta) by 2^j is exact in floating point and
+    # scales the solution by 2^(j - i); the threshold, the SVD cut, the Newton
+    # test and the motion test are all relative, so the run must take the
+    # same path
+    @pytest.mark.parametrize("a_exp, b_exp", [
+        (10, 0), (-10, 0), (20, 0), (-20, 0), (0, 10), (0, -10), (0, 20), (0, -20)])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("columns", [1, 3], ids=["smv", "mmv"])
+    def test_powers_of_two_change_nothing(self, request, columns, noisy, a_exp, b_exp):
+        if noisy and (b_exp > 0 or (b_exp < 0 and columns > 1)):
+            request.applymarker(_SLACK_BINDS)
+        base = _scaled_solve(columns, noisy, 0, 0)
+        sol = _scaled_solve(columns, noisy, a_exp, b_exp)
+        assert base.converged
+        assert (sol.iterations, sol.converged) == (base.iterations, base.converged)
+        assert np.array_equal(sol.support, base.support)
+
+
 class TestBruteForceL0:
     def test_exact_column(self):
         rng = np.random.default_rng(12)
@@ -227,9 +286,13 @@ class TestRowsupp:
 
 
 class TestSolverParams:
-    @pytest.mark.parametrize("kwargs", [{"support_threshold": -0.1},
-                                        {"support_threshold": 1.0}, {"delta": -1.0}],
-                             ids=["threshold-negative", "threshold-one", "delta-negative"])
+    @pytest.mark.parametrize("kwargs", [
+        {"support_threshold": -0.1}, {"support_threshold": 1.0}, {"delta": -1.0},
+        {"delta": float("nan")}, {"max_iterations": 0}, {"tolerance": -1.0},
+        {"tolerance": float("nan")}, {"trace_every": -7}],
+        ids=["threshold-negative", "threshold-one", "delta-negative", "delta-nan",
+             "max-iterations-zero", "tolerance-negative", "tolerance-nan",
+             "trace-every-negative"])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             SolverParams(**kwargs)
@@ -316,13 +379,18 @@ class TestBallProjection:
         delta = np.linalg.norm(a @ x_ls - b) + 0.3 * np.linalg.norm(b)
         return a, b, p, x_ls, delta
 
+    @staticmethod
+    def project(a, b, delta, p):
+        proj = _BallProjection(a, b, delta)
+        return p - proj.v @ proj.correction(proj.v.conj().T @ p)
+
     @pytest.mark.parametrize("columns", [None, 3])
     @pytest.mark.parametrize("n, k", [(12, 30), (30, 12)])
     def test_inside_unchanged(self, n, k, columns):
         a, b, p, x_ls, delta = self.problem(n, k, columns)
         inside = x_ls + 1e-3 * p / np.linalg.norm(a @ p) * delta
         assert np.linalg.norm(a @ inside - b) < delta
-        got = _BallProjection(a, b, delta)(inside.copy())
+        got = self.project(a, b, delta, inside)
         assert np.array_equal(got, inside)
 
     @pytest.mark.parametrize("columns", [None, 3])
@@ -330,7 +398,7 @@ class TestBallProjection:
     def test_outside_on_boundary(self, n, k, columns):
         a, b, p, _, delta = self.problem(n, k, columns)
         assert np.linalg.norm(a @ p - b) > delta
-        x = _BallProjection(a, b, delta)(p.copy())
+        x = self.project(a, b, delta, p)
         r = a @ x - b
         assert abs(np.linalg.norm(r) - delta) <= 1e-10 * delta
         # nearest point: p - x is a nonnegative multiple of A^H (A x - b)
@@ -342,7 +410,7 @@ class TestBallProjection:
     @pytest.mark.parametrize("columns", [None, 3])
     def test_equality_is_minimum_norm_correction(self, columns):
         a, b, p, _, _ = self.problem(12, 30, columns)
-        x = _BallProjection(a, b, 0.0)(p.copy())
+        x = self.project(a, b, 0.0, p)
         assert np.allclose(x, p - np.linalg.pinv(a) @ (a @ p - b), rtol=0.0, atol=1e-10)
 
 
@@ -358,19 +426,22 @@ class TestSoftThreshold:
         v = (rng.standard_normal((rows, columns))
              + 1j * rng.standard_normal((rows, columns))) * t * 10.0 ** spread
         if rows_mode:
-            p = _shrink(v.copy(), t)
+            p = v.copy()
+            kept = _shrink(p, t)
             v_mag, p_mag = np.linalg.norm(v, axis=1), np.linalg.norm(p, axis=1)
             zero = p_mag == 0
             v_rest, p_rest = v[~zero], p[~zero]
             unit = p_rest / p_mag[~zero, None]
         else:  # one column: the entrywise complex soft threshold
             v = v[:, :1]
-            p = _shrink(v.copy(), t)
+            p = v.copy()
+            kept = _shrink(p, t)
             v_mag, p_mag = np.abs(v), np.abs(p)
             zero = p_mag == 0
             v_rest, p_rest = v[~zero], p[~zero]
             unit = p_rest / p_mag[~zero]
         assert np.all(v_mag[zero] <= t)
+        assert np.array_equal(kept, np.flatnonzero(~zero))
         tol = 1e-12 * np.maximum(t, v_mag[~zero])
         if rows_mode:
             tol = tol[:, None]
@@ -404,12 +475,14 @@ class _TwoModeProjection:
 
     With the thin SVD ``A = U S V^H`` (singular values below ``SVD_RCOND``
     times the largest dropped), ``x = V c + x_perp`` and the constraint reads
-    ``||S c - U^H b||^2 <= delta^2 - ||b_perp||^2``; only ``c`` moves, so a
-    projection makes the two products ``V^H p`` and ``V dc``.  For
-    ``delta = 0`` (or a radius that ``b_perp`` alone exhausts) ``c`` is the
-    least-squares ``S^{-1} U^H b``; otherwise it solves
-    ``(I + lam S^2) c = V^H p + lam S U^H b`` with the scalar multiplier
-    ``lam`` set by Newton steps on ``1/||S c - U^H b|| - 1/radius``.
+    ``||S c - U^H b||^2 <= delta^2 - ||b_perp||^2``; only ``c`` moves, so the
+    projection of ``p`` is ``p - V g``.  For ``delta = 0`` (or a radius that
+    ``b_perp`` alone exhausts) ``c`` is the least-squares ``S^{-1} U^H b``;
+    otherwise it solves ``(I + lam S^2) c = V^H p + lam S U^H b`` with the
+    scalar multiplier ``lam`` set by Newton steps on
+    ``1/||S c - U^H b|| - 1/radius``.  ``correction(V^H p)`` returns ``g``;
+    calling the projection applies it to ``p`` in K-space with the two
+    products ``V^H p`` and ``V g``.
     """
 
     def __init__(self, a, b, delta):
@@ -425,18 +498,14 @@ class _TwoModeProjection:
         self.radius = float(np.sqrt(max(delta ** 2 - outside_sq, 0.0)))
         self.lam = 0.0  # warm start: the multiplier moves little between calls
 
-    def __call__(self, p: np.ndarray) -> np.ndarray:
-        """Project ``p`` in place; a point already inside is left as it is."""
-        q = self.vh @ p
-        if self.radius == 0.0:
-            p += self.v @ (self.ub / self.s - q)
-            return p
+    def _boundary_correction(self, q):
+        """``g`` for a radius above 0, or None when ``q`` is already inside."""
         w = self.s * q - self.ub
         w_sq = np.abs(w) ** 2
         if w_sq.ndim > 1:
             w_sq = w_sq.sum(axis=1)
         if w_sq.sum() <= self.radius ** 2:
-            return p
+            return None
         s_sq = self.s.ravel() ** 2
         lam = self.lam
         for _ in range(60):
@@ -450,7 +519,24 @@ class _TwoModeProjection:
             slope = np.sum(w_sq * s_sq / d ** 3) / norm ** 3
             lam = max(lam - (1.0 / norm - 1.0 / self.radius) / slope, 0.0)
         self.lam = lam
-        p -= self.v @ (lam * self.s * w / (1.0 + lam * self.s ** 2))
+        return lam * self.s * w / (1.0 + lam * self.s ** 2)
+
+    def correction(self, q: np.ndarray) -> np.ndarray:
+        """``g`` for ``q = V^H p``; zero for a point already inside."""
+        if self.radius == 0.0:
+            return q - self.ub / self.s
+        g = self._boundary_correction(q)
+        return np.zeros_like(q) if g is None else g
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        """Project ``p`` in place; a point already inside is left as it is."""
+        q = self.vh @ p
+        if self.radius == 0.0:
+            p += self.v @ (self.ub / self.s - q)
+            return p
+        g = self._boundary_correction(q)
+        if g is not None:
+            p -= self.v @ g
         return p
 
 
@@ -462,10 +548,18 @@ def _threshold_support(x, threshold, row_mode):
     return np.flatnonzero(mags > threshold * top)
 
 
-def _reference_admm(a, b, params, row_mode):
+def _reference_admm(a, b, params, row_mode, kspace=False):
     """Plain spelling of the solver's ADMM: every quantity is formed on every
     iteration, out of place, and only then read at the check and trace
-    iterations."""
+    iterations.
+
+    The loop runs in SVD coefficients, as the solver does: the state is
+    ``y``, ``V^H y`` and ``q = V^H (y - u)``, ``x + u = y - V g`` and
+    ``V^H (y' - u') = 2 V^H y' - V^H y + g``, with ``V^H y'`` formed on the
+    rows the shrink keeps.  With ``kspace`` it runs in K-space, as the solver
+    did before: ``x`` is the projection of ``y - u``, ``y`` the shrink of
+    ``x + u`` and ``u`` the running sum of ``x - y``, each a full array.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     project = _TwoModeProjection(a, b, params.delta)
@@ -477,14 +571,24 @@ def _reference_admm(a, b, params, row_mode):
 
     y = np.zeros_like(atb)
     dual = np.zeros_like(y)
+    v = project.v
+    vy = q = np.zeros_like(project.ub)
     snapshot = y.copy()
     trace = []
     converged = False
     it = 0
     for it in range(1, params.max_iterations + 1):
-        x = project(y - dual)
-        y = shrink(x + dual, t)
-        dual = dual + x - y
+        if kspace:
+            x = project(y - dual)
+            y = shrink(x + dual, t)
+            dual = dual + x - y
+        else:
+            g = project.correction(q)
+            y = shrink(y - v @ g, t)
+            kept = np.flatnonzero(np.linalg.norm(y, axis=1) if row_mode else y)
+            vy_next = v[kept].conj().T @ y[kept]
+            q = 2 * vy_next - vy + g
+            vy = vy_next
         res_norm = np.linalg.norm(b - a @ y)
         obj = float(np.sum(np.linalg.norm(y, axis=1))) if row_mode \
             else float(np.sum(np.abs(y)))
@@ -503,33 +607,37 @@ def _reference_admm(a, b, params, row_mode):
         converged=converged, trace=trace)
 
 
-class TestLoopMatchesReference:
-    # the solver skips the residual, objective and snapshot work on the
-    # iterations that neither check nor trace, and runs SMV as one MMV
-    # column; neither may move a bit
-    @staticmethod
-    def problem(row_mode, noisy):
-        a, b, _, _ = planted_instance(seed=31, n=64, k=12, m=2)
-        if row_mode:
-            rng = np.random.default_rng(32)
-            x0 = np.zeros((12, 3), dtype=complex)
-            x0[[2, 9]] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-            b = a @ x0
-        delta = 0.0
-        if noisy:
-            rng = np.random.default_rng(33)
-            e = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
-            e *= 0.05 * np.linalg.norm(b) / np.linalg.norm(e)
-            b = b + e
-            delta = float(np.linalg.norm(e))
-        return a, b, delta
+def _kspace_admm(a, b, params, row_mode):
+    return _reference_admm(a, b, params, row_mode, kspace=True)
 
-    @pytest.mark.parametrize("max_iterations", [50_000, 123])
-    @pytest.mark.parametrize("trace_every", [0, 7])
-    @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("row_mode", [False, True])
+
+def _loop_problem(row_mode, noisy):
+    a, b, _, _ = planted_instance(seed=31, n=64, k=12, m=2)
+    if row_mode:
+        rng = np.random.default_rng(32)
+        x0 = np.zeros((12, 3), dtype=complex)
+        x0[[2, 9]] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        b = a @ x0
+    delta = 0.0
+    if noisy:
+        rng = np.random.default_rng(33)
+        e = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+        e *= 0.05 * np.linalg.norm(b) / np.linalg.norm(e)
+        b = b + e
+        delta = float(np.linalg.norm(e))
+    return a, b, delta
+
+
+@pytest.mark.parametrize("max_iterations", [50_000, 123])
+@pytest.mark.parametrize("trace_every", [0, 7])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("row_mode", [False, True])
+class TestLoopMatchesReference:
     def test_bit_identical(self, row_mode, noisy, trace_every, max_iterations):
-        a, b, delta = self.problem(row_mode, noisy)
+        # the solver skips the residual, objective and snapshot work on the
+        # iterations that neither check nor trace, and runs SMV as one MMV
+        # column; neither may move a bit
+        a, b, delta = _loop_problem(row_mode, noisy)
         params = SolverParams(delta=delta, max_iterations=max_iterations,
                               trace_every=trace_every)
         expected = _reference_admm(a, b, params, row_mode)
@@ -544,3 +652,18 @@ class TestLoopMatchesReference:
         assert np.array_equal(got.support, expected.support)
         assert got.trace == expected.trace
         assert bool(got.trace) == bool(trace_every)
+
+    def test_matches_kspace_spelling(self, row_mode, noisy, trace_every, max_iterations):
+        # the coefficient recurrence drops the K-space rounding of x and u
+        # (V^H V = I up to rounding), so the solution moves in its last bits
+        # only: at most 1.2e-15 relative on these cases when measured
+        a, b, delta = _loop_problem(row_mode, noisy)
+        params = SolverParams(delta=delta, max_iterations=max_iterations,
+                              trace_every=trace_every)
+        expected = _kspace_admm(a, b, params, row_mode)
+        got = (solve_l1_mmv if row_mode else solve_l1_smv)(a, b, params)
+        assert got.iterations == expected.iterations
+        assert got.converged == expected.converged
+        assert np.array_equal(got.support, expected.support)
+        assert (np.linalg.norm(got.solution - expected.solution)
+                <= 1e-12 * np.linalg.norm(expected.solution))
