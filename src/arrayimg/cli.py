@@ -12,8 +12,6 @@ from .io import run_directory, save_response_matrix
 
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="scenario INI file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the scenario seed")
     sub.add_argument("--out", default="runs", help="output directory")
 
 
@@ -38,14 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     coh = subs.add_parser("coherence", help="coherence / recovery-certificate report")
     _add_common(coh)
+    # stability draws its seeds 1..R itself, and coherence reads the support only
+    for sub in (sim, img):
+        sub.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     return parser
 
 
 def _load(args):
-    overrides = {"seed": args.seed, "methods": getattr(args, "methods", None),
-                 "realizations": getattr(args, "realizations", None)}
-    return load_config(args.config, {name: value for name, value in overrides.items()
-                                     if value is not None})
+    overrides = {name: getattr(args, name, None) for name in ("seed", "methods", "realizations")}
+    return load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:

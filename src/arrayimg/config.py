@@ -8,6 +8,7 @@ README documents them.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
@@ -16,16 +17,23 @@ __all__ = ["ScenarioConfig", "load_config", "parse_length", "parse_illuminations
            "parse_methods"]
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 def parse_length(text, correlation_length=None) -> float:
-    """Parse a length in wavelength units; trailing ``l`` means multiples of l."""
+    """Parse a finite length in wavelength units; trailing ``l`` means
+    multiples of l."""
     s = str(text).strip()
     if s.endswith("l"):
         if correlation_length is None:
             raise ConfigurationError(
                 f"length {text!r} uses correlation-length units but no "
                 "correlation length is configured")
-        return float(s[:-1]) * correlation_length
-    return float(s)
+        return _finite(float(s[:-1]) * correlation_length)
+    return _finite(float(s))
 
 
 def parse_illuminations(spec: str, n: int) -> tuple:
@@ -98,7 +106,8 @@ def _words(*words):
     return _checked(_text, f"one of {list(words)}", lambda v: v in words)
 
 
-_int, _float, _text = _plain(int), _plain(float), _plain(str.strip)
+_int, _text = _plain(int), _plain(str.strip)
+_float = _plain(lambda text: _finite(float(text)))
 _count = _checked(_int, ">= 1", lambda v: v >= 1)
 _positive = _checked(_float, "> 0", lambda v: v > 0)
 _positive_length = _checked(parse_length, "> 0", lambda v: v > 0)

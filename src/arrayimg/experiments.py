@@ -88,13 +88,6 @@ def _scatterer_values(cfg: ScenarioConfig, rng: np.random.Generator):
     return np.asarray(cfg.magnitudes) * np.exp(1j * phases)
 
 
-def _medium_spec(cfg: ScenarioConfig, seed: int) -> RandomMediumSpec:
-    return RandomMediumSpec(correlation_length=cfg.correlation_length,
-                            sigma=cfg.sigma, kernel=cfg.kernel,
-                            lattice_spacing=cfg.lattice_spacing,
-                            master_seed=seed)
-
-
 def _sensing(cfg: ScenarioConfig, aperture: float | None = None) -> SensingMatrix:
     """Sensing matrix of the configured array and window; ``aperture``, when
     given, replaces the configured pitch.  It depends on no seed."""
@@ -123,7 +116,8 @@ def build_scene(cfg: ScenarioConfig, seed: int,
     ctx, geom, window = sensing.ctx, sensing.geom, sensing.window
 
     if cfg.medium_kind == "random-phase":
-        spec = _medium_spec(cfg, seed)
+        spec = RandomMediumSpec(correlation_length=cfg.correlation_length, sigma=cfg.sigma,
+                                kernel=cfg.kernel, lattice_spacing=cfg.lattice_spacing)
         region = region_for(np.vstack([geom.positions, window.points]), spec)
         field = sample_field(spec, region, seed=seed)
         response = response_matrix_random(field, geom, window, rho, ctx)
@@ -157,14 +151,6 @@ def _solver_params(cfg: ScenarioConfig, delta: float) -> SolverParams:
                         support_threshold=cfg.support_threshold)
 
 
-def _rank(scene: Scene) -> int:
-    known = scene.cfg.known_rank
-    # a known rank reads the top values only; the threshold, and the error for
-    # a known rank below one, read the whole spectrum
-    _, s, _ = scene.noisy.svd(known if known and known > 0 else None)
-    return select_rank(s, known_m=known)
-
-
 def run_trial(scene: Scene, method: str, seed: int):
     """Run one imaging method against the scene; returns ``(report, result)``."""
     if method not in METHODS:
@@ -189,10 +175,12 @@ def run_trial(scene: Scene, method: str, seed: int):
                 result = image_mmv(data, f, scene.sensing, params)
         elif method == "hybrid":
             result = image_hybrid_l1(scene.noisy, scene.sensing,
-                                     _solver_params(cfg, 0.0), m_tilde=_rank(scene),
+                                     _solver_params(cfg, 0.0),
+                                     m_tilde=select_rank(scene.noisy, cfg.known_rank),
                                      delta_fraction=cfg.resolved_hybrid_delta_fraction())
         elif method == "music":
-            result = image_music(scene.noisy, scene.sensing, m_tilde=_rank(scene))
+            result = image_music(scene.noisy, scene.sensing,
+                                 m_tilde=select_rank(scene.noisy, cfg.known_rank))
         elif method == "km":
             kind = cfg.km_illuminations or cfg.illuminations
             f = _illuminations(kind, scene, rng)

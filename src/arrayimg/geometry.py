@@ -46,10 +46,9 @@ class WaveContext:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Transducer positions with pitch and aperture of a linear layout."""
+    """Transducer positions and the aperture of a linear layout."""
 
     positions: np.ndarray  # (N, 2)
-    pitch: float
     aperture: float
 
     def __post_init__(self):
@@ -139,7 +138,7 @@ def build_linear_array(n: int, pitch: float) -> ArrayGeometry:
         raise ConfigurationError("pitch must be positive")
     cross = (np.arange(n) - (n - 1) / 2.0) * pitch
     positions = np.column_stack([cross, np.zeros(n)])
-    return ArrayGeometry(positions=positions, pitch=pitch, aperture=(n - 1) * pitch)
+    return ArrayGeometry(positions=positions, aperture=(n - 1) * pitch)
 
 
 def build_image_window(center_range: float, rows: int, cols: int, spacing: float) -> ImageWindow:

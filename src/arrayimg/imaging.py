@@ -26,6 +26,7 @@ __all__ = [
 
 SCREEN_FLOOR_REL = 1e-12
 RANK_TOL = 1e-8
+RANK_THRESHOLD = 0.05  # M~ without a known rank: singular values >= this * sigma_1
 # admits the weak-scatterer MUSIC peaks that heavy noise pushes well below
 # half height
 MUSIC_PEAK_FLOOR = 0.25
@@ -46,10 +47,12 @@ class ImagingResult:
         return self.diagnostics.get("screened", [])
 
 
-def select_rank(singular_values, relative_threshold: float = 0.05,
-                known_m: int | None = None) -> int:
-    """Signal-space dimension: ``known_m`` override, else threshold on sigma_1."""
-    sv = np.asarray(singular_values, dtype=float)
+def select_rank(resp: ResponseMatrix, known_m: int | None = None) -> int:
+    """Signal-space dimension M~ of ``resp``: ``known_m`` when given, else the
+    ``RANK_THRESHOLD`` rule on sigma_1."""
+    # a known rank reads the top values only; the threshold, and the error for
+    # a known rank below one, read the whole spectrum
+    _, sv, _ = resp.svd(known_m if known_m and known_m > 0 else None)
     if sv.size == 0:
         raise ConfigurationError("empty singular value list")
     if sv[0] <= 0:
@@ -58,7 +61,7 @@ def select_rank(singular_values, relative_threshold: float = 0.05,
         if not 1 <= known_m <= sv.size:
             raise ConfigurationError(f"known rank {known_m} outside [1, {sv.size}]")
         return int(known_m)
-    return int(np.sum(sv >= relative_threshold * sv[0]))
+    return int(np.sum(sv >= RANK_THRESHOLD * sv[0]))
 
 
 def reflectivities_from_sources(support, sources, illuminations,

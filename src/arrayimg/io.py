@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "run_directory",
-    "save_matrix_csv",
     "save_response_matrix",
     "write_coherence_report",
     "write_certificates_csv",
@@ -36,24 +35,17 @@ def run_directory(out_dir, cfg, seed) -> Path:
     return run_dir
 
 
-def save_matrix_csv(path, matrix: np.ndarray, header: dict | None = None) -> None:
-    """Write a complex matrix as CSV rows of interleaved re,im pairs.
-
-    An optional header dict is stored as a single ``#``-prefixed JSON line.
-    """
-    m = np.ascontiguousarray(matrix, dtype=complex)
+def save_response_matrix(path, resp) -> None:
+    """Response-matrix CSV: one ``#``-prefixed JSON line with ``n``,
+    ``provenance`` and ``seed``, then one row of interleaved re,im pairs per
+    matrix row."""
+    header = {"n": resp.n, "provenance": resp.provenance, "seed": resp.seed}
+    m = np.ascontiguousarray(resp.matrix, dtype=complex)
     row_format = ",".join(["%.17g"] * (2 * m.shape[1])) + "\n"
     with open(path, "w") as fh:
-        if header is not None:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         for row in m.view(float):
             fh.write(row_format % tuple(row.tolist()))
-
-
-def save_response_matrix(path, resp) -> None:
-    """Response-matrix CSV with an ``n``/``provenance``/``seed`` header line."""
-    header = {"n": resp.n, "provenance": resp.provenance, "seed": resp.seed}
-    save_matrix_csv(path, resp.matrix, header=header)
 
 
 def write_coherence_report(path, epsilon: float, pair, margins: dict) -> None:

@@ -45,7 +45,6 @@ class SolverParams:
     max_iterations: int = 50_000
     tolerance: float = 1e-8
     support_threshold: float = 0.1
-    trace_every: int = 0
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -55,8 +54,6 @@ class SolverParams:
             raise ConfigurationError("max_iterations must be >= 1")
         if not self.tolerance > 0:
             raise ConfigurationError("tolerance must be > 0")
-        if not self.trace_every >= 0:
-            raise ConfigurationError("trace_every must be >= 0 (0: no trace)")
         if not 0 <= self.support_threshold < 1:
             raise ConfigurationError("support threshold must lie in [0, 1)")
 
@@ -68,7 +65,7 @@ class SparseSolution:
     residual_norm: float
     support: np.ndarray
     converged: bool
-    trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)  # (iteration, objective, residual) per check
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -178,19 +175,15 @@ def _iterate(a, b, params: SolverParams) -> SparseSolution:
         q = 2 * vy_next - vy + g
         vy = vy_next
 
-        checked = it % 50 == 0
-        traced = params.trace_every and it % params.trace_every == 0
-        if not (checked or traced):
+        if it % 50:  # the check: the stopping test and one trace row
             continue
         res_norm = np.linalg.norm(b - a @ y)
-        if traced:
-            trace.append((it, float(np.sum(_row_norms(y))), float(res_norm)))
-        if checked:
-            change = np.linalg.norm(y - snapshot)
-            snapshot = y.copy()
-            if res_norm <= bound and change <= params.tolerance * max(np.linalg.norm(y), 1e-300):
-                converged = True
-                break
+        trace.append((it, float(np.sum(_row_norms(y))), float(res_norm)))
+        change = np.linalg.norm(y - snapshot)
+        snapshot = y.copy()
+        if res_norm <= bound and change <= params.tolerance * max(np.linalg.norm(y), 1e-300):
+            converged = True
+            break
 
     res_norm = float(np.linalg.norm(b - a @ y))
     return SparseSolution(

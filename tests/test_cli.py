@@ -36,38 +36,40 @@ delta_grid = 0.0, 0.01
 # Values load_config rejects, for every key it reads: a key added to the
 # table without a case here fails test_bad_value_returns_one.
 BAD_VALUES = {
-    ("wave", "wavelength"): ["0", "abc"],
+    ("wave", "wavelength"): ["0", "abc", "inf", "nan"],
     ("array", "n"): ["abc", "0"],
-    ("array", "pitch"): ["-1", "25l"],  # no correlation length configured
-    ("array", "aperture"): ["-5"],
-    ("window", "center_range"): ["abc", "10", "-5"],  # rows = 11, spacing = 2: row 0 at 0
+    ("array", "pitch"): ["-1", "25l", "inf", "nan"],  # 25l: no correlation length
+    ("array", "aperture"): ["-5", "inf", "nan"],
+    ("window", "center_range"): ["abc", "10", "-5",  # rows = 11, spacing = 2: row 0 at 0
+                               "inf", "nan"],
     ("window", "rows"): ["0"],
     ("window", "cols"): ["2.5"],
-    ("window", "spacing"): ["-1"],
+    ("window", "spacing"): ["-1", "inf", "nan"],
     ("scatterers", "cells"): ["2,2,2", "2,x", "2,2; 11,8", "-1,2; 8,8",  # rows = cols = 11
                               "2,2; 2,2"],
-    ("scatterers", "magnitudes"): ["1.5, x", "1.5"],  # one value for two cells
-    ("scatterers", "phases"): ["sometimes", "0.0"],
+    ("scatterers", "magnitudes"): ["1.5, x", "1.5",  # one value for two cells
+                                   "1.5, inf", "nan, 0.9"],
+    ("scatterers", "phases"): ["sometimes", "0.0", "0.0, inf", "nan, 0.0"],
     ("medium", "kind"): ["plasma", "random-phase"],  # no correlation length
-    ("medium", "correlation_length"): ["0"],
-    ("medium", "sigma"): ["-0.1"],
+    ("medium", "correlation_length"): ["0", "inf", "nan"],
+    ("medium", "sigma"): ["-0.1", "inf", "nan"],
     ("medium", "kernel"): ["cubic"],
-    ("medium", "lattice_spacing"): ["0"],
+    ("medium", "lattice_spacing"): ["0", "inf", "nan"],
     ("solver", "max_iterations"): ["0"],
-    ("solver", "tolerance"): ["-1", "abc"],
-    ("solver", "support_threshold"): ["1.5"],
-    ("solver", "hybrid_delta_fraction"): ["1"],
+    ("solver", "tolerance"): ["-1", "abc", "inf", "nan"],
+    ("solver", "support_threshold"): ["1.5", "inf", "nan"],
+    ("solver", "hybrid_delta_fraction"): ["1", "inf", "nan"],
     ("experiment", "scenario_id"): ["", "../up"],
     ("experiment", "seed"): ["-1"],
     ("experiment", "methods"): ["sorcery"],
-    ("experiment", "noise_percent"): ["-0.5"],
+    ("experiment", "noise_percent"): ["-0.5", "inf", "nan"],
     ("experiment", "forward"): ["ray"],
     ("experiment", "illuminations"): ["centrl"],
     ("experiment", "km_illuminations"): ["element:80"],
     ("experiment", "known_rank"): ["0", "81"],  # n = 80
-    ("experiment", "apertures"): ["-10"],
+    ("experiment", "apertures"): ["-10", "inf", "nan"],
     ("experiment", "realizations"): ["0"],
-    ("experiment", "delta_grid"): ["-0.1"],
+    ("experiment", "delta_grid"): ["-0.1", "inf", "nan"],
     ("experiment", "write_pgm"): ["maybe"],
 }
 
@@ -177,6 +179,23 @@ class TestCli:
         assert payload["error"] == "ConfigurationError"
         assert "[experiment] seed = '-1'" in payload["message"]
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command, takes_seed", [
+        ("simulate", True), ("image", True), ("stability", False), ("coherence", False)])
+    def test_seed_flag_only_where_read(self, command, takes_seed, config_path, tmp_path,
+                                       capsys):
+        # stability draws its seeds 1..R itself and coherence reads no seed
+        argv = [command, "--config", str(config_path), "--seed", "5",
+                "--out", str(tmp_path / "runs")]
+        if takes_seed:
+            assert main(argv) == 0
+            assert (tmp_path / "runs" / "cli-demo" / "5").is_dir()
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+            assert not (tmp_path / "runs").exists()
 
     def test_bad_realizations_override_returns_one(self, config_path, tmp_path, capsys):
         rc = main(["stability", "--config", str(config_path), "--realizations", "5",

@@ -29,7 +29,7 @@ class TestLinearArray:
         # 501 transducers over 25 correlation lengths (l = 20 wavelengths)
         aperture = 25 * 20.0
         geom = build_linear_array(501, aperture / 500)
-        assert geom.pitch == pytest.approx(1.0)
+        assert np.allclose(np.diff(geom.positions[:, 0]), 1.0, rtol=1e-12)
         assert geom.aperture == pytest.approx(500.0)
 
     def test_single_transducer(self):

@@ -6,9 +6,11 @@ from arrayimg.errors import ConfigurationError
 from arrayimg.geometry import (WaveContext, build_image_window,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import green_homogeneous, pairwise_green_matrix, sensing_matrix
-from arrayimg.foldy_lax import response_matrix_born, response_matrix_foldy_lax
+from arrayimg.foldy_lax import (ResponseMatrix, response_matrix_born,
+                                response_matrix_foldy_lax)
 from arrayimg.sparse_solvers import SolverParams, SparseSolution
-from arrayimg.imaging import (PEAK_SEPARATION, SCREEN_FLOOR_REL, _local_maxima,
+from arrayimg.imaging import (PEAK_SEPARATION, RANK_THRESHOLD, SCREEN_FLOOR_REL,
+                              _local_maxima,
                               _two_step_result, build_hybrid_system,
                               image_hybrid_l1, image_km, image_mmv,
                               image_music, image_smv, km_complex_image,
@@ -34,40 +36,51 @@ def central_element(n):
     return f
 
 
+def diagonal_response(sv):
+    """Response matrix whose singular values are ``sv``."""
+    return ResponseMatrix(matrix=np.diag(np.asarray(sv, dtype=complex)), provenance="born")
+
+
 class TestSelectRank:
     def test_hard_gap(self):
-        assert select_rank([5.0, 3.0, 1e-12], relative_threshold=0.05) == 2
+        assert select_rank(diagonal_response([5.0, 3.0, 1e-12])) == 2
 
     def test_known_m_override(self):
-        assert select_rank([5.0, 3.0, 1e-12], known_m=3) == 3
+        assert select_rank(diagonal_response([5.0, 3.0, 1e-12]), known_m=3) == 3
+        # a known rank asks the SVD for the top known_m values only
+        sens, rho, _ = scene([(3, 3), (15, 5)], [1.0, 0.5])
+        resp = response_matrix_born(sens, rho)
+        assert select_rank(resp, known_m=3) == 3
+        assert resp._svd[1].size == 3
 
     @settings(max_examples=200, deadline=None)
     @given(sv=st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=30).map(
                lambda v: sorted(v, reverse=True)),
-           thresholds=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2,
-                               max_size=2).map(sorted),
            data=st.data())
-    def test_rank_bounded_and_monotone(self, sv, thresholds, data):
-        low, high = thresholds
-        at_low = select_rank(sv, relative_threshold=low)
-        at_high = select_rank(sv, relative_threshold=high)
-        assert 1 <= at_high <= at_low <= len(sv)
+    def test_rank_bounded_and_monotone(self, sv, data):
+        resp = diagonal_response(sv)
+        rank = select_rank(resp)
+        assert 1 <= rank <= len(sv)
+        # the rank keeps the prefix of the descending spectrum at or above the
+        # threshold, and only it
+        s = resp.svd()[1]
+        assert np.all(s[:rank] >= RANK_THRESHOLD * s[0])
+        assert np.all(s[rank:] < RANK_THRESHOLD * s[0])
         known = data.draw(st.integers(1, len(sv)))
-        assert select_rank(sv, relative_threshold=high, known_m=known) == known
+        assert select_rank(diagonal_response(sv), known_m=known) == known
 
     def test_born_m4(self):
         mags = [0.8, 1.0, 0.5, 0.7]
         sens, rho, _ = scene([(3, 3), (5, 15), (15, 5), (17, 17)], mags)
-        _, s, _ = response_matrix_born(sens, rho).svd()
-        assert select_rank(s, relative_threshold=0.05) == 4
+        assert select_rank(response_matrix_born(sens, rho)) == 4
 
     def test_empty_and_zero(self):
         with pytest.raises(ConfigurationError):
-            select_rank([])
+            select_rank(diagonal_response([]))
         with pytest.raises(ConfigurationError):
-            select_rank([0.0, 0.0])
+            select_rank(diagonal_response([0.0, 0.0]))
         with pytest.raises(ConfigurationError):
-            select_rank([1.0], known_m=2)
+            select_rank(diagonal_response([1.0]), known_m=2)
 
 
 class TestImageSmv:

@@ -9,8 +9,7 @@ from arrayimg.experiments import TrialReport
 from arrayimg.foldy_lax import ResponseMatrix
 from arrayimg.geometry import build_image_window
 from arrayimg.imaging import ImagingResult
-from arrayimg.io import (run_directory, save_matrix_csv,
-                         save_response_matrix, write_certificates_csv,
+from arrayimg.io import (run_directory, save_response_matrix, write_certificates_csv,
                          write_coherence_report,
                          write_image_csv, write_monte_carlo_csv, write_pgm,
                          write_report_csv, write_stability_csv,
@@ -50,16 +49,17 @@ MATRIX = np.array([[complex(1.0, 2.0), complex(-0.0, INF)],
 class TestMatrixCsv:
     def test_bytes_with_header(self, tmp_path):
         path = tmp_path / "m.csv"
-        save_matrix_csv(path, MATRIX, header={"seed": None, "n": 2, "provenance": "t"})
+        save_response_matrix(path, ResponseMatrix(matrix=MATRIX, provenance="t"))
         assert path.read_bytes() == (
             b'# {"n": 2, "provenance": "t", "seed": null}\n'
             b"1,2,-0,inf\n"
             b"nan,-1.5,0.10000000000000001,0\n")
 
-    def test_bytes_without_header(self, tmp_path):
+    def test_bytes_of_non_contiguous_view(self, tmp_path):
         path = tmp_path / "m.csv"
-        save_matrix_csv(path, MATRIX[:, ::-1].T)  # a non-contiguous view
-        assert path.read_bytes() == (b"-0,inf,0.10000000000000001,0\n"
+        save_response_matrix(path, ResponseMatrix(matrix=MATRIX[:, ::-1].T, provenance="t"))
+        assert path.read_bytes() == (b'# {"n": 2, "provenance": "t", "seed": null}\n'
+                                     b"-0,inf,0.10000000000000001,0\n"
                                      b"1,2,nan,-1.5\n")
 
     def test_response_matrix(self, tmp_path):

@@ -117,7 +117,9 @@ class TestSolveL1Smv:
 
     def test_trace_logged(self, tmp_path):
         a, b, _, _ = planted_instance(seed=4, n=64, k=12, m=2)
-        sol = solve_l1_smv(a, b, SolverParams(trace_every=10))
+        sol = solve_l1_smv(a, b)
+        # one (iteration, objective, residual) row per 50-iteration check
+        assert [row[0] for row in sol.trace] == list(range(50, sol.iterations + 1, 50))
         assert sol.trace and all(len(row) == 3 for row in sol.trace)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, sol.trace)
@@ -289,10 +291,9 @@ class TestSolverParams:
     @pytest.mark.parametrize("kwargs", [
         {"support_threshold": -0.1}, {"support_threshold": 1.0}, {"delta": -1.0},
         {"delta": float("nan")}, {"max_iterations": 0}, {"tolerance": -1.0},
-        {"tolerance": float("nan")}, {"trace_every": -7}],
+        {"tolerance": float("nan")}],
         ids=["threshold-negative", "threshold-one", "delta-negative", "delta-nan",
-             "max-iterations-zero", "tolerance-negative", "tolerance-nan",
-             "trace-every-negative"])
+             "max-iterations-zero", "tolerance-negative", "tolerance-nan"])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             SolverParams(**kwargs)
@@ -550,8 +551,8 @@ def _threshold_support(x, threshold, row_mode):
 
 def _reference_admm(a, b, params, row_mode, kspace=False):
     """Plain spelling of the solver's ADMM: every quantity is formed on every
-    iteration, out of place, and only then read at the check and trace
-    iterations.
+    iteration, out of place, and only then read at the 50-iteration checks,
+    each of which also appends a trace row.
 
     The loop runs in SVD coefficients, as the solver does: the state is
     ``y``, ``V^H y`` and ``q = V^H (y - u)``, ``x + u = y - V g`` and
@@ -592,9 +593,8 @@ def _reference_admm(a, b, params, row_mode, kspace=False):
         res_norm = np.linalg.norm(b - a @ y)
         obj = float(np.sum(np.linalg.norm(y, axis=1))) if row_mode \
             else float(np.sum(np.abs(y)))
-        if params.trace_every and it % params.trace_every == 0:
-            trace.append((it, obj, float(res_norm)))
         if it % 50 == 0:
+            trace.append((it, obj, float(res_norm)))
             change = np.linalg.norm(y - snapshot)
             snapshot = y.copy()
             if res_norm <= bound and change <= params.tolerance * max(np.linalg.norm(y), 1e-300):
@@ -611,16 +611,17 @@ def _kspace_admm(a, b, params, row_mode):
     return _reference_admm(a, b, params, row_mode, kspace=True)
 
 
-def _loop_problem(row_mode, noisy):
-    a, b, _, _ = planted_instance(seed=31, n=64, k=12, m=2)
+def _loop_problem(row_mode, noisy, problem):
+    """Planted 64 x 12 instance; ``problem`` offsets every seed it draws."""
+    a, b, _, _ = planted_instance(seed=31 + problem, n=64, k=12, m=2)
     if row_mode:
-        rng = np.random.default_rng(32)
+        rng = np.random.default_rng(32 + problem)
         x0 = np.zeros((12, 3), dtype=complex)
         x0[[2, 9]] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         b = a @ x0
     delta = 0.0
     if noisy:
-        rng = np.random.default_rng(33)
+        rng = np.random.default_rng(33 + problem)
         e = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
         e *= 0.05 * np.linalg.norm(b) / np.linalg.norm(e)
         b = b + e
@@ -629,17 +630,16 @@ def _loop_problem(row_mode, noisy):
 
 
 @pytest.mark.parametrize("max_iterations", [50_000, 123])
-@pytest.mark.parametrize("trace_every", [0, 7])
+@pytest.mark.parametrize("problem", [0, 7])
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("row_mode", [False, True])
 class TestLoopMatchesReference:
-    def test_bit_identical(self, row_mode, noisy, trace_every, max_iterations):
+    def test_bit_identical(self, row_mode, noisy, problem, max_iterations):
         # the solver skips the residual, objective and snapshot work on the
-        # iterations that neither check nor trace, and runs SMV as one MMV
-        # column; neither may move a bit
-        a, b, delta = _loop_problem(row_mode, noisy)
-        params = SolverParams(delta=delta, max_iterations=max_iterations,
-                              trace_every=trace_every)
+        # iterations that do not check, and runs SMV as one MMV column;
+        # neither may move a bit
+        a, b, delta = _loop_problem(row_mode, noisy, problem)
+        params = SolverParams(delta=delta, max_iterations=max_iterations)
         expected = _reference_admm(a, b, params, row_mode)
         got = (solve_l1_mmv if row_mode else solve_l1_smv)(a, b, params)
         # noiseless runs converge before either cap; the others stop at 123
@@ -651,15 +651,14 @@ class TestLoopMatchesReference:
         assert got.converged == expected.converged
         assert np.array_equal(got.support, expected.support)
         assert got.trace == expected.trace
-        assert bool(got.trace) == bool(trace_every)
+        assert [row[0] for row in got.trace] == list(range(50, got.iterations + 1, 50))
 
-    def test_matches_kspace_spelling(self, row_mode, noisy, trace_every, max_iterations):
+    def test_matches_kspace_spelling(self, row_mode, noisy, problem, max_iterations):
         # the coefficient recurrence drops the K-space rounding of x and u
         # (V^H V = I up to rounding), so the solution moves in its last bits
-        # only: at most 1.2e-15 relative on these cases when measured
-        a, b, delta = _loop_problem(row_mode, noisy)
-        params = SolverParams(delta=delta, max_iterations=max_iterations,
-                              trace_every=trace_every)
+        # only: at most 1.6e-15 relative on these cases when measured
+        a, b, delta = _loop_problem(row_mode, noisy, problem)
+        params = SolverParams(delta=delta, max_iterations=max_iterations)
         expected = _kspace_admm(a, b, params, row_mode)
         got = (solve_l1_mmv if row_mode else solve_l1_smv)(a, b, params)
         assert got.iterations == expected.iterations

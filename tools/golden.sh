@@ -34,9 +34,8 @@ for seed in 6 9; do  # seeds whose image files are sensitive in their last digit
 done
 fig2="$root/scenarios/fig2_smv_noiseless.ini"
 arrayimg simulate --config "$fig2" --seed 1 --out simulate > simulate.txt
-arrayimg coherence --config "$fig2" --seed 1 --out coherence > coherence.txt
-arrayimg stability --config "$fig89" --seed 1 --realizations 10 --out stability \
-    > stability.txt
+arrayimg coherence --config "$fig2" --out coherence > coherence.txt
+arrayimg stability --config "$fig89" --realizations 10 --out stability > stability.txt
 python3 - > estimators.txt <<'EOF'
 from arrayimg.geometry import WaveContext, build_linear_array
 from arrayimg.random_medium import (RandomMediumSpec, autocorrelation_integral,

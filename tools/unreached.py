@@ -108,9 +108,8 @@ def _run_gate(main):
     commands += [["image", "--config", fig89, "--seed", seed, "--out", "image"]
                  for seed in ("6", "9")]
     commands += [["simulate", "--config", fig2, "--seed", "1", "--out", "simulate"],
-                 ["coherence", "--config", fig2, "--seed", "1", "--out", "coherence"],
-                 ["stability", "--config", fig89, "--seed", "1", "--realizations", "10",
-                  "--out", "stability"]]
+                 ["coherence", "--config", fig2, "--out", "coherence"],
+                 ["stability", "--config", fig89, "--realizations", "10", "--out", "stability"]]
 
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
