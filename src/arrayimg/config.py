@@ -13,9 +13,6 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
 
-__all__ = ["ScenarioConfig", "load_config", "parse_length", "parse_illuminations",
-           "parse_methods"]
-
 
 def _finite(value: float) -> float:
     if not math.isfinite(value):
@@ -106,6 +103,12 @@ def _words(*words):
     return _checked(_text, f"one of {list(words)}", lambda v: v in words)
 
 
+def _distinct(parse):
+    """``parse`` of a list whose entries must differ: a repeated cell, method,
+    aperture or delta would plant, run or write the same thing twice."""
+    return _checked(parse, "free of repeated entries", lambda v: len(set(v)) == len(v))
+
+
 _int, _text = _plain(int), _plain(str.strip)
 _float = _plain(lambda text: _finite(float(text)))
 _count = _checked(_int, ">= 1", lambda v: v >= 1)
@@ -139,8 +142,8 @@ class ScenarioConfig:
     rows: int = _key("window", _count, 41)
     cols: int = _key("window", _count, 41)
     spacing: float = _key("window", _positive_length, 1.0)
-    cells: list = _key("scatterers", _cells, factory=list)
-    magnitudes: list = _key("scatterers", _list(_float), factory=list)
+    cells: list = _key("scatterers", _distinct(_cells), factory=list)
+    magnitudes: list = _key("scatterers", _list(_positive), factory=list)  # |rho_j|
     phases: object = _key("scatterers", _phases, "random")  # or list of radians
     medium_kind: str = _key("medium", _words("homogeneous", "random-phase"),
                             "homogeneous", key="kind")
@@ -155,16 +158,16 @@ class ScenarioConfig:
     hybrid_delta_fraction: float | None = _key("solver", _fraction)
     scenario_id: str = _key("experiment", _name, "scenario")
     seed: int = _key("experiment", _checked(_int, ">= 0", lambda v: v >= 0), 1)
-    methods: list = _key("experiment", _plain(parse_methods), factory=lambda: ["smv"])
+    methods: list = _key("experiment", _distinct(_plain(parse_methods)), factory=lambda: ["smv"])
     noise_percent: float = _key("experiment", _nonnegative, 0.0)
     forward: str = _key("experiment", _words("auto", "foldy-lax", "born"), "auto")
     illuminations: str = _key("experiment", _text, "central")  # checked against n
     km_illuminations: str | None = _key("experiment", _text)
     known_rank: int | None = _key("experiment", _count)  # checked against n
-    apertures: list = _key("experiment", _list(_positive_length), factory=list)
+    apertures: list = _key("experiment", _distinct(_list(_positive_length)), factory=list)
     realizations: int = _key(  # the Monte-Carlo minimum
         "experiment", _checked(_int, ">= 10", lambda v: v >= 10), 10)
-    delta_grid: list = _key("experiment", _list(_nonnegative), factory=list)
+    delta_grid: list = _key("experiment", _distinct(_list(_nonnegative)), factory=list)
     write_pgm: bool = _key("experiment", _boolean, False)
     raw_text: str = ""
 
@@ -241,6 +244,8 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     if aperture is not None:
         if cfg.n < 2:
             raise _invalid(parser, "array", "aperture", "needs [array] n >= 2")
+        if "pitch" in values:
+            raise _invalid(parser, "array", "aperture", "cannot be set with [array] pitch")
         cfg = replace(cfg, pitch=aperture / (cfg.n - 1))
     if cfg.apertures and cfg.n < 2:
         raise _invalid(parser, "experiment", "apertures", "needs [array] n >= 2")
@@ -260,9 +265,6 @@ def load_config(path, overrides=None) -> ScenarioConfig:
         raise _invalid(parser, "scatterers", "cells",
                        f"{outside} outside the [window] rows x cols = "
                        f"{cfg.rows} x {cfg.cols} lattice")
-    repeated = sorted({cell for cell in cfg.cells if cfg.cells.count(cell) > 1})
-    if repeated:
-        raise _invalid(parser, "scatterers", "cells", f"repeats {repeated}")
     for key in ("magnitudes", "phases"):
         got = getattr(cfg, key)
         if got != "random" and len(got) != len(cfg.cells):

@@ -22,16 +22,6 @@ from .io import (run_directory, save_response_matrix, write_certificates_csv,
                  write_coherence_report, write_image_csv, write_monte_carlo_csv,
                  write_pgm, write_report_csv, write_support_csv, write_timings_csv)
 
-__all__ = [
-    "TrialReport",
-    "add_noise",
-    "build_scene",
-    "run_trial",
-    "run_scenario",
-    "monte_carlo_stability",
-    "coherence_report",
-]
-
 
 @dataclass
 class TrialReport:

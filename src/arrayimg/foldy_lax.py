@@ -8,16 +8,6 @@ from .errors import ConfigurationError, DomainError, ResonanceError
 from .geometry import ReflectivityVector
 from .greens import SensingMatrix, pairwise_green_matrix
 
-__all__ = [
-    "ResponseMatrix",
-    "foldy_lax_matrix",
-    "solve_exciting_fields",
-    "response_matrix_foldy_lax",
-    "response_matrix_born",
-    "effective_source_vector",
-    "multiple_scattering_ratio",
-]
-
 CONDITION_CAP = 1e8
 # range finder of ResponseMatrix.svd: sketch columns beyond the k requested,
 # the fixed seed of its Gaussian test matrix (never a scenario seed), and the

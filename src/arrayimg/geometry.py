@@ -12,16 +12,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = [
-    "WaveContext",
-    "ArrayGeometry",
-    "ImageWindow",
-    "ReflectivityVector",
-    "build_linear_array",
-    "build_image_window",
-    "place_scatterers",
-]
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)

@@ -7,16 +7,6 @@ import numpy as np
 from .errors import DomainError
 from .geometry import ArrayGeometry, ImageWindow, WaveContext
 
-__all__ = [
-    "SensingMatrix",
-    "green_homogeneous",
-    "green_vector",
-    "pairwise_green_matrix",
-    "sensing_matrix",
-    "mutual_coherence",
-    "theorem1_margin",
-]
-
 _COINCIDENCE_TOL = 1e-14
 # columns per block of the coherence scan, so the K x K Gram matrix of a
 # large grid is never materialized at once

@@ -10,20 +10,6 @@ from .greens import SensingMatrix, pairwise_green_matrix
 from .foldy_lax import ResponseMatrix
 from .sparse_solvers import SolverParams, solve_l1_smv, solve_l1_mmv
 
-__all__ = [
-    "ImagingResult",
-    "select_rank",
-    "reflectivities_from_sources",
-    "image_smv",
-    "image_mmv",
-    "optimal_illuminations",
-    "build_hybrid_system",
-    "image_hybrid_l1",
-    "image_music",
-    "image_km",
-    "km_complex_image",
-]
-
 SCREEN_FLOOR_REL = 1e-12
 RANK_TOL = 1e-8
 RANK_THRESHOLD = 0.05  # M~ without a known rank: singular values >= this * sigma_1

@@ -11,21 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "run_directory",
-    "save_response_matrix",
-    "write_coherence_report",
-    "write_certificates_csv",
-    "write_report_csv",
-    "write_timings_csv",
-    "write_monte_carlo_csv",
-    "write_stability_csv",
-    "write_trace_csv",
-    "write_support_csv",
-    "write_image_csv",
-    "write_pgm",
-]
-
 
 def run_directory(out_dir, cfg, seed) -> Path:
     """Create ``out_dir/<scenario_id>/<seed>/`` holding a ``config.ini`` snapshot."""

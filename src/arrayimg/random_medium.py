@@ -12,24 +12,6 @@ from .foldy_lax import ResponseMatrix
 from .geometry import ArrayGeometry, ImageWindow, ReflectivityVector, WaveContext
 from .greens import green_homogeneous, green_vector
 
-__all__ = [
-    "RandomMediumSpec",
-    "RandomFieldRealization",
-    "Region",
-    "StabilityEstimate",
-    "autocorrelation_integral",
-    "effective_aperture",
-    "sample_field",
-    "region_for",
-    "phase_line_integral",
-    "random_green_vector",
-    "response_matrix_random",
-    "estimate_second_moment",
-    "estimate_stability_ratio",
-    "stability_bound",
-    "paraxial_ratio",
-]
-
 # normalized kernels R(t) with R(0) = 1, plus dR/dt / t in closed form and the
 # lag (in correlation lengths) beyond which R is negligible for embedding
 _KERNELS = {

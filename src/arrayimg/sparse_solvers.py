@@ -21,15 +21,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-__all__ = [
-    "SolverParams",
-    "SparseSolution",
-    "solve_l1_smv",
-    "solve_l1_mmv",
-    "brute_force_l0",
-    "theorem2_error_bound",
-]
-
 FEASIBILITY_SLACK = 1e-8
 # singular values below this fraction of s_1 are dropped from the projection:
 # the shipped sensing matrices are numerically rank deficient (fig2's A A^H

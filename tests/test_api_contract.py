@@ -25,16 +25,17 @@ from arrayimg import config
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(arrayimg.__path__)])
-def test_all_names_resolve(name):
-    module = importlib.import_module(f"arrayimg.{name}")
-    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
-    assert not missing
+def _public(module):
+    """The functions and classes that ``module`` defines under names without
+    a leading underscore: its public API."""
+    return {name for name, obj in vars(module).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__}
 
 
 # public names that no command, workload, tool or acceptance criterion reads,
-# each kept for a stated reason; every other name in an ``__all__`` must be
-# read somewhere beyond its definition and the unit tests
+# each kept for a stated reason; every other public name must be read
+# somewhere beyond its definition and the unit tests
 UNREFERENCED_PUBLIC = {
     "write_trace_csv": "writer of the solver trace that --trace will reach (ROADMAP item 6)",
     "paraxial_ratio": "the paper's closed-form paraxial ratio, checked against Monte Carlo",
@@ -43,21 +44,19 @@ UNREFERENCED_PUBLIC = {
 
 def test_every_public_name_is_read_outside_unit_tests():
     """A definition is no ``ast.Name``, so a name counts as read once a package
-    module (``__init__.py`` aside), ``bench/``, ``tools/``, the Python in
-    ``tools/golden.sh`` or the acceptance suite uses it."""
+    module (``__init__.py`` aside), ``bench/``, ``tools/`` or the acceptance
+    suite uses it."""
     sources = [path.read_text() for path in
                sorted((ROOT / "src" / "arrayimg").glob("*.py"))
                + sorted((ROOT / "bench").glob("*.py"))
                + sorted((ROOT / "tools").glob("*.py"))
                + [ROOT / "tests" / "test_acceptance.py"]
                if path.name != "__init__.py"]
-    sources += re.findall(r"<<'EOF'\n(.*?)\nEOF\n", (ROOT / "tools" / "golden.sh").read_text(),
-                          re.S)
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for source in sources for node in ast.walk(ast.parse(source))
             if isinstance(node, (ast.Name, ast.Attribute))}
     public = {name for m in pkgutil.iter_modules(arrayimg.__path__)
-              for name in getattr(importlib.import_module(f"arrayimg.{m.name}"), "__all__", [])}
+              for name in _public(importlib.import_module(f"arrayimg.{m.name}"))}
     assert set(UNREFERENCED_PUBLIC) <= public
     assert public - read == set(UNREFERENCED_PUBLIC)
 

@@ -39,7 +39,7 @@ BAD_VALUES = {
     ("wave", "wavelength"): ["0", "abc", "inf", "nan"],
     ("array", "n"): ["abc", "0"],
     ("array", "pitch"): ["-1", "25l", "inf", "nan"],  # 25l: no correlation length
-    ("array", "aperture"): ["-5", "inf", "nan"],
+    ("array", "aperture"): ["-5", "inf", "nan", "40"],  # 40: pitch is set too
     ("window", "center_range"): ["abc", "10", "-5",  # rows = 11, spacing = 2: row 0 at 0
                                "inf", "nan"],
     ("window", "rows"): ["0"],
@@ -48,7 +48,7 @@ BAD_VALUES = {
     ("scatterers", "cells"): ["2,2,2", "2,x", "2,2; 11,8", "-1,2; 8,8",  # rows = cols = 11
                               "2,2; 2,2"],
     ("scatterers", "magnitudes"): ["1.5, x", "1.5",  # one value for two cells
-                                   "1.5, inf", "nan, 0.9"],
+                                   "1.5, inf", "nan, 0.9", "0, 0.9", "-1.5, 0.9"],
     ("scatterers", "phases"): ["sometimes", "0.0", "0.0, inf", "nan, 0.0"],
     ("medium", "kind"): ["plasma", "random-phase"],  # no correlation length
     ("medium", "correlation_length"): ["0", "inf", "nan"],
@@ -61,15 +61,15 @@ BAD_VALUES = {
     ("solver", "hybrid_delta_fraction"): ["1", "inf", "nan"],
     ("experiment", "scenario_id"): ["", "../up"],
     ("experiment", "seed"): ["-1"],
-    ("experiment", "methods"): ["sorcery"],
+    ("experiment", "methods"): ["sorcery", "smv, music, smv"],
     ("experiment", "noise_percent"): ["-0.5", "inf", "nan"],
     ("experiment", "forward"): ["ray"],
     ("experiment", "illuminations"): ["centrl"],
     ("experiment", "km_illuminations"): ["element:80"],
     ("experiment", "known_rank"): ["0", "81"],  # n = 80
-    ("experiment", "apertures"): ["-10", "inf", "nan"],
+    ("experiment", "apertures"): ["-10", "inf", "nan", "40, 40"],
     ("experiment", "realizations"): ["0"],
-    ("experiment", "delta_grid"): ["-0.1", "inf", "nan"],
+    ("experiment", "delta_grid"): ["-0.1", "inf", "nan", "0.01, 0.01"],
     ("experiment", "write_pgm"): ["maybe"],
 }
 
@@ -162,7 +162,8 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ConfigurationError"
 
-    @pytest.mark.parametrize("methods", ["km,kmm", ","], ids=["unknown", "empty"])
+    @pytest.mark.parametrize("methods", ["km,kmm", ",", "km,km"],
+                             ids=["unknown", "empty", "repeated"])
     def test_bad_method_override_returns_one(self, methods, config_path, tmp_path, capsys):
         rc = main(["image", "--config", str(config_path), "--methods", methods,
                    "--out", str(tmp_path / "runs")])

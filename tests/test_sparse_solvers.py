@@ -177,6 +177,26 @@ class TestSolveL1Mmv:
             solve_l1_mmv(a, np.ones(4, dtype=complex))
 
 
+@pytest.mark.parametrize("solve, columns", [(solve_l1_smv, 0), (solve_l1_mmv, 2)],
+                         ids=["smv", "mmv"])
+def test_data_orthogonal_to_range(solve, columns):
+    """Nonzero data with A^H b = 0: the loop never starts, and y = 0, the l1
+    minimum, meets the constraint only once delta reaches ||b||."""
+    a = np.vstack([np.eye(4), np.zeros((4, 4))])  # A = [I_4; 0]
+    b = np.zeros(8, dtype=complex)
+    b[7] = 2.0
+    if columns:
+        b = np.stack([b, 1j * b], axis=1)
+    norm = float(np.linalg.norm(b))
+    sol = solve(a, b)
+    assert sol.iterations == 0 and not sol.converged
+    assert not sol.solution.any() and sol.support.size == 0 and sol.trace == []
+    assert sol.residual_norm == norm
+    for delta in (norm, 2 * norm):
+        sol = solve(a, b, SolverParams(delta=delta))
+        assert sol.iterations == 0 and sol.converged
+
+
 def _scale_problem(columns, noisy):
     rng = np.random.default_rng([51, columns, noisy])
     a = random_unit_columns(rng, 32, 64)
