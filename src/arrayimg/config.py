@@ -9,7 +9,7 @@ README documents them.
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 
@@ -51,18 +51,6 @@ def parse_illuminations(spec: str, n: int) -> tuple:
 
 
 METHODS = ("smv", "mmv", "hybrid", "music", "km")
-
-
-def parse_methods(text) -> list:
-    """Parse a comma list of imaging methods; unknown names and an empty list
-    are rejected."""
-    methods = [m.strip() for m in str(text).split(",") if m.strip()]
-    unknown = sorted(set(methods) - set(METHODS))
-    if unknown:
-        raise ConfigurationError(f"unknown methods {unknown}; valid: {sorted(METHODS)}")
-    if not methods:
-        raise ConfigurationError(f"empty method list; valid: {sorted(METHODS)}")
-    return methods
 
 
 # Each parser takes the raw value and the correlation length (for lengths in
@@ -158,7 +146,8 @@ class ScenarioConfig:
     hybrid_delta_fraction: float | None = _key("solver", _fraction)
     scenario_id: str = _key("experiment", _name, "scenario")
     seed: int = _key("experiment", _checked(_int, ">= 0", lambda v: v >= 0), 1)
-    methods: list = _key("experiment", _distinct(_plain(parse_methods)), factory=lambda: ["smv"])
+    methods: list = _key("experiment", _checked(_distinct(_list(_words(*METHODS))),
+                                                "non-empty", bool), factory=lambda: ["smv"])
     noise_percent: float = _key("experiment", _nonnegative, 0.0)
     forward: str = _key("experiment", _words("auto", "foldy-lax", "born"), "auto")
     illuminations: str = _key("experiment", _text, "central")  # checked against n
@@ -180,11 +169,9 @@ class ScenarioConfig:
 
 
 # (section, key, name, parser) of every key, [medium] first: the lengths may be
-# in its correlation-length units.  [array] aperture is the one key that is
-# not a field: it sets pitch to aperture / (n - 1).
+# in its correlation-length units.
 _TABLE = sorted([(f.metadata["section"], f.metadata["key"] or f.name, f.name,
-                  f.metadata["parse"]) for f in fields(ScenarioConfig) if f.metadata]
-                + [("array", "aperture", "aperture", _positive_length)],
+                  f.metadata["parse"]) for f in fields(ScenarioConfig) if f.metadata],
                 key=lambda row: row[0] != "medium")
 _KNOWN = {section: {row[1] for row in _TABLE if row[0] == section}
           for section, *_ in _TABLE}
@@ -233,7 +220,6 @@ def load_config(path, overrides=None) -> ScenarioConfig:
                                      values.get("correlation_length"))
             except (ValueError, configparser.Error) as exc:
                 raise _invalid(parser, section, key, exc) from exc
-    aperture = values.pop("aperture", None)
     cfg = ScenarioConfig(raw_text=text, **values)
 
     if cfg.medium_kind == "random-phase" and cfg.correlation_length is None:
@@ -241,12 +227,6 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     if cfg.medium_kind == "random-phase" and cfg.forward == "foldy-lax":
         raise _invalid(parser, "experiment", "forward", "must be auto or born: the "
                        "[medium] kind = random-phase response is single scattering")
-    if aperture is not None:
-        if cfg.n < 2:
-            raise _invalid(parser, "array", "aperture", "needs [array] n >= 2")
-        if "pitch" in values:
-            raise _invalid(parser, "array", "aperture", "cannot be set with [array] pitch")
-        cfg = replace(cfg, pitch=aperture / (cfg.n - 1))
     if cfg.apertures and cfg.n < 2:
         raise _invalid(parser, "experiment", "apertures", "needs [array] n >= 2")
     nearest = cfg.center_range - (cfg.rows - 1) / 2 * cfg.spacing

@@ -75,7 +75,7 @@ def foldy_lax_matrix(reflectivities, greens) -> np.ndarray:
     g = np.asarray(greens, dtype=complex)
     m = alphas.size
     if g.shape != (m, m):
-        raise ConfigurationError("pairwise Green's matrix does not match reflectivity count")
+        raise ValueError("pairwise Green's matrix does not match reflectivity count")
     z = -g * alphas[None, :]
     np.fill_diagonal(z, 1.0)
     return z
@@ -86,7 +86,7 @@ def solve_exciting_fields(z: np.ndarray, incident: np.ndarray) -> np.ndarray:
     direct solve; a 2-norm condition number above ``CONDITION_CAP`` raises."""
     incident = np.asarray(incident, dtype=complex)
     if incident.shape[0] != z.shape[0]:
-        raise ConfigurationError("incident field length does not match system size")
+        raise ValueError("incident field length does not match system size")
     if z.size == 0:
         return incident.copy()
     cond = np.linalg.cond(z)
@@ -131,7 +131,7 @@ def effective_source_vector(sensing: SensingMatrix, rho: ReflectivityVector,
     """Ground-truth effective sources diag(rho) Z^{-1} G^T f on the full grid, (K,)."""
     f = np.asarray(illumination, dtype=complex)
     if f.shape[0] != sensing.n:
-        raise ConfigurationError("illumination length does not match transducer count")
+        raise ValueError("illumination length does not match transducer count")
     values = np.zeros(sensing.k, dtype=complex)
     support, alphas, g_sub, z = _support_system(sensing, rho)
     values[support] = alphas * solve_exciting_fields(z, g_sub.T @ f)

@@ -130,7 +130,7 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
     b = np.asarray(data, dtype=complex)
     f = np.asarray(illuminations, dtype=complex)
     if b.shape[1:] != f.shape[1:]:
-        raise ConfigurationError("data and illumination column counts differ")
+        raise ValueError("data and illumination column counts differ")
     sol = solve_l1_mmv(sensing.matrix, b, params)
     return _two_step_result(sol, f, sensing)
 
@@ -231,17 +231,10 @@ def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
                          image=functional, diagnostics={"rank": m_tilde})
 
 
-def km_complex_image(b, illumination, sensing: SensingMatrix) -> np.ndarray:
-    """Adjoint backpropagation values conj(g0^T(y) f) * (g0*(y) b) per grid point."""
-    b = np.asarray(b, dtype=complex)
-    f = np.asarray(illumination, dtype=complex)
-    g = sensing.matrix
-    return np.conj(g.T @ f) * (g.conj().T @ b)
-
-
 def image_km(data, illuminations, sensing: SensingMatrix,
              peak_count: int) -> ImagingResult:
-    """Kirchhoff migration image; the illumination columns are summed coherently.
+    """Kirchhoff migration image: the backpropagation conj(g0^T(y) f) *
+    (g0*(y) b) per grid point, summed coherently over the illumination columns.
 
     ``data``/``illuminations`` are matching-column matrices.  The grid stores
     magnitudes; the support lists up to ``peak_count`` of its peaks.
@@ -249,10 +242,11 @@ def image_km(data, illuminations, sensing: SensingMatrix,
     b = np.asarray(data, dtype=complex)
     f = np.asarray(illuminations, dtype=complex)
     if b.shape[1:] != f.shape[1:]:
-        raise ConfigurationError("data and illumination column counts differ")
+        raise ValueError("data and illumination column counts differ")
+    g = sensing.matrix
     values = np.zeros(sensing.k, dtype=complex)
     for b_j, f_j in zip(b.T, f.T):  # per column: one summed product rounds differently
-        values += km_complex_image(b_j, f_j, sensing)
+        values += np.conj(g.T @ f_j) * (g.conj().T @ b_j)
     magnitudes = np.abs(values)
     window = sensing.window
     return ImagingResult(support=_local_maxima(magnitudes, window.rows, window.cols,

@@ -136,7 +136,7 @@ def _iterate(a, b, params: SolverParams) -> SparseSolution:
     if a.ndim != 2 or np.all(a == 0):
         raise ConfigurationError("system matrix must be a nonzero 2-D array")
     if b.shape[0] != a.shape[0]:
-        raise ConfigurationError("data length does not match matrix rows")
+        raise ValueError("data length does not match matrix rows")
 
     project = _BallProjection(a, b, params.delta)
     atb = a.conj().T @ b
@@ -200,7 +200,7 @@ def solve_l1_smv(a, b, params: SolverParams | None = None) -> SparseSolution:
     as the one-column MMV; the solution is ``(K,)``."""
     b = np.asarray(b, dtype=complex)
     if b.ndim != 1:
-        raise ConfigurationError("SMV data must be a vector")
+        raise ValueError("SMV data must be a vector")
     sol = _iterate(a, b[:, None], params or SolverParams())
     sol.solution = sol.solution[:, 0]
     return sol
@@ -210,7 +210,7 @@ def solve_l1_mmv(a, b, params: SolverParams | None = None) -> SparseSolution:
     """min sum_i ||X_i.||_2 s.t. ||A X - B||_F <= delta."""
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[1] < 1:
-        raise ConfigurationError("MMV data must be a matrix with >= 1 column")
+        raise ValueError("MMV data must be a matrix with >= 1 column")
     return _iterate(a, b, params or SolverParams())
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from arrayimg.config import ScenarioConfig, load_config, parse_length
 from arrayimg.errors import ConfigurationError
-from arrayimg.experiments import (add_noise, build_scene,
+from arrayimg.experiments import (_sensing, add_noise, build_scene,
                                   coherence_report, monte_carlo_stability,
                                   run_scenario, run_trial)
 from arrayimg.greens import sensing_matrix
 from arrayimg.io import write_report_csv
 from arrayimg.random_medium import RandomMediumSpec
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 SMALL_INI = """
 [wave]
@@ -119,13 +122,13 @@ sigma = 0.001
 
 [array]
 n = 501
-aperture = 25l
+pitch = 0.2l
 
 [experiment]
 scenario_id = x
 """)
         cfg = load_config(path)
-        assert cfg.pitch == pytest.approx(1.0)
+        assert cfg.pitch == 2000.0 / 500  # the 100l aperture over 500 gaps, to the bit
 
     def test_random_phase_requires_correlation_length(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -154,6 +157,12 @@ scenario_id = x
         path.write_text("[experiment]\nmethods = smv, sorcery\n")
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+    def test_method_list_separators(self, tmp_path):
+        # methods is a list like every other: ',' and ';' both separate
+        path = tmp_path / "methods.ini"
+        path.write_text("[experiment]\nmethods = smv; km, music\n")
+        assert load_config(path).methods == ["smv", "km", "music"]
 
     def test_hybrid_delta_defaults(self):
         cfg = ScenarioConfig()
@@ -224,6 +233,17 @@ class TestRunTrial:
         scene = build_scene(small_cfg, seed=3)
         with pytest.raises(TypeError, match="unexpected keyword"):
             run_trial(scene, "music", seed=3)
+
+    def test_shape_bug_propagates(self):
+        # sensing for one more transducer than the data: a caller's bug, which
+        # must raise rather than be recorded as a method that failed
+        cfg = load_config(SCENARIOS / "fig4_optimal_illuminations.ini")
+        scene = build_scene(cfg, seed=1)
+        scene = replace(scene, sensing=_sensing(replace(cfg, n=cfg.n + 1)))
+        for method in ("mmv", "smv"):
+            with pytest.raises(ValueError, match="data length") as exc:
+                run_trial(scene, method, 1)
+            assert not isinstance(exc.value, ConfigurationError)
 
     def test_reflectivity_error_metric(self, small_cfg):
         scene = build_scene(small_cfg, seed=3)

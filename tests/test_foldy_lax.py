@@ -53,8 +53,9 @@ class TestFoldyLaxMatrix:
         assert z[0, 0] == 1.0 and z[1, 1] == 1.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError) as exc:
             foldy_lax_matrix([1.0, 2.0], np.zeros((3, 3), dtype=complex))
+        assert not isinstance(exc.value, ConfigurationError)
 
 
 class TestExcitingFields:

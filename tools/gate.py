@@ -4,7 +4,8 @@ must leave as it was into <out_dir>, at one BLAS thread, in one process:
     python3 tools/gate.py <out_dir>
 
 ``COMMANDS`` lists the `arrayimg` commands, each with the file that takes its
-stdout; ``estimators`` prints estimators.txt.  Run it on two checkouts, then
+stdout and stderr; ``estimators`` prints estimators.txt.  Run it on two
+checkouts, then
 
     diff -r -x timings.csv parent_out/ change_out/
 
@@ -23,7 +24,7 @@ SCENARIOS = ROOT / "scenarios"
 FIG2 = str(SCENARIOS / "fig2_smv_noiseless.ini")
 FIG89 = str(SCENARIOS / "fig89_random_medium.ini")
 
-# (stdout file name, arrayimg argv); the output paths are relative, so the
+# (output file name, arrayimg argv); the output paths are relative, so the
 # printed paths are equal across checkouts
 COMMANDS = (
     [(f"image_{ini.stem}", ["image", "--config", str(ini), "--seed", "1", "--out", "image"])
@@ -70,13 +71,16 @@ def estimators():
 
 def run(main):
     """Run ``COMMANDS`` through ``main`` (``arrayimg.cli.main``), then
-    ``estimators``, writing each stdout to ``<name>.txt`` in the current
-    directory; stop at the first command that fails."""
+    ``estimators``, writing each stdout and stderr to ``<name>.txt`` in the
+    current directory, so a solve that stops at its cap, an error line or a
+    warning shows in the diff; stop at the first command that fails."""
     for name, argv in COMMANDS:
-        with open(f"{name}.txt", "w") as out, contextlib.redirect_stdout(out):
+        with open(f"{name}.txt", "w") as out, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(out):
             if main(argv) != 0:
-                raise SystemExit(f"arrayimg {' '.join(argv)} failed")
-    with open("estimators.txt", "w") as out, contextlib.redirect_stdout(out):
+                raise SystemExit(f"arrayimg {' '.join(argv)} failed; see {name}.txt")
+    with open("estimators.txt", "w") as out, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(out):
         estimators()
 
 
