@@ -34,20 +34,19 @@ def parse_length(text, correlation_length=None) -> float:
 
 
 def parse_illuminations(spec: str, n: int) -> tuple:
-    """Parse ``central | element:<i> | random:<k> | optimal:<k>`` for an
-    ``n``-element array into ``(kind, value)``; ``central`` carries ``n // 2``.
+    """Parse ``central | random:<k> | optimal:<k>`` for an ``n``-element array
+    into ``(kind, value)``; ``central`` carries its element index ``n // 2``.
     """
     text = str(spec).strip()
     if text == "central":
         return text, n // 2
     kind, _, value = text.partition(":")
-    low, high = (0, n - 1) if kind == "element" else (1, n)
-    if kind in ("element", "random", "optimal") and value.strip().isdecimal() \
-            and low <= int(value) <= high:
+    if kind in ("random", "optimal") and value.strip().isdecimal() \
+            and 1 <= int(value) <= n:
         return kind, int(value)
     raise ConfigurationError(
-        f"illumination spec {spec!r} is not central, element:<i> (0 <= i < {n}), "
-        f"random:<k> or optimal:<k> (1 <= k <= {n})")
+        f"illumination spec {spec!r} is not central, random:<k> or optimal:<k> "
+        f"(1 <= k <= {n})")
 
 
 METHODS = ("smv", "mmv", "hybrid", "music", "km")
@@ -81,10 +80,6 @@ def _cells(text, l):
     if any(len(cell) != 2 for cell in cells):
         raise ValueError("must be 'row,col' pairs separated by ';'")
     return cells
-
-
-def _phases(text, l):
-    return "random" if text == "random" else _list(_float)(text, l)
 
 
 def _words(*words):
@@ -132,7 +127,6 @@ class ScenarioConfig:
     spacing: float = _key("window", _positive_length, 1.0)
     cells: list = _key("scatterers", _distinct(_cells), factory=list)
     magnitudes: list = _key("scatterers", _list(_positive), factory=list)  # |rho_j|
-    phases: object = _key("scatterers", _phases, "random")  # or list of radians
     medium_kind: str = _key("medium", _words("homogeneous", "random-phase"),
                             "homogeneous", key="kind")
     correlation_length: float | None = _key("medium", _positive)
@@ -189,7 +183,7 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     ``overrides`` maps field names to values that replace the file's, as if
     written there, so they pass the same parsers and checks.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(comment_prefixes=("#",), inline_comment_prefixes=("#",))
     with open(path) as fh:
         text = fh.read()
     try:
@@ -245,11 +239,9 @@ def load_config(path, overrides=None) -> ScenarioConfig:
         raise _invalid(parser, "scatterers", "cells",
                        f"{outside} outside the [window] rows x cols = "
                        f"{cfg.rows} x {cfg.cols} lattice")
-    for key in ("magnitudes", "phases"):
-        got = getattr(cfg, key)
-        if got != "random" and len(got) != len(cfg.cells):
-            raise _invalid(parser, "scatterers", key,
-                           f"has {len(got)} entries for {len(cfg.cells)} cells")
+    if len(cfg.magnitudes) != len(cfg.cells):
+        raise _invalid(parser, "scatterers", "magnitudes",
+                       f"has {len(cfg.magnitudes)} entries for {len(cfg.cells)} cells")
     if cfg.known_rank is not None and cfg.known_rank > cfg.n:
         raise _invalid(parser, "experiment", "known_rank", f"exceeds [array] n = {cfg.n}")
     for key in ("illuminations", "km_illuminations"):

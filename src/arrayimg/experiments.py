@@ -9,8 +9,7 @@ import numpy as np
 
 from .config import METHODS, ScenarioConfig, parse_illuminations
 from .errors import ConfigurationError, DomainError
-from .geometry import (WaveContext, build_image_window, build_linear_array,
-                       place_scatterers)
+from .geometry import ImageWindow, WaveContext, build_linear_array, place_scatterers
 from .greens import SensingMatrix, mutual_coherence, sensing_matrix, theorem1_margin
 from .foldy_lax import response_matrix_born, response_matrix_foldy_lax
 from .random_medium import (RandomMediumSpec, region_for, response_matrix_random,
@@ -70,28 +69,21 @@ class Scene:
     noise_matrix: np.ndarray  # the injected E (zeros if noiseless)
 
 
-def _scatterer_values(cfg: ScenarioConfig, rng: np.random.Generator):
-    if cfg.phases == "random":
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=len(cfg.magnitudes))
-    else:
-        phases = np.asarray(cfg.phases, dtype=float)
-    return np.asarray(cfg.magnitudes) * np.exp(1j * phases)
-
-
 def _sensing(cfg: ScenarioConfig, aperture: float | None = None) -> SensingMatrix:
     """Sensing matrix of the configured array and window; ``aperture``, when
     given, replaces the configured pitch.  It depends on no seed."""
     pitch = cfg.pitch if aperture is None else aperture / (cfg.n - 1)
     return sensing_matrix(build_linear_array(cfg.n, pitch),
-                          build_image_window(cfg.center_range, cfg.rows, cfg.cols,
-                                             cfg.spacing),
+                          ImageWindow(cfg.center_range, cfg.rows, cfg.cols, cfg.spacing),
                           WaveContext(wavelength=cfg.wavelength))
 
 
 def _truth(cfg: ScenarioConfig, seed: int, sensing: SensingMatrix | None = None):
-    """The ``(sensing, rho)`` pair of ``build_scene``, without a forward model."""
+    """The ``(sensing, rho)`` pair of ``build_scene``, without a forward model.
+    The scatterer phases are uniform on [0, 2 pi), drawn from ``seed``."""
     sensing = _sensing(cfg) if sensing is None else sensing
-    values = _scatterer_values(cfg, np.random.default_rng([seed, 1]))
+    phases = np.random.default_rng([seed, 1]).uniform(0.0, 2.0 * np.pi, len(cfg.magnitudes))
+    values = np.asarray(cfg.magnitudes) * np.exp(1j * phases)
     entries = [(sensing.window.rowcol_to_index(r, c), v)
                for (r, c), v in zip(cfg.cells, values)]
     return sensing, place_scatterers(sensing.window, entries)
@@ -306,9 +298,8 @@ def coherence_report(cfg: ScenarioConfig, out_dir=None) -> dict:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        margins = {m: margin} if m else {}
         write_coherence_report(out / f"{cfg.scenario_id}_coherence.csv",
-                               eps, pair, margins)
+                               eps, pair, m, margin)
         write_certificates_csv(out / f"{cfg.scenario_id}_certificates.csv",
                                m, eps_for_margin, bounds)
     return report

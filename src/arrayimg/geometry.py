@@ -56,7 +56,8 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class ImageWindow:
-    """Uniform planar search lattice, row-major indexed.
+    """Uniform ``rows x cols`` search lattice centered at ``(0, center_range)``,
+    row-major indexed.
 
     Linear index ``i`` maps to ``(row, col) = divmod(i, cols)``; rows run
     along range, columns along cross-range.
@@ -129,11 +130,6 @@ def build_linear_array(n: int, pitch: float) -> ArrayGeometry:
     cross = (np.arange(n) - (n - 1) / 2.0) * pitch
     positions = np.column_stack([cross, np.zeros(n)])
     return ArrayGeometry(positions=positions, aperture=(n - 1) * pitch)
-
-
-def build_image_window(center_range: float, rows: int, cols: int, spacing: float) -> ImageWindow:
-    """Uniform ``rows x cols`` lattice centered at distance ``center_range``."""
-    return ImageWindow(center_range=center_range, rows=rows, cols=cols, spacing=spacing)
 
 
 def place_scatterers(window: ImageWindow, entries) -> ReflectivityVector:

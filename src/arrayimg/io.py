@@ -33,15 +33,16 @@ def save_response_matrix(path, resp) -> None:
             fh.write(row_format % tuple(row.tolist()))
 
 
-def write_coherence_report(path, epsilon: float, pair, margins: dict) -> None:
-    """CSV report with the coherence, maximizing pair and per-M margins."""
+def write_coherence_report(path, epsilon: float, pair, m: int, margin: float) -> None:
+    """CSV report with the coherence, maximizing pair and the Theorem-1 margin
+    of ``m`` scatterers (no margin row when ``m == 0``)."""
     with open(path, "w") as fh:
         fh.write("quantity,value\n")
         fh.write(f"coherence,{epsilon:.17g}\n")
         fh.write(f"argmax_i,{pair[0]}\n")
         fh.write(f"argmax_j,{pair[1]}\n")
-        for m_count, margin in sorted(margins.items()):
-            fh.write(f"margin_m{m_count},{margin:.17g}\n")
+        if m:
+            fh.write(f"margin_m{m},{margin:.17g}\n")
 
 
 def write_certificates_csv(path, m: int, epsilon: float, bounds) -> None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from arrayimg.config import load_config
-from arrayimg.geometry import WaveContext, build_image_window, build_linear_array, \
+from arrayimg.geometry import ImageWindow, WaveContext, build_linear_array, \
     place_scatterers
 from arrayimg.greens import green_homogeneous, pairwise_green_matrix, sensing_matrix
 from arrayimg.foldy_lax import (foldy_lax_matrix, multiple_scattering_ratio,
@@ -117,7 +117,7 @@ def test_criterion_03_foldy_lax_correctness():
 
     # Born-limit halving
     geom = build_linear_array(20, 1.0)
-    win = build_image_window(50.0, 9, 9, 2.0)
+    win = ImageWindow(50.0, 9, 9, 2.0)
     sens = sensing_matrix(geom, win, CTX)
     idx = [win.rowcol_to_index(2, 3), win.rowcol_to_index(6, 5)]
     base = np.array([2.0 * np.exp(1j * 0.9), 1.4 * np.exp(-1j * 2.0)])

@@ -25,7 +25,6 @@ spacing = 2.0
 [scatterers]
 cells = 2,2; 8,8
 magnitudes = 1.5, 0.9
-phases = random
 
 [experiment]
 scenario_id = cli-demo
@@ -52,7 +51,6 @@ BAD_VALUES = {
                               "2,2; 2,2"],
     ("scatterers", "magnitudes"): ["1.5, x", "1.5",  # one value for two cells
                                    "1.5, inf", "nan, 0.9", "0, 0.9", "-1.5, 0.9"],
-    ("scatterers", "phases"): ["sometimes", "0.0", "0.0, inf", "nan, 0.0"],
     ("medium", "kind"): ["plasma", "random-phase"],  # no correlation length
     ("medium", "correlation_length"): ["0", "inf", "nan"],
     ("medium", "sigma"): ["-0.1", "inf", "nan"],
@@ -67,7 +65,7 @@ BAD_VALUES = {
     ("experiment", "methods"): ["sorcery", "smv, music, smv", ",", "smv; sorcery"],
     ("experiment", "noise_percent"): ["-0.5", "inf", "nan"],
     ("experiment", "forward"): ["ray"],
-    ("experiment", "illuminations"): ["centrl"],
+    ("experiment", "illuminations"): ["centrl", "element:3"],
     ("experiment", "km_illuminations"): ["element:80"],
     ("experiment", "known_rank"): ["0", "81"],  # n = 80
     ("experiment", "apertures"): ["-10", "inf", "nan", "40, 40"],
@@ -142,7 +140,7 @@ class TestCli:
         path = tmp_path / "one.ini"
         path.write_text("[array]\nn = 1\npitch = 1.0\n\n"
                         "[window]\ncenter_range = 80\nrows = 5\ncols = 5\nspacing = 2.0\n\n"
-                        "[scatterers]\ncells = 2,2\nmagnitudes = 1.0\nphases = 0.0\n\n"
+                        "[scatterers]\ncells = 2,2\nmagnitudes = 1.0\n\n"
                         "[experiment]\nscenario_id = one\nmethods = km\nrealizations = 10\n")
         rc = main(["stability", "--config", str(path), "--out", str(tmp_path / "runs")])
         assert rc == 0
@@ -229,15 +227,18 @@ class TestCli:
         assert payload["error"] == "ConfigurationError"
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("extra, name", [("[solver]\nmax_iteration = 5\n", "max_iteration"),
-                                             ("[solvers]\nmax_iterations = 5\n", "solvers"),
-                                             ("[experiment]\nseed = 4\n", "experiment"),
-                                             ("aperture = 40\n", "aperture")],
-                             ids=["key", "section", "duplicate", "aperture"])
-    def test_unknown_key_returns_one(self, extra, name, tmp_path, capsys):
-        # extra goes at the end of [array]; the array is n and pitch alone
+    @pytest.mark.parametrize("section, extra, name", [
+        ("array", "[solver]\nmax_iteration = 5\n", "max_iteration"),
+        ("array", "[solvers]\nmax_iterations = 5\n", "solvers"),
+        ("array", "[experiment]\nseed = 4\n", "experiment"),
+        ("array", "aperture = 40\n", "aperture"),  # the array is n and pitch alone
+        ("scatterers", "phases = random\n", "phases"),  # drawn from the seed
+    ], ids=["key", "section", "duplicate", "aperture", "phases"])
+    def test_unknown_key_returns_one(self, section, extra, name, tmp_path, capsys):
+        # extra goes at the end of [section]
+        end = CONFIG.index("\n[", CONFIG.index(f"[{section}]"))
         bad = tmp_path / "bad.ini"
-        bad.write_text(CONFIG.replace("\n[window]", extra + "\n[window]"))
+        bad.write_text(CONFIG[:end] + extra + CONFIG[end:])
         rc = main(["image", "--config", str(bad), "--out", str(tmp_path / "runs")])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -33,7 +33,6 @@ spacing = 2.0
 [scatterers]
 cells = 2,2; 8,8
 magnitudes = 1.5, 0.9
-phases = random
 
 [solver]
 max_iterations = 20000
@@ -159,10 +158,17 @@ scenario_id = x
             load_config(path)
 
     def test_method_list_separators(self, tmp_path):
-        # methods is a list like every other: ',' and ';' both separate
+        # methods is a list like every other: ',' and ';' both separate, and
+        # ';' never starts a comment, with or without a space before it
         path = tmp_path / "methods.ini"
-        path.write_text("[experiment]\nmethods = smv; km, music\n")
-        assert load_config(path).methods == ["smv", "km", "music"]
+        for methods in ("smv; km, music", "smv ; km , music"):
+            path.write_text(f"[experiment]\nmethods = {methods}\n")
+            assert load_config(path).methods == ["smv", "km", "music"]
+        path.write_text("[scatterers]\ncells = 2,2 ; 3,3\nmagnitudes = 1.0, 2.0\n")
+        assert load_config(path).cells == [(2, 2), (3, 3)]
+        path.write_text("[experiment]\n; methods = km\n")  # not a comment line either
+        with pytest.raises(ConfigurationError, match=r"unknown keys \['; methods'\]"):
+            load_config(path)
 
     def test_hybrid_delta_defaults(self):
         cfg = ScenarioConfig()
@@ -308,7 +314,6 @@ spacing = 2.0
 [scatterers]
 cells = 2,2; 8,8
 magnitudes = 1.5, 0.9
-phases = random
 
 [medium]
 kind = random-phase
@@ -356,7 +361,7 @@ class TestCoherenceReport:
         # refuses a window that reaches the array line, so build it directly
         cfg = ScenarioConfig(n=20, pitch=1.0, center_range=0.0, rows=3, cols=1,
                              spacing=4.0, cells=[(0, 0), (2, 0)], magnitudes=[1.0, 1.0],
-                             phases=[0.0, 0.0], scenario_id="dup", forward="born",
+                             scenario_id="dup", forward="born",
                              delta_grid=[0.0, 0.1])
         report = coherence_report(cfg, out_dir=tmp_path)
         assert report["grid_coherence"] == pytest.approx(1.0, abs=1e-12)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from arrayimg.errors import ConfigurationError, DomainError, ResonanceError
-from arrayimg.geometry import (WaveContext, build_image_window,
+from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import (green_homogeneous,
                              pairwise_green_matrix, sensing_matrix)
@@ -24,7 +24,7 @@ SCATTERERS = st.lists(
 
 def small_scene(cells, alphas, n=20, rows=9, cols=9, spacing=2.0, center=50.0):
     geom = build_linear_array(n, 1.0)
-    win = build_image_window(center, rows, cols, spacing)
+    win = ImageWindow(center, rows, cols, spacing)
     sens = sensing_matrix(geom, win, CTX)
     idx = [win.rowcol_to_index(r, c) for r, c in cells]
     rho = place_scatterers(win, list(zip(idx, alphas)))
@@ -191,7 +191,7 @@ class TestResponseMatrices:
         mags = [0.8, 1.0, 0.5, 0.7]
         cells = [(1, 1), (2, 7), (6, 2), (7, 6)]
         geom = build_linear_array(100, 1.0)
-        win = build_image_window(200.0, 9, 9, 4.0)
+        win = ImageWindow(200.0, 9, 9, 4.0)
         sens = sensing_matrix(geom, win, CTX)
         idx = [win.rowcol_to_index(r, c) for r, c in cells]
         rng = np.random.default_rng(11)
@@ -212,7 +212,7 @@ class TestResponseMatrices:
         # K x K construction cross-check on a small grid
         alphas = [1.5 * np.exp(1j * 0.5), -0.9 + 1.1j]
         geom = build_linear_array(10, 1.0)
-        win = build_image_window(40.0, 5, 5, 2.5)
+        win = ImageWindow(40.0, 5, 5, 2.5)
         sens = sensing_matrix(geom, win, CTX)
         idx = [win.rowcol_to_index(1, 1), win.rowcol_to_index(3, 3)]
         rho = place_scatterers(win, list(zip(idx, alphas)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arrayimg.errors import ConfigurationError
-from arrayimg.geometry import (WaveContext, build_image_window,
+from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
 
 
@@ -51,25 +51,25 @@ class TestLinearArray:
 
 class TestImageWindow:
     def test_paper_window(self):
-        win = build_image_window(100.0, 41, 41, 1.0)
+        win = ImageWindow(100.0, 41, 41, 1.0)
         assert win.k == 1681
         center = win.points.mean(axis=0)
         assert center == pytest.approx([0.0, 100.0])
 
     def test_single_point(self):
-        win = build_image_window(50.0, 1, 1, 1.0)
+        win = ImageWindow(50.0, 1, 1, 1.0)
         assert win.k == 1
         assert win.points[0] == pytest.approx([0.0, 50.0])
 
     def test_index_round_trip(self):
-        win = build_image_window(100.0, 21, 21, 1.0)
+        win = ImageWindow(100.0, 21, 21, 1.0)
         assert win.k == 441
         for i in range(win.k):
             r, c = win.index_to_rowcol(i)
             assert win.rowcol_to_index(r, c) == i
 
     def test_row_major_layout(self):
-        win = build_image_window(10.0, 3, 4, 2.0)
+        win = ImageWindow(10.0, 3, 4, 2.0)
         assert win.index_to_rowcol(0) == (0, 0)
         assert win.index_to_rowcol(4) == (1, 0)
         # rows advance range, columns advance cross-range
@@ -78,17 +78,17 @@ class TestImageWindow:
 
     def test_bad_inputs(self):
         with pytest.raises(ConfigurationError):
-            build_image_window(10.0, 0, 5, 1.0)
+            ImageWindow(10.0, 0, 5, 1.0)
         with pytest.raises(ConfigurationError):
-            build_image_window(10.0, 5, 5, -1.0)
-        win = build_image_window(10.0, 2, 2, 1.0)
+            ImageWindow(10.0, 5, 5, -1.0)
+        win = ImageWindow(10.0, 2, 2, 1.0)
         with pytest.raises(ConfigurationError):
             win.index_to_rowcol(4)
 
 
 class TestPlaceScatterers:
     def test_five_scatterers(self):
-        win = build_image_window(100.0, 41, 41, 1.0)
+        win = ImageWindow(100.0, 41, 41, 1.0)
         rng = np.random.default_rng(0)
         mags = [2.96, 2.76, 2.05, 1.54, 1.35]
         idx = [10, 200, 500, 900, 1500]
@@ -100,26 +100,26 @@ class TestPlaceScatterers:
         assert np.abs(rho.values[idx]) == pytest.approx(mags)
 
     def test_empty(self):
-        win = build_image_window(100.0, 5, 5, 1.0)
+        win = ImageWindow(100.0, 5, 5, 1.0)
         rho = place_scatterers(win, [])
         assert rho.m == 0
         assert not rho.values.any()
 
     def test_four_scatterers_section54(self):
-        win = build_image_window(1000.0, 41, 41, 1.0)
+        win = ImageWindow(1000.0, 41, 41, 1.0)
         mags = [0.8, 1.0, 0.5, 0.7]
         rho = place_scatterers(win, list(zip([3, 44, 700, 1000], mags)))
         assert rho.m == 4
 
     def test_duplicate_and_range_errors(self):
-        win = build_image_window(100.0, 5, 5, 1.0)
+        win = ImageWindow(100.0, 5, 5, 1.0)
         with pytest.raises(ConfigurationError):
             place_scatterers(win, [(3, 1.0), (3, 2.0)])
         with pytest.raises(ConfigurationError):
             place_scatterers(win, [(25, 1.0)])
 
     def test_support_round_trip_random(self):
-        win = build_image_window(100.0, 10, 10, 1.0)
+        win = ImageWindow(100.0, 10, 10, 1.0)
         rng = np.random.default_rng(42)
         for _ in range(20):
             k = rng.integers(0, 10)

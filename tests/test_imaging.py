@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arrayimg.errors import ConfigurationError
-from arrayimg.geometry import (WaveContext, build_image_window,
+from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import green_homogeneous, pairwise_green_matrix, sensing_matrix
 from arrayimg.foldy_lax import (ResponseMatrix, response_matrix_born,
@@ -23,7 +23,7 @@ CTX = WaveContext(wavelength=1.0)
 
 def scene(cells, alphas, n=50, rows=21, cols=21, spacing=2.0, center=100.0):
     geom = build_linear_array(n, 1.0)
-    win = build_image_window(center, rows, cols, spacing)
+    win = ImageWindow(center, rows, cols, spacing)
     sens = sensing_matrix(geom, win, CTX)
     idx = [win.rowcol_to_index(r, c) for r, c in cells]
     rho = place_scatterers(win, list(zip(idx, alphas)))
@@ -384,7 +384,7 @@ class TestImageKm:
     def test_resolution_improves_with_aperture(self):
         # cross-range FWHM ratio across apertures 25l -> 100l (l = 20 wavelengths)
         l = 20.0
-        win = build_image_window(1000.0, 1, 161, 0.125)
+        win = ImageWindow(1000.0, 1, 161, 0.125)
         scatterer = win.rowcol_to_index(0, 80)
         fwhms = []
         for aperture in (25 * l, 100 * l):

@@ -7,7 +7,7 @@ import pytest
 
 from arrayimg.experiments import TrialReport
 from arrayimg.foldy_lax import ResponseMatrix
-from arrayimg.geometry import build_image_window
+from arrayimg.geometry import ImageWindow
 from arrayimg.imaging import ImagingResult
 from arrayimg.io import (run_directory, save_response_matrix, write_certificates_csv,
                          write_coherence_report,
@@ -19,7 +19,7 @@ NAN = float("nan")
 INF = float("inf")
 
 # rows 0 and 1 of a 2 x 5 lattice
-WINDOW = build_image_window(100.0, 2, 5, 1.0)
+WINDOW = ImageWindow(100.0, 2, 5, 1.0)
 
 
 def written(tmp_path, write, *args) -> bytes:
@@ -74,14 +74,13 @@ class TestMatrixCsv:
 
 class TestReports:
     def test_coherence(self, tmp_path):
-        margins = {5: -0.1, 3: 0.14}
-        assert written(tmp_path, write_coherence_report, 0.12, (3, 9), margins) == (
-            b"quantity,value\n"
-            b"coherence,0.12\n"
-            b"argmax_i,3\n"
-            b"argmax_j,9\n"
-            b"margin_m3,0.14000000000000001\n"
-            b"margin_m5,-0.10000000000000001\n")
+        head = (b"quantity,value\n"
+                b"coherence,0.12\n"
+                b"argmax_i,3\n"
+                b"argmax_j,9\n")
+        assert written(tmp_path, write_coherence_report, 0.12, (3, 9), 5, -0.1) == (
+            head + b"margin_m5,-0.10000000000000001\n")
+        assert written(tmp_path, write_coherence_report, 0.12, (3, 9), 0, 0.5) == head
 
     def test_certificates(self, tmp_path):
         bounds = [(0.0, 0.0, "certified"), (1e-7, NAN, "not-certified"),

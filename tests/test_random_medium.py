@@ -6,7 +6,7 @@ from scipy.fft import fft2, ifft2, next_fast_len
 
 from arrayimg import random_medium
 from arrayimg.errors import ConfigurationError, DomainError
-from arrayimg.geometry import (WaveContext, build_image_window,
+from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import green_homogeneous, green_vector, sensing_matrix
 from arrayimg.foldy_lax import response_matrix_born
@@ -210,7 +210,7 @@ class TestResponseMatrixRandom:
         spec = RandomMediumSpec(correlation_length=L_CORR, sigma=sigma,
                                 kernel="gaussian", master_seed=0)
         geom = build_linear_array(32, 1.0)
-        win = build_image_window(400.0, 5, 5, 3.0)
+        win = ImageWindow(400.0, 5, 5, 3.0)
         sens = sensing_matrix(geom, win, CTX)
         rho = place_scatterers(win, entries)
         region = region_for(np.vstack([geom.positions, win.points]), spec)
@@ -239,7 +239,7 @@ class TestResponseMatrixRandom:
     def test_single_scatterer_rank_one_magnitude(self):
         spec = gaussian_spec(sigma=0.01)
         geom = build_linear_array(32, 1.0)
-        win = build_image_window(400.0, 5, 5, 3.0)
+        win = ImageWindow(400.0, 5, 5, 3.0)
         sens = sensing_matrix(geom, win, CTX)
         rho = place_scatterers(win, [(12, 0.9 * np.exp(1j * 0.3))])
         region = region_for(np.vstack([geom.positions, win.points]), spec)
