@@ -1,15 +1,19 @@
-"""Exact bytes of every artifact writer on small hand-built inputs."""
+"""Exact bytes of every artifact writer on small hand-built inputs, and the
+response CSV's kernel against the row loop it replaced."""
 
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from arrayimg.experiments import TrialReport
 from arrayimg.foldy_lax import ResponseMatrix
 from arrayimg.geometry import ImageWindow
 from arrayimg.imaging import ImagingResult
-from arrayimg.io import (run_directory, save_response_matrix, write_certificates_csv,
+from arrayimg.io import (_BLOCK_ROWS, _format_rows, run_directory, save_response_matrix,
+                         write_certificates_csv,
                          write_coherence_report,
                          write_image_csv, write_monte_carlo_csv, write_pgm,
                          write_report_csv, write_stability_csv,
@@ -70,6 +74,82 @@ class TestMatrixCsv:
         assert path.read_bytes() == (b'# {"n": 2, "provenance": "born", "seed": 3}\n'
                                      b"1,0,0,2\n"
                                      b"0,2,-0,0\n")
+
+
+def reference_rows(rows) -> bytes:
+    """The row loop ``save_response_matrix`` ran before its vectorized kernel,
+    on float rows: the reference for every byte the kernel prints."""
+    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(row_format % tuple(row.tolist()) for row in rows).encode()
+
+
+def assert_rows_match(values, width=7):
+    """``_format_rows`` equals the reference on ``values``, signs flipped too,
+    laid out ``width`` to a row."""
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, -values])
+    rows = np.resize(values, (-(-values.size // width), width))
+    assert _format_rows(rows) == reference_rows(rows)
+
+
+POWERS = np.array([float(f"1e{p}") for p in range(-300, 301)])
+# values whose |x| 10**(16 - k) has a fraction within 1e-6 of 1/2, found by an
+# exact rational search: the kernel hands them to '%.17g'
+NEAR_TIES = [5.51303878157196e-10, 5.990450830989934e-13, 8.339800849279886e-08,
+             4.6465836402925275e-05]
+# any float64: subnormals, +-0, +-inf and nan (the bits form reaches every NaN)
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.floats(-1e-4, 1e-4),  # the magnitudes of a response matrix
+    st.integers(0, 2 ** 64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0]))
+
+
+class TestResponseKernel:
+    @given(st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_any_rows_match_the_loop(self, rows, cols, data):
+        values = data.draw(st.lists(ANY_FLOAT, min_size=rows * cols, max_size=rows * cols))
+        block = np.array(values, dtype=float).reshape(rows, cols)
+        assert _format_rows(block) == reference_rows(block)
+
+    def test_exact_decimal_ties(self):
+        """Doubles in [1e15, 2**53) with fraction 0.25 or 0.75 (all lie below
+        2**51) print their 17th digit rounded half to even."""
+        whole = np.random.default_rng(3).integers(10 ** 15, 2 ** 51, 200).astype(float)
+        ends = [1e15 + 0.25, 1e15 + 0.75, 2.0 ** 51 - 0.25, 2.0 ** 51 - 0.75]
+        assert_rows_match(np.concatenate([whole[:100] + 0.25, whole[100:] + 0.75, ends]))
+
+    def test_powers_of_ten_and_neighbours(self):
+        assert_rows_match(np.concatenate([POWERS, np.nextafter(POWERS, 0),
+                                          np.nextafter(POWERS, np.inf)]))
+
+    def test_round_up_to_next_decade(self):
+        assert_rows_match([9.99999999999999999e-5, 9.9999999999999999e-15, 9.9999999999999995e-5,
+                           9.99999999999999999e17, 1e23, 1e-50]
+                          + [float(f"9.99999999999999999e{p}") for p in range(-40, 40)])
+
+    def test_notation_switches(self):
+        """'%g' is fixed from exponent -4 to 16 and scientific outside."""
+        assert_rows_match([1e-5, 1.2345678901234567e-5, 9.9999999999999991e-5, 1e-4,
+                           1.2345678901234567e-4, 1e16, 1.2345678901234567e16,
+                           np.nextafter(1e17, 0), 1e17, 1.2345678901234567e17])
+
+    def test_near_ties_and_specials(self):
+        assert_rows_match(NEAR_TIES + [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                                       1.7976931348623157e308, 1e-270, 1e270])
+
+    def test_blocks_and_separators(self, tmp_path):
+        """A matrix whose row count is no multiple of the block size, with
+        values the kernel hands back at block and row edges."""
+        n = _BLOCK_ROWS + 3
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((n, 2 * n)) * 10.0 ** rng.uniform(-14, -5, (n, 2 * n))
+        for row in (0, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1):
+            values[row, [0, -1]] = [np.nan, 0.5]
+        values[_BLOCK_ROWS, 1:5] = NEAR_TIES
+        path = tmp_path / "response.csv"
+        save_response_matrix(path, ResponseMatrix(matrix=values.view(complex), provenance="t"))
+        header = f'# {{"n": {n}, "provenance": "t", "seed": null}}\n'.encode()
+        assert path.read_bytes() == header + reference_rows(values)
 
 
 class TestReports:
