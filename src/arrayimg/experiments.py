@@ -2,7 +2,8 @@
 over noise and medium realizations, success metrics and report files."""
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -69,19 +70,26 @@ class Scene:
     noise_matrix: np.ndarray  # the injected E (zeros if noiseless)
 
 
-def _sensing(cfg: ScenarioConfig, aperture: float | None = None) -> SensingMatrix:
-    """Sensing matrix of the configured array and window; ``aperture``, when
-    given, replaces the configured pitch.  It depends on no seed."""
-    pitch = cfg.pitch if aperture is None else aperture / (cfg.n - 1)
-    return sensing_matrix(build_linear_array(cfg.n, pitch),
-                          ImageWindow(cfg.center_range, cfg.rows, cfg.cols, cfg.spacing),
-                          WaveContext(wavelength=cfg.wavelength))
+def _sensing(cfg: ScenarioConfig) -> SensingMatrix:
+    """Sensing matrix of the configured array and window.  It depends on no
+    seed, so scenes of one geometry share it (read-only)."""
+    return _geometry_sensing(cfg.n, cfg.pitch, cfg.center_range, cfg.rows, cfg.cols,
+                             cfg.spacing, cfg.wavelength)
 
 
-def _truth(cfg: ScenarioConfig, seed: int, sensing: SensingMatrix | None = None):
+@lru_cache(maxsize=1)
+def _geometry_sensing(n, pitch, center_range, rows, cols, spacing,
+                      wavelength) -> SensingMatrix:
+    """``_sensing`` keyed on the geometry it reads; one geometry is kept."""
+    return sensing_matrix(build_linear_array(n, pitch),
+                          ImageWindow(center_range, rows, cols, spacing),
+                          WaveContext(wavelength=wavelength))
+
+
+def _truth(cfg: ScenarioConfig, seed: int):
     """The ``(sensing, rho)`` pair of ``build_scene``, without a forward model.
     The scatterer phases are uniform on [0, 2 pi), drawn from ``seed``."""
-    sensing = _sensing(cfg) if sensing is None else sensing
+    sensing = _sensing(cfg)
     phases = np.random.default_rng([seed, 1]).uniform(0.0, 2.0 * np.pi, len(cfg.magnitudes))
     values = np.asarray(cfg.magnitudes) * np.exp(1j * phases)
     entries = [(sensing.window.rowcol_to_index(r, c), v)
@@ -89,12 +97,10 @@ def _truth(cfg: ScenarioConfig, seed: int, sensing: SensingMatrix | None = None)
     return sensing, place_scatterers(sensing.window, entries)
 
 
-def build_scene(cfg: ScenarioConfig, seed: int,
-                sensing: SensingMatrix | None = None) -> Scene:
+def build_scene(cfg: ScenarioConfig, seed: int) -> Scene:
     """Construct geometry, draw scatterer phases, run the forward model and
-    inject noise.  Sub-seeds are derived deterministically from ``seed``.
-    ``sensing`` reuses a matrix ``_sensing`` built for this ``cfg``."""
-    sensing, rho = _truth(cfg, seed, sensing)
+    inject noise.  Sub-seeds are derived deterministically from ``seed``."""
+    sensing, rho = _truth(cfg, seed)
     ctx, geom, window = sensing.ctx, sensing.geom, sensing.window
 
     if cfg.medium_kind == "random-phase":
@@ -245,9 +251,9 @@ def monte_carlo_stability(cfg: ScenarioConfig, realizations: int | None = None,
     rows = []
     for aperture in cfg.apertures or [None]:  # None: the configured array
         per_method = {m: [] for m in cfg.methods}
-        sensing = _sensing(cfg, aperture)
+        scene_cfg = cfg if aperture is None else replace(cfg, pitch=aperture / (cfg.n - 1))
         for seed in range(1, realizations + 1):
-            scene = build_scene(cfg, seed, sensing=sensing)
+            scene = build_scene(scene_cfg, seed)
             for method in cfg.methods:
                 report, _ = run_trial(scene, method, seed)
                 per_method[method].append(report)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ArrayGeometry, ImageWindow, WaveContext
+from .geometry import ArrayGeometry, ImageWindow, WaveContext, _readonly
 
 _COINCIDENCE_TOL = 1e-14
 # columns per block of the coherence scan, so the K x K Gram matrix of a
@@ -70,8 +70,9 @@ def pairwise_green_matrix(points: np.ndarray, ctx: WaveContext) -> np.ndarray:
 
 
 def sensing_matrix(geom: ArrayGeometry, window: ImageWindow, ctx: WaveContext) -> SensingMatrix:
-    """Assemble the N x K sensing matrix for the array/window pair."""
-    return SensingMatrix(matrix=_green(geom.positions, window.points, ctx),
+    """Assemble the N x K sensing matrix for the array/window pair; the
+    matrix is read-only, so callers may share it."""
+    return SensingMatrix(matrix=_readonly(_green(geom.positions, window.points, ctx)),
                          geom=geom, window=window, ctx=ctx)
 
 

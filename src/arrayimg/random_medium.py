@@ -27,6 +27,10 @@ _KERNELS = {
     },
 }
 
+# quadrature nodes per block of phase_line_integral: a block's nodes and its
+# bilinear temporaries stay in cache, and a block always holds whole segments
+_BLOCK_NODES = 2 ** 15
+
 
 @dataclass(frozen=True)
 class RandomMediumSpec:
@@ -86,32 +90,48 @@ class _BilinearPlan:
 
     def __init__(self, field: RandomFieldRealization, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        u = (p[:, 0] - field.origin[0]) / field.spacing
-        v = (p[:, 1] - field.origin[1]) / field.spacing
+        u = p[:, 0] - field.origin[0]
+        u /= field.spacing
+        v = p[:, 1] - field.origin[1]
+        v /= field.spacing
         n0, n1 = field.values.shape
         # written so that a NaN coordinate fails it too
         if not (np.all(u >= -1e-9) and np.all(v >= -1e-9)
                 and np.all(u <= n0 - 1 + 1e-9) and np.all(v <= n1 - 1 + 1e-9)):
             raise DomainError("interpolation point outside the sampled region")
-        u = np.clip(u, 0.0, n0 - 1)
-        v = np.clip(v, 0.0, n1 - 1)
-        i0 = np.minimum(u.astype(int), n0 - 2) if n0 > 1 else np.zeros_like(u, dtype=int)
-        j0 = np.minimum(v.astype(int), n1 - 2) if n1 > 1 else np.zeros_like(v, dtype=int)
-        self.fu = u - i0
-        self.fv = v - j0
-        self.corner = i0 * n1 + j0
+        np.clip(u, 0.0, n0 - 1, out=u)
+        np.clip(v, 0.0, n1 - 1, out=v)
+        # lower corners; an axis of one node has only corner 0
+        i0 = u.astype(int)
+        np.minimum(i0, max(n0 - 2, 0), out=i0)
+        j0 = v.astype(int)
+        np.minimum(j0, max(n1 - 2, 0), out=j0)
+        u -= i0
+        v -= j0
+        self.fu, self.fv = u, v
+        i0 *= n1
+        i0 += j0
+        self.corner = i0
         # flat steps to the upper neighbours; an axis of one node has none
         self.di = n1 if n0 > 1 else 0
         self.dj = 1 if n1 > 1 else 0
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
+        """The four corner terms, each scaled by its two weights and summed
+        in that order, with every product and sum taken in place."""
         flat = values.ravel()
         k, fu, fv = self.corner, self.fu, self.fv
         gu, gv = 1 - fu, 1 - fv
-        return (flat[k] * gu * gv
-                + flat[self.di:][k] * fu * gv
-                + flat[self.dj:][k] * gu * fv
-                + flat[self.di + self.dj:][k] * fu * fv)
+        out = flat[k]
+        out *= gu
+        out *= gv
+        for shift, wu, wv in ((self.di, fu, gv), (self.dj, gu, fv),
+                              (self.di + self.dj, fu, fv)):
+            term = flat[shift:][k]
+            term *= wu
+            term *= wv
+            out += term
+        return out
 
 
 def autocorrelation_integral(kind: str) -> float:
@@ -219,25 +239,33 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
                                   spacing=step, seed=seed, spec=spec)
 
 
-def _ray_points(x, y, correlation_length: float):
-    """Quadrature nodes of ``phase_line_integral``: ``(points, steps)``, each
-    segment's ``steps`` nodes in consecutive rows."""
+def _ray_frame(x, y, correlation_length: float):
+    """``(starts, diffs, s)`` of ``phase_line_integral``: the start points,
+    the vectors from them to ``y`` and the midpoint fractions of the steps
+    that every segment shares."""
     starts = np.atleast_2d(np.asarray(x, dtype=float))
     diffs = np.asarray(y, dtype=float)[None, :] - starts
     dists = np.linalg.norm(diffs, axis=1)
     steps = max(1, int(np.ceil(dists.max() / (correlation_length / 10.0))))
-    s = (np.arange(steps) + 0.5) / steps
-    pts = starts[:, None, :] + s[None, :, None] * diffs[:, None, :]
-    return pts.reshape(-1, 2), steps
+    return starts, diffs, (np.arange(steps) + 0.5) / steps
+
+
+def _ray_points(starts, diffs, s) -> np.ndarray:
+    """Quadrature nodes of the segments, each segment's ``len(s)`` nodes in
+    consecutive rows.  The ``(n, 2)`` result is a view of a ``(2, n)`` array,
+    so each coordinate is built and read contiguously."""
+    pts = diffs.T[:, :, None] * s
+    pts += starts.T[:, :, None]
+    return pts.reshape(2, -1).T
 
 
 def _ray_plan(field: RandomFieldRealization, x, y):
     """``phase_line_integral(field, x, y)`` for an ``(n, 2)`` array ``x`` as a
     map from field values, planned once for every field on the lattice frame
     of ``field``."""
-    pts, steps = _ray_points(x, y, field.spec.correlation_length)
-    bilinear = _BilinearPlan(field, pts)
-    return lambda values: bilinear(values).reshape(-1, steps).mean(axis=1)
+    starts, diffs, s = _ray_frame(x, y, field.spec.correlation_length)
+    bilinear = _BilinearPlan(field, _ray_points(starts, diffs, s))
+    return lambda values: bilinear(values).reshape(-1, len(s)).mean(axis=1)
 
 
 def phase_line_integral(field: RandomFieldRealization, x, y):
@@ -246,10 +274,16 @@ def phase_line_integral(field: RandomFieldRealization, x, y):
 
     All segments share one step count, set by the longest so that no spatial
     step exceeds l / 10.  A single start point gives a float, an ``(n, 2)``
-    array of them an ``(n,)`` array.
+    array of them an ``(n,)`` array.  The nodes are built and interpolated
+    whole segments at a time, about ``_BLOCK_NODES`` per block.
     """
-    pts, steps = _ray_points(x, y, field.spec.correlation_length)
-    nu = field.interpolate(pts).reshape(-1, steps).mean(axis=1)
+    starts, diffs, s = _ray_frame(x, y, field.spec.correlation_length)
+    steps = len(s)
+    rays = max(1, _BLOCK_NODES // steps)
+    nu = np.empty(len(starts))
+    for b in range(0, len(starts), rays):
+        pts = _ray_points(starts[b:b + rays], diffs[b:b + rays], s)
+        nu[b:b + rays] = field.interpolate(pts).reshape(-1, steps).mean(axis=1)
     return float(nu[0]) if np.ndim(x) == 1 else nu
 
 

@@ -190,6 +190,24 @@ class TestScene:
         s3 = build_scene(small_cfg, seed=6)
         assert not np.array_equal(s1.rho.values, s3.rho.values)  # random phases
 
+    def test_sensing_shared_and_read_only(self, small_cfg):
+        # the sensing matrix depends on no seed, so scenes share one
+        s1 = build_scene(small_cfg, seed=5)
+        s2 = build_scene(small_cfg, seed=6)
+        assert s1.sensing is s2.sensing
+        with pytest.raises(ValueError):
+            s1.sensing.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 81), ("pitch", 1.5), ("center_range", 90.0), ("rows", 12),
+        ("cols", 12), ("spacing", 2.5), ("wavelength", 0.5)])
+    def test_sensing_keyed_on_each_geometry_value(self, small_cfg, key, value):
+        base = _sensing(small_cfg)
+        other = _sensing(replace(small_cfg, **{key: value}))
+        assert other is not base
+        assert other.matrix.shape != base.matrix.shape \
+            or not np.array_equal(other.matrix, base.matrix)
+
     def test_noise_injected_at_requested_level(self, small_cfg):
         small_cfg = replace(small_cfg, noise_percent=0.25)
         scene = build_scene(small_cfg, seed=5)

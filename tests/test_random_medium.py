@@ -485,6 +485,28 @@ class TestMatchesReference:
         assert np.array_equal(field.interpolate(points),
                               _reference_interpolate(field, points))
 
+    def test_blocked_rays_on_fig89_geometry(self):
+        # fig89's array and window: 501 segments of several hundred nodes each
+        # run through many blocks of phase_line_integral, the last one partial
+        geom = build_linear_array(501, 4.0)
+        window = ImageWindow(1000.0, 41, 41, 1.0)
+        spec = _spec("gaussian", sigma=0.001)
+        region = region_for(np.vstack([geom.positions, window.points]), spec)
+        field = sample_field(spec, region, seed=1)
+        for y in window.points[[0, 860, window.k - 1]]:
+            _, _, s = random_medium._ray_frame(geom.positions, y, L_CORR)
+            rays = random_medium._BLOCK_NODES // len(s)
+            assert len(s) > 300 and geom.n > rays > 1 and geom.n % rays
+            assert np.array_equal(phase_line_integral(field, geom.positions, y),
+                                  _reference_phase_line_integral(field, geom.positions, y))
+            assert np.array_equal(random_green_vector(field, geom, y, CTX),
+                                  _reference_random_green_vector(field, geom, y, CTX))
+        # only the last segment, so only the last block, leaves the lattice
+        starts = geom.positions.copy()
+        starts[-1, 0] = field.origin[0] + field.spacing * field.values.shape[0]
+        with pytest.raises(DomainError):
+            phase_line_integral(field, starts, window.points[0])
+
     @settings(max_examples=6, deadline=None)
     @given(kernel=KERNELS, seed=st.integers(0, 2 ** 16), offset=st.floats(0.5, 15.0),
            mode=st.sampled_from(["self", "mixed"]))
