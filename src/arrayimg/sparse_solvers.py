@@ -11,6 +11,16 @@ projection needs only ``V^H (y' - u') = 2 V^H y' - V^H y + g``: the loop keeps
 ``y`` and those coefficients, and never forms ``x`` or ``u``.  An iteration
 makes one product ``V g`` and one ``V^H y'`` on the rows the threshold keeps.
 ``solve_l1_smv`` (``min ||x||_1``) is its one-column case, bit for bit.
+
+The threshold ``t`` is ADMM's penalty ``1/rho``.  It adapts by normalized
+residual balancing (Boyd et al. 2011, section 3.4.1, with the relative
+residuals of Wohlberg, arXiv:1704.06209): at a 50-iteration check that does not
+stop, ``t`` is halved when the relative primal residual exceeds
+``BALANCE_RATIO`` times the relative dual residual and doubled in the opposite
+case.  The scaled dual ``u = t lambda`` then becomes ``f u``, so the recurrence
+moves to ``V^H y - f (V^H y - V^H (y - u))``.  After ``PENALTY_CHANGES``
+changes ``t`` stays fixed, as ADMM's convergence with a varying penalty needs
+(He, Yang & Wang, *J. Optim. Theory Appl.* 106, 2000).
 ``brute_force_l0`` is an independent enumeration oracle for small instances.
 """
 
@@ -26,6 +36,11 @@ FEASIBILITY_SLACK = 1e-8
 # the shipped sensing matrices are numerically rank deficient (fig2's A A^H
 # has a condition number of about 8e16)
 SVD_RCOND = 1e-8
+# residual balancing: t moves by PENALTY_STEP when one relative residual is
+# BALANCE_RATIO times the other, at most PENALTY_CHANGES times per solve
+BALANCE_RATIO = 10.0
+PENALTY_STEP = 2.0
+PENALTY_CHANGES = 5
 
 
 @dataclass
@@ -61,7 +76,10 @@ class SparseSolution:
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """l2 norm of each row of a ``(K, J)`` array; with one column, the modulus."""
-    return np.abs(x[:, 0]) if x.shape[1] == 1 else np.linalg.norm(x, axis=1)
+    if x.shape[1] == 1:
+        return np.abs(x[:, 0])
+    re_im = x.view(float)  # (K, 2J): one einsum beats a reduction over short rows
+    return np.sqrt(np.einsum("ij,ij->i", re_im, re_im))
 
 
 def _shrink(x: np.ndarray, t: float) -> np.ndarray:
@@ -125,12 +143,30 @@ class _BallProjection:
         return lam * self.s * w / (1.0 + lam * self.s ** 2)
 
 
+def _penalty_factor(z_prev, y_prev, z, y) -> float:
+    """The factor for ``t`` at a check: ``z`` is the pre-shrink ``x + u`` and
+    ``y`` the shrunk iterate of the check iteration, ``z_prev`` and ``y_prev``
+    those of the iteration before.  The primal residual ``x - y`` is taken
+    relative to ``max(||x||, ||y||)``, the dual residual ``y - y_prev``
+    relative to the scaled dual ``||u||``; both ratios are free of ``t``."""
+    x = z - (z_prev - y_prev)
+    primal = np.linalg.norm(x - y) / max(np.linalg.norm(x), np.linalg.norm(y), 1e-300)
+    dual = np.linalg.norm(y - y_prev) / max(np.linalg.norm(z - y), 1e-300)
+    if primal > BALANCE_RATIO * dual:
+        return 1.0 / PENALTY_STEP
+    if dual > BALANCE_RATIO * primal:
+        return PENALTY_STEP
+    return 1.0
+
+
 def _iterate(a, b, params: SolverParams) -> SparseSolution:
     """The ADMM loop on ``(N, J)`` data ``b``; SMV is the case J = 1.
 
-    The soft threshold is fixed at ``max_i ||(A^H b)_i.|| / ||A||_2^2``, the
+    The soft threshold starts at ``max_i ||(A^H b)_i.|| / ||A||_2^2``, the
     largest row norm of ``A^H b`` (the modulus for one column) of the operator
-    rescaled to unit spectral norm.
+    rescaled to unit spectral norm.  A check that does not stop may halve or
+    double it by ``_penalty_factor``, at most ``PENALTY_CHANGES`` times; the
+    two iterations that end at a check keep a copy of their pre-shrink array.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or np.all(a == 0):
@@ -157,10 +193,15 @@ def _iterate(a, b, params: SolverParams) -> SparseSolution:
     snapshot = y.copy()  # convergence is judged on 50-iteration windows
     trace = []
     converged = False
+    changes = 0
+    z = None
     it = 0
     for it in range(1, params.max_iterations + 1):
         g = project.correction(q)
+        y_prev = y
         y = y - v @ g  # x + u
+        if changes < PENALTY_CHANGES and it % 50 in (49, 0):
+            z_prev, z = z, y.copy()  # the shrink below works in place
         kept = _shrink(y, t)
         vy_next = v[kept].conj().T @ y[kept]
         q = 2 * vy_next - vy + g
@@ -175,6 +216,12 @@ def _iterate(a, b, params: SolverParams) -> SparseSolution:
         if res_norm <= bound and change <= params.tolerance * max(np.linalg.norm(y), 1e-300):
             converged = True
             break
+        if changes < PENALTY_CHANGES:
+            f = _penalty_factor(z_prev, y_prev, z, y)
+            if f != 1.0:  # the scaled dual u becomes f u
+                t *= f
+                q = vy - f * (vy - q)
+                changes += 1
 
     res_norm = float(np.linalg.norm(b - a @ y))
     return SparseSolution(

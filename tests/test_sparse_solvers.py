@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from arrayimg import sparse_solvers
 from arrayimg.errors import ConfigurationError, DomainError
-from arrayimg.sparse_solvers import (FEASIBILITY_SLACK, SVD_RCOND, SolverParams,
+from arrayimg.sparse_solvers import (BALANCE_RATIO, FEASIBILITY_SLACK, PENALTY_CHANGES,
+                                     PENALTY_STEP, SVD_RCOND, SolverParams,
                                      SparseSolution, _BallProjection, _shrink,
                                      brute_force_l0, solve_l1_mmv,
                                      solve_l1_smv, theorem2_error_bound)
@@ -228,11 +229,10 @@ def _scaled_solve(columns, noisy, a_exp, b_exp):
 
 
 # FEASIBILITY_SLACK is an absolute 1e-8, so it binds on the noisy runs once
-# b and delta are scaled: scaled up, the residual must come closer to delta
-# relative to ||b||, which takes 1,400-1,500 iterations (b*2^10) or never
-# happens (b*2^20; 950-1,000 unscaled); scaled down, the mmv run stops at 950,
-# where the unscaled run passed the motion test but was still more than 1e-8
-# above delta (it stops at 1,000)
+# b and delta are scaled up: the residual must come closer to delta relative
+# to ||b||, which takes 550-800 iterations (b*2^10) or never happens (b*2^20;
+# 450-550 unscaled).  Scaled down, the slack loosens, but the unscaled runs
+# are already within 1e-8 of delta when the motion test passes
 _SLACK_BINDS = pytest.mark.xfail(
     strict=True, reason="the absolute FEASIBILITY_SLACK does not scale with b")
 
@@ -247,7 +247,7 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("columns", [1, 3], ids=["smv", "mmv"])
     def test_powers_of_two_change_nothing(self, request, columns, noisy, a_exp, b_exp):
-        if noisy and (b_exp > 0 or (b_exp < 0 and columns > 1)):
+        if noisy and b_exp > 0:
             request.applymarker(_SLACK_BINDS)
         base = _scaled_solve(columns, noisy, 0, 0)
         sol = _scaled_solve(columns, noisy, a_exp, b_exp)
@@ -484,10 +484,17 @@ def _soft_entries(x: np.ndarray, t: float) -> np.ndarray:
     return x
 
 
+def _rows_l2(x: np.ndarray) -> np.ndarray:
+    """Row l2 norms, summed as the solver sums them: one einsum over the
+    interleaved real and imaginary parts."""
+    re_im = x.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", re_im, re_im))
+
+
 def _soft_rows(x: np.ndarray, t: float) -> np.ndarray:
     """Block soft threshold in place: shrink each row's l2 norm by t, keep
     direction."""
-    norms = np.linalg.norm(x, axis=1)
+    norms = _rows_l2(x)
     scale = np.maximum(0.0, 1.0 - t / np.maximum(norms, 1e-300))
     x *= scale[:, None]
     return x
@@ -564,7 +571,7 @@ class _TwoModeProjection:
 
 
 def _threshold_support(x, threshold, row_mode):
-    mags = np.linalg.norm(x, axis=1) if row_mode else np.abs(x)
+    mags = _rows_l2(x) if row_mode else np.abs(x)
     top = mags.max() if mags.size else 0.0
     if top == 0.0:
         return np.array([], dtype=int)
@@ -582,12 +589,19 @@ def _reference_admm(a, b, params, row_mode, kspace=False):
     rows the shrink keeps.  With ``kspace`` it runs in K-space, as the solver
     did before: ``x`` is the projection of ``y - u``, ``y`` the shrink of
     ``x + u`` and ``u`` the running sum of ``x - y``, each a full array.
+
+    A check that does not stop balances the residuals, at most
+    ``PENALTY_CHANGES`` times: ``t`` is halved when
+    ``||x - y|| / max(||x||, ||y||)`` exceeds ``BALANCE_RATIO`` times
+    ``||y - y_prev|| / ||u||`` and doubled in the opposite case.  The dual
+    then scales with ``t``: ``u`` by the factor in K-space, and
+    ``q = V^H y - f (V^H y - q)`` in coefficients.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     project = _TwoModeProjection(a, b, params.delta)
     atb = a.conj().T @ b
-    mags = np.linalg.norm(atb, axis=1) if row_mode else np.abs(atb)
+    mags = _rows_l2(atb) if row_mode else np.abs(atb)
     t = float(np.max(mags)) / project.spectral_norm ** 2
     bound = params.delta + FEASIBILITY_SLACK
     shrink = _soft_rows if row_mode else _soft_entries
@@ -599,21 +613,26 @@ def _reference_admm(a, b, params, row_mode, kspace=False):
     snapshot = y.copy()
     trace = []
     converged = False
+    changes = 0
     it = 0
     for it in range(1, params.max_iterations + 1):
+        y_prev = y
         if kspace:
             x = project(y - dual)
             y = shrink(x + dual, t)
             dual = dual + x - y
         else:
             g = project.correction(q)
-            y = shrink(y - v @ g, t)
-            kept = np.flatnonzero(np.linalg.norm(y, axis=1) if row_mode else y)
+            z = y - v @ g
+            x = z - dual
+            y = shrink(z.copy(), t)
+            dual = z - y
+            kept = np.flatnonzero(_rows_l2(y) if row_mode else y)
             vy_next = v[kept].conj().T @ y[kept]
             q = 2 * vy_next - vy + g
             vy = vy_next
         res_norm = np.linalg.norm(b - a @ y)
-        obj = float(np.sum(np.linalg.norm(y, axis=1))) if row_mode \
+        obj = float(np.sum(_rows_l2(y))) if row_mode \
             else float(np.sum(np.abs(y)))
         if it % 50 == 0:
             trace.append((it, obj, float(res_norm)))
@@ -622,6 +641,21 @@ def _reference_admm(a, b, params, row_mode, kspace=False):
             if res_norm <= bound and change <= params.tolerance * max(np.linalg.norm(y), 1e-300):
                 converged = True
                 break
+            primal = (np.linalg.norm(x - y)
+                      / max(np.linalg.norm(x), np.linalg.norm(y), 1e-300))
+            dual_res = np.linalg.norm(y - y_prev) / max(np.linalg.norm(dual), 1e-300)
+            f = 1.0
+            if primal > BALANCE_RATIO * dual_res:
+                f = 1.0 / PENALTY_STEP
+            elif dual_res > BALANCE_RATIO * primal:
+                f = PENALTY_STEP
+            if changes < PENALTY_CHANGES and f != 1.0:
+                t *= f
+                changes += 1
+                if kspace:
+                    dual = f * dual
+                else:
+                    q = vy - f * (vy - q)
     return SparseSolution(
         solution=y, iterations=it,
         residual_norm=float(np.linalg.norm(b - a @ y)),
