@@ -145,7 +145,6 @@ class ScenarioConfig:
     noise_percent: float = _key("experiment", _nonnegative, 0.0)
     forward: str = _key("experiment", _words("auto", "foldy-lax", "born"), "auto")
     illuminations: str = _key("experiment", _text, "central")  # checked against n
-    km_illuminations: str | None = _key("experiment", _text)
     known_rank: int | None = _key("experiment", _count)  # checked against n
     apertures: list = _key("experiment", _distinct(_list(_positive_length)), factory=list)
     realizations: int = _key(  # the Monte-Carlo minimum
@@ -244,10 +243,8 @@ def load_config(path, overrides=None) -> ScenarioConfig:
                        f"has {len(cfg.magnitudes)} entries for {len(cfg.cells)} cells")
     if cfg.known_rank is not None and cfg.known_rank > cfg.n:
         raise _invalid(parser, "experiment", "known_rank", f"exceeds [array] n = {cfg.n}")
-    for key in ("illuminations", "km_illuminations"):
-        if getattr(cfg, key) is not None:
-            try:
-                parse_illuminations(getattr(cfg, key), cfg.n)
-            except ConfigurationError as exc:
-                raise _invalid(parser, "experiment", key, exc) from None
+    try:
+        parse_illuminations(cfg.illuminations, cfg.n)
+    except ConfigurationError as exc:
+        raise _invalid(parser, "experiment", "illuminations", exc) from None
     return cfg

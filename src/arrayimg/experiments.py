@@ -34,7 +34,7 @@ class TrialReport:
     reflectivity_error: float  # relative l2 on the true support; NaN if n/a
     wall_time: float
     error: str = ""
-    # l1 solve of the trial; converged is None for methods without one
+    # the l1 solve, from ImagingResult.diagnostics; converged is None without one
     iterations: int = 0
     converged: bool | None = None
     residual: float = float("nan")
@@ -170,8 +170,7 @@ def run_trial(scene: Scene, method: str, seed: int):
             result = image_music(scene.noisy, scene.sensing,
                                  m_tilde=select_rank(scene.noisy, cfg.known_rank))
         elif method == "km":
-            kind = cfg.km_illuminations or cfg.illuminations
-            f = _illuminations(kind, scene, rng)
+            f = _illuminations(cfg.illuminations, scene, rng)
             data = scene.noisy.matrix @ f
             result = image_km(data, f, scene.sensing, peak_count=max(truth.m, 1))
     except (ConfigurationError, DomainError, np.linalg.LinAlgError) as exc:
@@ -179,32 +178,25 @@ def run_trial(scene: Scene, method: str, seed: int):
         error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - start
 
-    true_support = set(int(i) for i in truth.support)
-    if result is None or error:
-        report = TrialReport(method=method, scenario_id=cfg.scenario_id, seed=seed,
-                             support_exact=False, precision=0.0, recall=0.0,
-                             reflectivity_error=float("nan"), wall_time=wall,
-                             error=error)
-        return report, result
-    recovered = set(int(i) for i in result.support)
-    tp = len(true_support & recovered)
-    precision = tp / len(recovered) if recovered else (1.0 if not true_support else 0.0)
-    recall = tp / len(true_support) if true_support else 1.0
-    exact = recovered == true_support
-    if method in ("smv", "mmv", "hybrid") and truth.m:
-        idx = truth.support
-        est = np.nan_to_num(result.reflectivity[idx])
-        rel = float(np.linalg.norm(est - truth.values[idx])
-                    / np.linalg.norm(truth.values[idx]))
-    else:
-        rel = float("nan")
-    diag = result.diagnostics
+    # a failed trial recovers nothing and records no solve
+    exact, precision, recall, rel, diagnostics = False, 0.0, 0.0, float("nan"), {}
+    if result is not None:
+        true_support = set(int(i) for i in truth.support)
+        recovered = set(int(i) for i in result.support)
+        tp = len(true_support & recovered)
+        precision = tp / len(recovered) if recovered else (1.0 if not true_support else 0.0)
+        recall = tp / len(true_support) if true_support else 1.0
+        exact = recovered == true_support
+        if method in ("smv", "mmv", "hybrid") and truth.m:
+            idx = truth.support
+            est = np.nan_to_num(result.reflectivity[idx])
+            rel = float(np.linalg.norm(est - truth.values[idx])
+                        / np.linalg.norm(truth.values[idx]))
+        diagnostics = result.diagnostics
     report = TrialReport(method=method, scenario_id=cfg.scenario_id, seed=seed,
                          support_exact=exact, precision=precision, recall=recall,
-                         reflectivity_error=rel, wall_time=wall,
-                         iterations=diag.get("iterations", 0),
-                         converged=diag.get("converged"),
-                         residual=diag.get("residual", float("nan")))
+                         reflectivity_error=rel, wall_time=wall, error=error,
+                         **diagnostics)
     return report, result
 
 

@@ -26,11 +26,9 @@ class ImagingResult:
     support: np.ndarray       # sorted grid indices
     reflectivity: np.ndarray  # (K,) complex; nonzero on support
     image: np.ndarray         # (K,) nonnegative values
+    # the l1 solve, as TrialReport's fields; empty for a method without one
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def screened(self) -> list:
-        return self.diagnostics.get("screened", [])
+    screened: list = field(default_factory=list)  # step-two NaN components
 
 
 def select_rank(resp: ResponseMatrix, known_m: int | None = None) -> int:
@@ -76,9 +74,9 @@ def reflectivities_from_sources(support, sources, illuminations,
     return values, screened
 
 
-def _diagnostics(sol, **extra) -> dict:
+def _diagnostics(sol) -> dict:
     return {"iterations": sol.iterations, "residual": sol.residual_norm,
-            "converged": sol.converged, **extra}
+            "converged": sol.converged}
 
 
 def _two_step_result(sol, illuminations, sensing: SensingMatrix) -> ImagingResult:
@@ -100,7 +98,7 @@ def _two_step_result(sol, illuminations, sensing: SensingMatrix) -> ImagingResul
     reflectivity[support[~lost]] = total[~lost] / count[~lost]
     return ImagingResult(support=np.sort(support), reflectivity=reflectivity,
                          image=np.abs(np.nan_to_num(reflectivity)),
-                         diagnostics=_diagnostics(sol, screened=support[lost].tolist()))
+                         diagnostics=_diagnostics(sol), screened=support[lost].tolist())
 
 
 def image_smv(b, illumination, sensing: SensingMatrix,
@@ -113,7 +111,6 @@ def image_smv(b, illumination, sensing: SensingMatrix,
     falls below ``1e-12 * ||f||`` are flagged as screened (reflectivity NaN,
     never silently assigned).
     """
-    params = params or SolverParams()
     f = np.asarray(illumination, dtype=complex)[:, None]
     sol = solve_l1_smv(sensing.matrix, b, params)
     return _two_step_result(sol, f, sensing)
@@ -126,7 +123,6 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
     Reflectivities are estimated per illumination on the common row support
     and averaged, skipping illuminations in which the component is screened.
     """
-    params = params or SolverParams()
     b = np.asarray(data, dtype=complex)
     f = np.asarray(illuminations, dtype=complex)
     if b.shape[1:] != f.shape[1:]:
@@ -181,7 +177,7 @@ def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
     reflectivity[support] = sol.solution[support]
     return ImagingResult(support=np.sort(support), reflectivity=reflectivity,
                          image=np.abs(reflectivity),
-                         diagnostics=_diagnostics(sol, rank=m_tilde, delta=delta_h))
+                         diagnostics=_diagnostics(sol))
 
 
 def _local_maxima(values: np.ndarray, rows: int, cols: int, count: int,
@@ -228,7 +224,7 @@ def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
                             floor_fraction=MUSIC_PEAK_FLOOR)
     return ImagingResult(support=support,
                          reflectivity=np.zeros(sensing.k, dtype=complex),
-                         image=functional, diagnostics={"rank": m_tilde})
+                         image=functional)
 
 
 def image_km(data, illuminations, sensing: SensingMatrix,

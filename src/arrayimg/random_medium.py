@@ -335,10 +335,12 @@ def _variance_with_se(w: np.ndarray):
     return float(var), se
 
 
-def _realizations(spec: RandomMediumSpec, region: Region, seed0: int,
+def _realizations(spec: RandomMediumSpec, region: Region, master_seed: int | None,
                   realizations: int):
-    """The fields of one estimate on ``region``, the r-th drawn from
-    ``_derived_seed(seed0, r)``; all share one lattice frame."""
+    """The fields of one estimate on ``region``, all on one lattice frame; the
+    r-th is drawn from ``_derived_seed(seed0, r)``, ``seed0`` being
+    ``master_seed``, or ``spec.master_seed`` when that is None."""
+    seed0 = spec.master_seed if master_seed is None else master_seed
     for r in range(realizations):
         yield sample_field(spec, region, seed=_derived_seed(seed0, r))
 
@@ -353,14 +355,13 @@ def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
     """
     if realizations < 2:
         raise ConfigurationError("need at least two realizations")
-    seed0 = spec.master_seed if master_seed is None else master_seed
     x = np.asarray(x, dtype=float)
     pts = np.vstack([np.asarray(y1, float), np.asarray(y2, float)])
     region = region_for(np.vstack([x, pts]), spec)
     g0 = [green_homogeneous(x, y, ctx) for y in pts]
     dists = [float(np.linalg.norm(y - x)) for y in pts]
     samples = np.empty(realizations, dtype=complex)
-    for r, field in enumerate(_realizations(spec, region, seed0, realizations)):
+    for r, field in enumerate(_realizations(spec, region, master_seed, realizations)):
         if r == 0:
             rays = [_ray_plan(field, x[None, :], y) for y in pts]
         g1, g2 = (_random_phase(g, d, float(ray(field.values)[0]), spec, ctx)
@@ -391,7 +392,6 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
         raise ConfigurationError("stability estimates need >= 100 realizations")
     if mode not in ("self", "mixed"):
         raise ConfigurationError("mode must be 'self' or 'mixed'")
-    seed0 = spec.master_seed if master_seed is None else master_seed
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     region = region_for(np.vstack([geom.positions, y1, y2]), spec)
@@ -400,7 +400,7 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
     dists_1 = np.linalg.norm(y1[None, :] - geom.positions, axis=1)
     dists_2 = np.linalg.norm(y2[None, :] - geom.positions, axis=1)
     samples = np.empty(realizations, dtype=complex)
-    for r, field in enumerate(_realizations(spec, region, seed0, realizations)):
+    for r, field in enumerate(_realizations(spec, region, master_seed, realizations)):
         if r == 0:
             rays_2 = _ray_plan(field, geom.positions, y2)
             if mode == "self":  # mixed mode keeps g0_1 and plans no rays to y1

@@ -112,6 +112,23 @@ def test_every_hooked_name_exists(bench):
     assert len(run.Collector(pkg).hooks()) == 2
 
 
+def test_run_trial_hook_records_the_solve(bench):
+    """The benchmark reads ``converged`` and ``iterations`` off each trial's
+    ``ImagingResult.diagnostics``; a method without an l1 solve records
+    ``None`` for both."""
+    run, _, pkg = bench
+    cfg = pkg["config"].load_config(run.SCENARIOS / "fig2_smv_noiseless.ini")
+    scene = pkg["experiments"].build_scene(cfg, 1)
+    collector = run.Collector(pkg)
+    (recorded_run_trial,) = [hook for _, name, hook in collector.hooks()
+                             if name == "run_trial"]
+    for method in ("smv", "km"):
+        recorded_run_trial(scene, method, 1)
+    smv, km = collector.trials
+    assert smv["converged"] is True and smv["iterations"] > 0 and smv["has_result"]
+    assert km["converged"] is None and km["iterations"] is None and km["has_result"]
+
+
 @pytest.mark.parametrize("workload", ["homogeneous-l1", "random-medium-scenes",
                                       "random-medium-mc"])
 def test_plan_and_calls_bind(bench, workload):

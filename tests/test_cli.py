@@ -66,7 +66,6 @@ BAD_VALUES = {
     ("experiment", "noise_percent"): ["-0.5", "inf", "nan"],
     ("experiment", "forward"): ["ray"],
     ("experiment", "illuminations"): ["centrl", "element:3"],
-    ("experiment", "km_illuminations"): ["element:80"],
     ("experiment", "known_rank"): ["0", "81"],  # n = 80
     ("experiment", "apertures"): ["-10", "inf", "nan", "40, 40"],
     ("experiment", "realizations"): ["0"],

@@ -37,7 +37,7 @@ def result_with(image, support=(), reflectivity=None, screened=()):
     refl = np.zeros(WINDOW.k, dtype=complex) if reflectivity is None else reflectivity
     return ImagingResult(support=np.array(support, dtype=int),
                          reflectivity=refl, image=np.asarray(image, dtype=float),
-                         diagnostics={"screened": list(screened)})
+                         screened=list(screened))
 
 
 def report(method, error=NAN, exact=True, message="", wall=0.25):
