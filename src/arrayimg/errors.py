@@ -10,11 +10,5 @@ class DomainError(ValueError):
 
 
 class ResonanceError(DomainError):
-    """Near-singular multiple-scattering system.
-
-    Carries the condition-number estimate that triggered the rejection.
-    """
-
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
+    """Near-singular multiple-scattering system; the message gives the
+    condition-number estimate that triggered the rejection."""

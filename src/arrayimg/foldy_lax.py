@@ -92,9 +92,7 @@ def solve_exciting_fields(z: np.ndarray, incident: np.ndarray) -> np.ndarray:
     cond = np.linalg.cond(z)
     if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise ResonanceError(
-            f"Foldy-Lax system is near-resonant (cond ~ {cond:.3e} > {CONDITION_CAP:.1e})",
-            condition_estimate=float(cond),
-        )
+            f"Foldy-Lax system is near-resonant (cond ~ {cond:.3e} > {CONDITION_CAP:.1e})")
     return np.linalg.solve(z, incident)
 
 

@@ -36,10 +36,9 @@ class WaveContext:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Transducer positions and the aperture of a linear layout."""
+    """Transducer positions; the aperture is their cross-range extent."""
 
     positions: np.ndarray  # (N, 2)
-    aperture: float
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -52,6 +51,10 @@ class ArrayGeometry:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
+
+    @property
+    def aperture(self) -> float:
+        return float(np.ptp(self.positions[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,8 @@ class ReflectivityVector:
 def build_linear_array(n: int, pitch: float) -> ArrayGeometry:
     """Linear array of ``n`` transducers on the line range = 0.
 
-    The array is centered at cross-range 0, under the image window; aperture
-    is ``(n - 1) * pitch``.
+    The array is centered at cross-range 0, under the image window; its
+    aperture is ``(n - 1) * pitch``.
     """
     if n < 1:
         raise ConfigurationError("transducer count must be >= 1")
@@ -129,7 +132,7 @@ def build_linear_array(n: int, pitch: float) -> ArrayGeometry:
         raise ConfigurationError("pitch must be positive")
     cross = (np.arange(n) - (n - 1) / 2.0) * pitch
     positions = np.column_stack([cross, np.zeros(n)])
-    return ArrayGeometry(positions=positions, aperture=(n - 1) * pitch)
+    return ArrayGeometry(positions=positions)
 
 
 def place_scatterers(window: ImageWindow, entries) -> ReflectivityVector:

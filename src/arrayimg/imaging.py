@@ -133,11 +133,10 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
 
 def optimal_illuminations(resp: ResponseMatrix, count: int) -> np.ndarray:
     """Top right singular vectors of the response matrix, as columns."""
-    if 1 <= count <= resp.n:
-        _, s, vh = resp.svd(count)
-        if s[count - 1] > RANK_TOL * s[0]:
-            return vh.conj().T
-    s = resp.svd()[1]  # the error reports the rank of the whole spectrum
+    # the error's rank counts the top values alone: every later one is smaller
+    _, s, vh = resp.svd(count if count >= 1 else None)
+    if 1 <= count <= s.size and s[count - 1] > RANK_TOL * s[0]:
+        return vh.conj().T
     rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
     raise ConfigurationError(
         f"requested {count} illuminations but numerical rank is {rank}")
@@ -240,10 +239,7 @@ def image_km(data, illuminations, sensing: SensingMatrix,
     if b.shape[1:] != f.shape[1:]:
         raise ValueError("data and illumination column counts differ")
     g = sensing.matrix
-    values = np.zeros(sensing.k, dtype=complex)
-    for b_j, f_j in zip(b.T, f.T):  # per column: one summed product rounds differently
-        values += np.conj(g.T @ f_j) * (g.conj().T @ b_j)
-    magnitudes = np.abs(values)
+    magnitudes = np.abs(np.sum(np.conj(g.T @ f) * (g.conj().T @ b), axis=1))
     window = sensing.window
     return ImagingResult(support=_local_maxima(magnitudes, window.rows, window.cols,
                                                peak_count),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-FEASIBILITY_SLACK = 1e-8
+FEASIBILITY_SLACK = 1e-8  # of ||b||_F: the stopping test is free of the data scale
 # singular values below this fraction of s_1 are dropped from the projection:
 # the shipped sensing matrices are numerically rank deficient (fig2's A A^H
 # has a condition number of about 8e16)
@@ -177,7 +177,7 @@ def _iterate(a, b, params: SolverParams) -> SparseSolution:
     project = _BallProjection(a, b, params.delta)
     atb = a.conj().T @ b
     t = float(np.max(_row_norms(atb))) / project.spectral_norm ** 2
-    bound = params.delta + FEASIBILITY_SLACK
+    bound = params.delta + FEASIBILITY_SLACK * float(np.linalg.norm(b))
 
     y = np.zeros_like(atb)
     if t == 0.0:  # A^H b identically zero: y = 0 is stationary
@@ -190,7 +190,7 @@ def _iterate(a, b, params: SolverParams) -> SparseSolution:
     v = project.v
     vy = np.zeros_like(project.ub)  # V^H y
     q = vy                          # V^H (y - u)
-    snapshot = y.copy()  # convergence is judged on 50-iteration windows
+    snapshot = y  # 50-iteration windows; a shrink writes only the y just made
     trace = []
     converged = False
     changes = 0
@@ -212,7 +212,7 @@ def _iterate(a, b, params: SolverParams) -> SparseSolution:
         res_norm = np.linalg.norm(b - a @ y)
         trace.append((it, float(np.sum(_row_norms(y))), float(res_norm)))
         change = np.linalg.norm(y - snapshot)
-        snapshot = y.copy()
+        snapshot = y
         if res_norm <= bound and change <= params.tolerance * max(np.linalg.norm(y), 1e-300):
             converged = True
             break

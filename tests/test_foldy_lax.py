@@ -94,10 +94,8 @@ class TestExcitingFields:
         gval = green_homogeneous(pts[0], pts[1], CTX)
         alpha = 1.0 / gval  # makes 1 - a1 a2 g^2 = 0
         z = foldy_lax_matrix([alpha, alpha], pairwise_green_matrix(pts, CTX))
-        with pytest.raises(ResonanceError) as exc_info:
+        with pytest.raises(ResonanceError, match="near-resonant"):
             solve_exciting_fields(z, np.ones(2, dtype=complex))
-        assert exc_info.value.condition_estimate is None or \
-            exc_info.value.condition_estimate > 1e8
 
 
 class TestResponseMatrices:

@@ -32,6 +32,12 @@ class TestLinearArray:
         assert np.allclose(np.diff(geom.positions[:, 0]), 1.0, rtol=1e-12)
         assert geom.aperture == pytest.approx(500.0)
 
+    @pytest.mark.parametrize("n, pitch", [
+        (501, 1.0), (501, 2.0), (501, 4.0), (100, 1.0), (50, 1.0), (101, 20.0)])
+    def test_aperture_is_the_extent_to_the_bit(self, n, pitch):
+        # the shipped arrays: the derived extent equals (n - 1) * pitch exactly
+        assert build_linear_array(n, pitch).aperture == (n - 1) * pitch
+
     def test_single_transducer(self):
         geom = build_linear_array(1, 1.0)
         assert geom.aperture == 0.0

@@ -222,7 +222,7 @@ class TestOneKernel:
         pairwise entry evaluate the same bits for every transducer/point pair."""
         ctx = WaveContext(wavelength=wavelength)
         pos = np.array(positions, dtype=float)
-        geom = ArrayGeometry(positions=pos, aperture=1.0)
+        geom = ArrayGeometry(positions=pos)
         window = ImageWindow(center, rows, cols, spacing)
         pts = window.points
         both = np.vstack([pos, pts])
