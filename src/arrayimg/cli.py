@@ -70,7 +70,8 @@ def main(argv=None) -> int:
             rows = monte_carlo_stability(cfg, out_dir=args.out)
             for row in rows:
                 print(f"aperture={row['aperture']:g} {row['method']}: "
-                      f"success={row['success_rate']:.2f}")
+                      f"success={row['success_rate']:.2f} "
+                      f"unconverged={row['unconverged']} errored={row['errored']}")
         elif args.command == "coherence":
             report = coherence_report(cfg, out_dir=args.out)
             print(f"grid coherence={report['grid_coherence']:.6f} "

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
+from .sparse_solvers import SolverParams
 
 
 def _finite(value: float) -> float:
@@ -133,9 +134,9 @@ class ScenarioConfig:
     sigma: float = _key("medium", _nonnegative, 0.0)
     kernel: str = _key("medium", _words("gaussian", "power-law"), "gaussian")
     lattice_spacing: float | None = _key("medium", _positive)
-    max_iterations: int = _key("solver", _count, 50_000)
-    tolerance: float = _key("solver", _positive, 1e-8)
-    support_threshold: float = _key("solver", _fraction, 0.1)
+    max_iterations: int = _key("solver", _count, SolverParams.max_iterations)
+    tolerance: float = _key("solver", _positive, SolverParams.tolerance)
+    support_threshold: float = _key("solver", _fraction, SolverParams.support_threshold)
     # default depends on medium kind; at >= 1 the zero vector is feasible
     hybrid_delta_fraction: float | None = _key("solver", _fraction)
     scenario_id: str = _key("experiment", _name, "scenario")

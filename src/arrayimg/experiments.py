@@ -234,30 +234,28 @@ def monte_carlo_stability(cfg: ScenarioConfig, realizations: int | None = None,
                           out_dir=None):
     """Success-rate table across apertures over seeded realizations.
 
-    Seeds run 1..R so tables are reproducible and comparable across methods;
-    failed trials count as non-successes.
+    Seeds 1..R each run ``run_scenario``, so tables are reproducible; a failed
+    trial counts as a non-success, and each row counts unconverged and errored trials.
     """
     realizations = cfg.realizations if realizations is None else realizations
     if realizations < 10:
         raise ConfigurationError("Monte-Carlo batches need >= 10 realizations")
     rows = []
     for aperture in cfg.apertures or [None]:  # None: the configured array
-        per_method = {m: [] for m in cfg.methods}
         scene_cfg = cfg if aperture is None else replace(cfg, pitch=aperture / (cfg.n - 1))
-        for seed in range(1, realizations + 1):
-            scene = build_scene(scene_cfg, seed)
-            for method in cfg.methods:
-                report, _ = run_trial(scene, method, seed)
-                per_method[method].append(report)
+        reports = [report for seed in range(1, realizations + 1)
+                   for report in run_scenario(scene_cfg, seed)]
         for method in cfg.methods:
-            batch = per_method[method]
+            batch = [r for r in reports if r.method == method]
             rows.append({
-                "aperture": (cfg.n - 1) * cfg.pitch if aperture is None else aperture,
+                "aperture": _sensing(scene_cfg).geom.aperture,
                 "method": method,
                 "success_rate": float(np.mean([r.support_exact for r in batch])),
                 "mean_precision": float(np.mean([r.precision for r in batch])),
                 "mean_recall": float(np.mean([r.recall for r in batch])),
                 "realizations": realizations,
+                "unconverged": sum(r.converged is False for r in batch),
+                "errored": sum(bool(r.error) for r in batch),
             })
     if out_dir is not None:
         out = Path(out_dir)

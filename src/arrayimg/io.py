@@ -223,11 +223,12 @@ def write_monte_carlo_csv(path, rows) -> None:
     """Success-rate table of :func:`~arrayimg.experiments.monte_carlo_stability`."""
     with open(path, "w") as fh:
         fh.write("aperture,method,success_rate,mean_precision,mean_recall,"
-                 "realizations\n")
+                 "realizations,unconverged,errored\n")
         for row in rows:
             fh.write(f"{row['aperture']:.12g},{row['method']},"
                      f"{row['success_rate']:.12g},{row['mean_precision']:.12g},"
-                     f"{row['mean_recall']:.12g},{row['realizations']}\n")
+                     f"{row['mean_recall']:.12g},{row['realizations']},"
+                     f"{row['unconverged']},{row['errored']}\n")
 
 
 def write_stability_csv(path, rows) -> None:

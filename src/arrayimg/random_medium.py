@@ -74,7 +74,6 @@ class RandomFieldRealization:
     values: np.ndarray  # (n_cross, n_range)
     origin: tuple
     spacing: float
-    seed: int
     spec: RandomMediumSpec
 
     def interpolate(self, points) -> np.ndarray:
@@ -234,9 +233,8 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
     noise.imag = rng.standard_normal((m_cross, m_range))
     sample = ifft2(amplitude * noise).real * np.sqrt(m_cross * m_range)
     values = np.ascontiguousarray(sample[:n_cross, :n_range])
-    return RandomFieldRealization(values=values,
-                                  origin=(region.cross_min, region.range_min),
-                                  spacing=step, seed=seed, spec=spec)
+    return RandomFieldRealization(values=values, origin=(region.cross_min, region.range_min),
+                                  spacing=step, spec=spec)
 
 
 def _ray_frame(x, y, correlation_length: float):
@@ -315,7 +313,7 @@ def response_matrix_random(field: RandomFieldRealization, geom: ArrayGeometry,
     # complex products are not perfectly commutative)
     upper = np.triu(mat)
     mat = upper + np.triu(mat, 1).T
-    return ResponseMatrix(matrix=mat, provenance="random-medium", seed=field.seed)
+    return ResponseMatrix(matrix=mat, provenance="random-medium")
 
 
 @dataclass(frozen=True)

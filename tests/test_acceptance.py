@@ -249,13 +249,16 @@ def test_criterion_09_stability_ordering(tmp_path):
 def test_criterion_10_random_medium_orderings(fig89_cfg, tmp_path):
     rows = monte_carlo_stability(fig89_cfg, realizations=20, out_dir=tmp_path)
     rates = {(round(r["aperture"]), r["method"]): r["success_rate"] for r in rows}
+    unconverged = {round(r["aperture"]): r["unconverged"] for r in rows
+                   if r["method"] == "hybrid"}
     h_small, h_large = rates[(500, "hybrid")], rates[(2000, "hybrid")]
     m_large = rates[(2000, "music")]
     k_small, k_large = rates[(500, "km")], rates[(2000, "km")]
     ok = (h_large >= h_small and h_large >= m_large >= k_large
           and k_small <= 0.2 and k_large <= 0.2)
     _verdict(10, f"random medium: hybrid {h_small:.2f}->{h_large:.2f}, "
-                 f"music@100l {m_large:.2f}, km {k_small:.2f}/{k_large:.2f}", ok)
+                 f"music@100l {m_large:.2f}, km {k_small:.2f}/{k_large:.2f}; "
+                 f"hybrid unconverged {unconverged[500]}/{unconverged[2000]}", ok)
     assert h_large >= h_small
     assert h_large >= m_large >= k_large
     assert k_small <= 0.2 and k_large <= 0.2

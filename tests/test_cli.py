@@ -134,6 +134,19 @@ class TestCli:
         assert "success=" in capsys.readouterr().out
         assert (tmp_path / "runs" / "cli-demo_stability.csv").exists()
 
+    def test_stability_counts_on_every_line(self, tmp_path, capsys):
+        # the SMV solve is capped at 50 iterations, so every trial counts
+        path = tmp_path / "capped.ini"
+        path.write_text(CONFIG + "\n[solver]\nmax_iterations = 50\n")
+        rc = main(["stability", "--config", str(path), "--out", str(tmp_path / "runs")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all(re.fullmatch(r"aperture=79 (smv|music): success=\d\.\d\d "
+                                r"unconverged=\d+ errored=\d+", line) for line in lines)
+        assert "smv: " in lines[0] and lines[0].endswith(" unconverged=10 errored=0")
+        assert lines[1].endswith(" unconverged=0 errored=0")
+
     def test_stability_single_element(self, tmp_path, capsys):
         # no [experiment] apertures: the configured array runs, even at n = 1
         path = tmp_path / "one.ini"

@@ -354,6 +354,30 @@ known_rank = 2
         assert table[0].startswith("aperture,method,success_rate")
         assert len(table) == 3
 
+    def test_rows_count_the_run_scenario_reports(self, small_cfg, tmp_path):
+        # a capped l1 solve, and more optimal illuminations than the rank of
+        # two scatterers, so both counts show
+        cfg = replace(small_cfg, max_iterations=50, illuminations="optimal:3",
+                      apertures=[40.0, 79.0])
+        rows = monte_carlo_stability(cfg, realizations=10, out_dir=tmp_path)
+        expected = []
+        for aperture in cfg.apertures:
+            scene_cfg = replace(cfg, pitch=aperture / (cfg.n - 1))
+            reports = [r for seed in range(1, 11) for r in run_scenario(scene_cfg, seed)]
+            for method in cfg.methods:
+                batch = [r for r in reports if r.method == method]
+                expected.append((_sensing(scene_cfg).geom.aperture.hex(), method,
+                                 np.mean([r.support_exact for r in batch]),
+                                 sum(r.converged is False for r in batch),
+                                 sum(bool(r.error) for r in batch)))
+        assert [(r["aperture"].hex(), r["method"], r["success_rate"], r["unconverged"],
+                 r["errored"]) for r in rows] == expected
+        assert any(r["unconverged"] for r in rows) and any(r["errored"] for r in rows)
+        table = (tmp_path / "small_stability.csv").read_text().splitlines()
+        assert table[0].endswith(",realizations,unconverged,errored")
+        assert [line.split(",")[-2:] for line in table[1:]] == \
+            [[str(r["unconverged"]), str(r["errored"])] for r in rows]
+
     def test_sensing_matrix_built_once_per_aperture(self, small_cfg, monkeypatch):
         calls = []
 

@@ -189,10 +189,12 @@ class TestReports:
 
     def test_monte_carlo(self, tmp_path):
         rows = [{"aperture": 500.0, "method": "music", "success_rate": 0.1,
-                 "mean_precision": 1.0 / 3.0, "mean_recall": NAN, "realizations": 10}]
+                 "mean_precision": 1.0 / 3.0, "mean_recall": NAN, "realizations": 10,
+                 "unconverged": 3, "errored": 0}]
         assert written(tmp_path, write_monte_carlo_csv, rows) == (
-            b"aperture,method,success_rate,mean_precision,mean_recall,realizations\n"
-            b"500,music,0.1,0.333333333333,nan,10\n")
+            b"aperture,method,success_rate,mean_precision,mean_recall,realizations,"
+            b"unconverged,errored\n"
+            b"500,music,0.1,0.333333333333,nan,10,3,0\n")
 
     def test_stability_curve(self, tmp_path):
         rows = [(500.0, 1e-3, -0.0, INF)]
