@@ -1,6 +1,7 @@
 """Random phase model: field synthesis, phase line integrals, random Green's
 functions, effective aperture and Monte-Carlo stability estimators."""
 
+import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -231,8 +232,8 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
     noise = np.empty((m_cross, m_range), dtype=complex)
     noise.real = rng.standard_normal((m_cross, m_range))
     noise.imag = rng.standard_normal((m_cross, m_range))
-    sample = ifft2(amplitude * noise).real * np.sqrt(m_cross * m_range)
-    values = np.ascontiguousarray(sample[:n_cross, :n_range])
+    noise *= amplitude
+    values = ifft2(noise, overwrite_x=True).real[:n_cross, :n_range] * np.sqrt(m_cross * m_range)
     return RandomFieldRealization(values=values, origin=(region.cross_min, region.range_min),
                                   spacing=step, spec=spec)
 
@@ -333,14 +334,41 @@ def _variance_with_se(w: np.ndarray):
     return float(var), se
 
 
-def _realizations(spec: RandomMediumSpec, region: Region, master_seed: int | None,
-                  realizations: int):
-    """The fields of one estimate on ``region``, all on one lattice frame; the
-    r-th is drawn from ``_derived_seed(seed0, r)``, ``seed0`` being
-    ``master_seed``, or ``spec.master_seed`` when that is None."""
+@lru_cache(maxsize=1)
+def _helper_pool(workers: int, pid: int):
+    """Helper threads for ``_realization_samples``, built once per process (a fork has none)."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+def _realization_samples(spec: RandomMediumSpec, region: Region, master_seed: int | None,
+                         realizations: int, starts, ends, sample) -> np.ndarray:
+    """Slot r of the ``(realizations,)`` result is ``sample(nus)``: the integrals of field r
+    (seed ``_derived_seed(seed0, r)``) along rays from the rows of ``starts`` to each of
+    ``ends``, planned on field 0, which the caller draws first.  The caller runs stride 0,
+    and a pool of W - 1 threads strides 1..W-1, W being the CPUs the process may use.
+    All tasks end before this returns or raises; a task's exception is raised as itself."""
     seed0 = spec.master_seed if master_seed is None else master_seed
-    for r in range(realizations):
-        yield sample_field(spec, region, seed=_derived_seed(seed0, r))
+    first = sample_field(spec, region, seed=_derived_seed(seed0, 0))  # warms _spectral_amplitude
+    rays = [_ray_plan(first, starts, y) for y in ends]
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    samples = np.empty(realizations, dtype=complex)
+
+    def run(stride):
+        for r in range(stride, realizations, workers):
+            field = sample_field(spec, region, seed=_derived_seed(seed0, r)) if r else first
+            samples[r] = sample([ray(field.values) for ray in rays])
+            del field  # so that no field is held while the next one is drawn
+
+    tasks = [_helper_pool(workers - 1, os.getpid()).submit(run, k) for k in range(1, workers)]
+    try:
+        run(0)
+    finally:
+        errors = [task.exception() for task in tasks]  # waits for every task
+    for error in filter(None, errors):
+        raise error
+    return samples
 
 
 def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
@@ -358,13 +386,13 @@ def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
     region = region_for(np.vstack([x, pts]), spec)
     g0 = [green_homogeneous(x, y, ctx) for y in pts]
     dists = [float(np.linalg.norm(y - x)) for y in pts]
-    samples = np.empty(realizations, dtype=complex)
-    for r, field in enumerate(_realizations(spec, region, master_seed, realizations)):
-        if r == 0:
-            rays = [_ray_plan(field, x[None, :], y) for y in pts]
-        g1, g2 = (_random_phase(g, d, float(ray(field.values)[0]), spec, ctx)
-                  for g, d, ray in zip(g0, dists, rays))
-        samples[r] = g1 * np.conj(g2)
+
+    def sample(nus):
+        g1, g2 = (_random_phase(g, d, float(nu[0]), spec, ctx) for g, d, nu in zip(g0, dists, nus))
+        return g1 * np.conj(g2)
+
+    samples = _realization_samples(spec, region, master_seed, realizations,
+                                   x[None, :], pts, sample)
     base = g0[0] * np.conj(g0[1])
     ratio = np.abs(samples.mean()) / np.abs(base)
     se = float(np.std(samples / base, ddof=1) / np.sqrt(realizations))
@@ -397,16 +425,13 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
     g0_2 = green_vector(geom, y2, ctx)
     dists_1 = np.linalg.norm(y1[None, :] - geom.positions, axis=1)
     dists_2 = np.linalg.norm(y2[None, :] - geom.positions, axis=1)
-    samples = np.empty(realizations, dtype=complex)
-    for r, field in enumerate(_realizations(spec, region, master_seed, realizations)):
-        if r == 0:
-            rays_2 = _ray_plan(field, geom.positions, y2)
-            if mode == "self":  # mixed mode keeps g0_1 and plans no rays to y1
-                rays_1 = _ray_plan(field, geom.positions, y1)
-        g1 = g0_1 if mode == "mixed" else _random_phase(
-            g0_1, dists_1, rays_1(field.values), spec, ctx)
-        g2 = _random_phase(g0_2, dists_2, rays_2(field.values), spec, ctx)
-        samples[r] = np.vdot(g1, g2)
+
+    def sample(nus):  # mixed mode keeps g0_1 and plans no rays to y1
+        g1 = g0_1 if mode == "mixed" else _random_phase(g0_1, dists_1, nus[1], spec, ctx)
+        return np.vdot(g1, _random_phase(g0_2, dists_2, nus[0], spec, ctx))
+
+    samples = _realization_samples(spec, region, master_seed, realizations, geom.positions,
+                                   [y2] if mode == "mixed" else [y2, y1], sample)
     # random phases preserve magnitudes, so the norms are deterministic
     denom = float(np.linalg.norm(g0_1) ** 2 * np.linalg.norm(g0_2) ** 2)
     var, se = _variance_with_se(samples)

@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -85,6 +89,12 @@ class TestSampleField:
         assert np.array_equal(f1.values, f2.values)
         f3 = sample_field(spec, region, seed=12)
         assert not np.array_equal(f1.values, f3.values)
+
+    def test_values_own_a_c_ordered_block(self):
+        # ray plans read the values through a flat view, and a view of the
+        # padded lattice would keep the whole lattice alive
+        field = sample_field(gaussian_spec(), Region(-40.0, 40.0, 0.0, 80.0), seed=5)
+        assert field.values.flags.c_contiguous and field.values.flags.owndata
 
     def test_lattice_spacing_guard(self):
         with pytest.raises(ConfigurationError):
@@ -574,6 +584,96 @@ class TestMatchesReference:
         estimate(build_linear_array(5, 10.0), _spec("gaussian"), realizations)
         assert len(made) == plans and len(set(map(id, made))) == 1  # all on one field
 
+
+def _cpus(monkeypatch, count):
+    """Let the process appear to run on ``count`` CPUs."""
+    monkeypatch.setattr(random_medium.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+# fig89's medium and the benchmark's stability estimate: 101 elements over the
+# 100l aperture, two points 10 wavelengths apart at range 50l, 100 realizations
+FIG89_ESTIMATE = (build_linear_array(101, 2000.0 / 100), [0.0, 1000.0], [10.0, 1000.0],
+                  CTX, gaussian_spec(sigma=0.001), 100)
+FIG89_SECOND_MOMENT = ([0.0, 0.0], [0.0, 1000.0], [10.0, 1000.0], CTX,
+                       gaussian_spec(sigma=0.001), 100, 1)
+
+
+@pytest.fixture(scope="module")
+def fig89_references():
+    return {mode: _reference_stability_ratio(*FIG89_ESTIMATE, mode, 1)
+            for mode in ("self", "mixed")}
+
+
+class TestRealizationSplit:
+    """Realizations split by stride over the caller and one helper thread
+    per further CPU give the reference's bits at every CPU count."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["self", "mixed"])
+    def test_stability_ratio_on_any_cpu_count(self, cpus, mode, fig89_references,
+                                              monkeypatch):
+        _cpus(monkeypatch, cpus)
+        if cpus == 1:  # one CPU: the caller draws every field, and no pool is built
+            monkeypatch.setattr(random_medium, "_helper_pool", None)
+        assert estimate_stability_ratio(*FIG89_ESTIMATE, mode, 1) == fig89_references[mode]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_second_moment_on_any_cpu_count(self, cpus, monkeypatch):
+        reference = _reference_second_moment(*FIG89_SECOND_MOMENT)
+        _cpus(monkeypatch, cpus)
+        assert estimate_second_moment(*FIG89_SECOND_MOMENT) == reference
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_helper_error_raised_after_every_task(self, cpus, monkeypatch):
+        _cpus(monkeypatch, cpus)
+        args = (build_linear_array(5, 10.0), [0.0, 100.0], [5.0, 100.0], CTX,
+                _spec("gaussian"), 100, "self", 3)
+        bad_seed = _derived_seed(3, 1)  # realization 1, the first of stride 1
+        entered, left, raised = [], [], []
+        sample = random_medium.sample_field
+
+        def failing_once(spec, region, seed):
+            entered.append(seed)
+            try:
+                if seed == bad_seed and not raised:
+                    raised.append((DomainError("planted"), threading.current_thread()))
+                    raise raised[0][0]
+                return sample(spec, region, seed)
+            finally:
+                left.append(seed)
+
+        monkeypatch.setattr(random_medium, "sample_field", failing_once)
+        with pytest.raises(DomainError) as caught:
+            estimate_stability_ratio(*args)
+        error, thread = raised[0]
+        assert caught.value is error and thread is not threading.current_thread()
+        # stride 1 stopped at its first field; every other stride ran to its end
+        assert len(left) == len(entered) == 100 - len(range(1, 100, cpus)) + 1
+        assert estimate_stability_ratio(*args) == _reference_stability_ratio(*args)
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        # a child forked after an estimate has none of its parent's helper
+        # threads, so a pool carried over from the parent would never run
+        _cpus(monkeypatch, 2)
+        args = (build_linear_array(5, 10.0), [0.0, 100.0], [5.0, 100.0], CTX,
+                _spec("gaussian"), 100)
+        expected = estimate_stability_ratio(*args)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                signal.alarm(20)  # a hung child dies instead of holding the test
+                os.write(write, repr(estimate_stability_ratio(*args)).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        _, status = os.waitpid(pid, 0)
+        with os.fdopen(read) as out:
+            assert status == 0 and out.read() == repr(expected)
 
 class TestParaxialRatio:
     def test_zero_offsets(self):
