@@ -109,6 +109,7 @@ class _BilinearPlan:
         u -= i0
         v -= j0
         self.fu, self.fv = u, v
+        self.gu, self.gv = 1 - u, 1 - v
         i0 *= n1
         i0 += j0
         self.corner = i0
@@ -120,8 +121,7 @@ class _BilinearPlan:
         """The four corner terms, each scaled by its two weights and summed
         in that order, with every product and sum taken in place."""
         flat = values.ravel()
-        k, fu, fv = self.corner, self.fu, self.fv
-        gu, gv = 1 - fu, 1 - fv
+        k, fu, fv, gu, gv = self.corner, self.fu, self.fv, self.gu, self.gv
         out = flat[k]
         out *= gu
         out *= gv
@@ -334,20 +334,15 @@ def _variance_with_se(w: np.ndarray):
     return float(var), se
 
 
-@lru_cache(maxsize=1)
-def _helper_pool(workers: int, pid: int):
-    """Helper threads for ``_realization_samples``, built once per process (a fork has none)."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=workers)
-
-
 def _realization_samples(spec: RandomMediumSpec, region: Region, master_seed: int | None,
                          realizations: int, starts, ends, sample) -> np.ndarray:
     """Slot r of the ``(realizations,)`` result is ``sample(nus)``: the integrals of field r
     (seed ``_derived_seed(seed0, r)``) along rays from the rows of ``starts`` to each of
     ``ends``, planned on field 0, which the caller draws first.  The caller runs stride 0,
-    and a pool of W - 1 threads strides 1..W-1, W being the CPUs the process may use.
-    All tasks end before this returns or raises; a task's exception is raised as itself."""
+    and W - 1 helper threads, started here, strides 1..W-1, W being the CPUs the process
+    may use.  Every helper is joined before this returns or raises; a helper's exception
+    is raised as itself."""
+    from concurrent.futures import ThreadPoolExecutor
     seed0 = spec.master_seed if master_seed is None else master_seed
     first = sample_field(spec, region, seed=_derived_seed(seed0, 0))  # warms _spectral_amplitude
     rays = [_ray_plan(first, starts, y) for y in ends]
@@ -361,13 +356,11 @@ def _realization_samples(spec: RandomMediumSpec, region: Region, master_seed: in
             samples[r] = sample([ray(field.values) for ray in rays])
             del field  # so that no field is held while the next one is drawn
 
-    tasks = [_helper_pool(workers - 1, os.getpid()).submit(run, k) for k in range(1, workers)]
-    try:
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:  # waits for every task
+        tasks = [pool.submit(run, k) for k in range(1, workers)]
         run(0)
-    finally:
-        errors = [task.exception() for task in tasks]  # waits for every task
-    for error in filter(None, errors):
-        raise error
+    for task in tasks:
+        task.result()
     return samples
 
 

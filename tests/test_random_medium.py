@@ -615,8 +615,10 @@ class TestRealizationSplit:
     def test_stability_ratio_on_any_cpu_count(self, cpus, mode, fig89_references,
                                               monkeypatch):
         _cpus(monkeypatch, cpus)
-        if cpus == 1:  # one CPU: the caller draws every field, and no pool is built
-            monkeypatch.setattr(random_medium, "_helper_pool", None)
+        if cpus == 1:  # one CPU: the caller draws every field, and no thread starts
+            def no_thread(thread):
+                raise AssertionError("a helper thread started at one CPU")
+            monkeypatch.setattr(threading.Thread, "start", no_thread)
         assert estimate_stability_ratio(*FIG89_ESTIMATE, mode, 1) == fig89_references[mode]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -624,6 +626,18 @@ class TestRealizationSplit:
         reference = _reference_second_moment(*FIG89_SECOND_MOMENT)
         _cpus(monkeypatch, cpus)
         assert estimate_second_moment(*FIG89_SECOND_MOMENT) == reference
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_estimate_leaves_no_thread(self, cpus, monkeypatch):
+        # every helper is joined before the estimate returns
+        _cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        estimate_stability_ratio(build_linear_array(5, 10.0), [0.0, 100.0], [5.0, 100.0],
+                                 CTX, _spec("gaussian"), 100)
+        assert threading.active_count() == before
+        estimate_second_moment([0.0, 0.0], [0.0, 100.0], [5.0, 100.0], CTX,
+                               _spec("gaussian"), realizations=10)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_helper_error_raised_after_every_task(self, cpus, monkeypatch):
@@ -656,8 +670,8 @@ class TestRealizationSplit:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_builds_its_own_pool(self, monkeypatch):
-        # a child forked after an estimate has none of its parent's helper
-        # threads, so a pool carried over from the parent would never run
+        # a child forked after an estimate starts and joins helper threads of
+        # its own, and gives the parent's bits
         _cpus(monkeypatch, 2)
         args = (build_linear_array(5, 10.0), [0.0, 100.0], [5.0, 100.0], CTX,
                 _spec("gaussian"), 100)
