@@ -48,54 +48,31 @@ def select_rank(resp: ResponseMatrix, known_m: int | None = None) -> int:
     return int(np.sum(sv >= RANK_THRESHOLD * sv[0]))
 
 
-def reflectivities_from_sources(support, sources, illuminations,
-                                sensing: SensingMatrix):
-    """Second step of the two-step reconstruction.
-
-    ``sources`` holds the recovered effective sources on ``support``, one
-    column per column of ``illuminations``.  Rebuilds the exciting fields at
-    the support points and divides them out.  Returns ``(values, screened)``,
-    both ``(M, J)``, where ``screened`` marks entries whose exciting field
-    magnitude falls below ``1e-12 * ||f_j||``; their values are NaN, never a
-    silent division.
-    """
-    support = np.asarray(support, dtype=int)
-    gamma = np.asarray(sources, dtype=complex)
-    f = np.asarray(illuminations, dtype=complex)
-    pair = pairwise_green_matrix(sensing.window.points[support], sensing.ctx)
-    g_t = sensing.matrix[:, support].T
-    # one product per column: a blocked G_S^T F product rounds differently
-    exciting = np.column_stack([g_t @ f_j + pair @ gamma_j
-                                for f_j, gamma_j in zip(f.T, gamma.T)])
-    floor = SCREEN_FLOOR_REL * np.array([np.linalg.norm(f_j) for f_j in f.T])
-    screened = np.abs(exciting) < floor
-    values = np.full(gamma.shape, complex(np.nan, np.nan))
-    values[~screened] = gamma[~screened] / exciting[~screened]
-    return values, screened
-
-
 def _diagnostics(sol) -> dict:
     return {"iterations": sol.iterations, "residual": sol.residual_norm,
             "converged": sol.converged}
 
 
-def _two_step_result(sol, illuminations, sensing: SensingMatrix) -> ImagingResult:
-    """Step two on the step-one solution ``sol`` (one column per illumination).
-
-    Reflectivities are estimated per illumination on the common support and
-    averaged, skipping illuminations in which the component is screened; a
-    component screened in every illumination is NaN.
+def reflectivities_from_sources(sol, illuminations, sensing: SensingMatrix) -> ImagingResult:
+    """Step two on the step-one solution ``sol``, one column per illumination:
+    rebuild the exciting fields on the support for every column in one product
+    and divide them out.  An entry whose field is below ``1e-12 * ||f_j||`` is
+    screened, never divided; a component is the mean over its unscreened
+    columns, and one screened in every column is NaN and listed in ``screened``.
     """
     support = sol.support
-    sources = sol.solution.reshape(sensing.k, -1)[support]
-    values, screened = reflectivities_from_sources(support, sources, illuminations,
-                                                   sensing)
+    gamma = sol.solution.reshape(sensing.k, -1)[support]
+    f = np.asarray(illuminations, dtype=complex)
+    pair = pairwise_green_matrix(sensing.window.points[support], sensing.ctx)
+    exciting = sensing.matrix[:, support].T @ f + pair @ gamma
+    screened = np.abs(exciting) < SCREEN_FLOOR_REL * np.linalg.norm(f, axis=0)
+    quotients = np.zeros_like(gamma)
+    quotients[~screened] = gamma[~screened] / exciting[~screened]
     count = np.count_nonzero(~screened, axis=1)
-    total = np.where(screened, 0, values).sum(axis=1)
     lost = count == 0
     reflectivity = np.zeros(sensing.k, dtype=complex)
     reflectivity[support[lost]] = complex(np.nan, np.nan)
-    reflectivity[support[~lost]] = total[~lost] / count[~lost]
+    reflectivity[support[~lost]] = quotients.sum(axis=1)[~lost] / count[~lost]
     return ImagingResult(support=np.sort(support), reflectivity=reflectivity,
                          image=np.abs(np.nan_to_num(reflectivity)),
                          diagnostics=_diagnostics(sol), screened=support[lost].tolist())
@@ -113,7 +90,7 @@ def image_smv(b, illumination, sensing: SensingMatrix,
     """
     f = np.asarray(illumination, dtype=complex)[:, None]
     sol = solve_l1_smv(sensing.matrix, b, params)
-    return _two_step_result(sol, f, sensing)
+    return reflectivities_from_sources(sol, f, sensing)
 
 
 def image_mmv(data, illuminations, sensing: SensingMatrix,
@@ -128,7 +105,7 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
     if b.shape[1:] != f.shape[1:]:
         raise ValueError("data and illumination column counts differ")
     sol = solve_l1_mmv(sensing.matrix, b, params)
-    return _two_step_result(sol, f, sensing)
+    return reflectivities_from_sources(sol, f, sensing)
 
 
 def optimal_illuminations(resp: ResponseMatrix, count: int) -> np.ndarray:

@@ -340,14 +340,15 @@ def _realization_samples(spec: RandomMediumSpec, region: Region, master_seed: in
     (seed ``_derived_seed(seed0, r)``) along rays from the rows of ``starts`` to each of
     ``ends``, planned on field 0, which the caller draws first.  The caller runs stride 0,
     and W - 1 helper threads, started here, strides 1..W-1, W being the CPUs the process
-    may use.  Every helper is joined before this returns or raises; a helper's exception
-    is raised as itself."""
+    may use or the realization count, whichever is fewer.  Every helper is joined before
+    this returns or raises; a helper's exception is raised as itself."""
     from concurrent.futures import ThreadPoolExecutor
     seed0 = spec.master_seed if master_seed is None else master_seed
     first = sample_field(spec, region, seed=_derived_seed(seed0, 0))  # warms _spectral_amplitude
     rays = [_ray_plan(first, starts, y) for y in ends]
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
+    workers = min(cpus, realizations)  # no helper without a realization to run
     samples = np.empty(realizations, dtype=complex)
 
     def run(stride):

@@ -6,12 +6,11 @@ from arrayimg.errors import ConfigurationError
 from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import green_homogeneous, pairwise_green_matrix, sensing_matrix
-from arrayimg.foldy_lax import (ResponseMatrix, response_matrix_born,
-                                response_matrix_foldy_lax)
+from arrayimg.foldy_lax import (ResponseMatrix, effective_source_vector,
+                                response_matrix_born, response_matrix_foldy_lax)
 from arrayimg.sparse_solvers import SolverParams, SparseSolution
 from arrayimg.imaging import (PEAK_SEPARATION, RANK_THRESHOLD, SCREEN_FLOOR_REL,
-                              _local_maxima,
-                              _two_step_result, build_hybrid_system,
+                              _local_maxima, build_hybrid_system,
                               image_hybrid_l1, image_km, image_mmv,
                               image_music, image_smv,
                               optimal_illuminations, reflectivities_from_sources,
@@ -124,18 +123,26 @@ class TestImageSmv:
         gval = green_homogeneous(pts[0], pts[1], CTX)
         incident2 = sens.matrix[:, idx[1]] @ f
         gamma = np.array([-incident2 / gval, 0.5 + 0j])
-        values, screened = reflectivities_from_sources(idx, gamma[:, None], f[:, None],
-                                                       sens)
-        values, screened = values[:, 0], screened[:, 0]
-        assert list(screened) == [False, True]
-        assert np.isnan(values[1].real)
-        assert np.isfinite(values[0])
+        res = reflectivities_from_sources(step_one_solution(sens, idx, gamma[:, None]),
+                                          f[:, None], sens)
+        assert res.screened == [idx[1]]
+        assert np.isnan(res.reflectivity[idx[1]].real)
+        assert np.isfinite(res.reflectivity[idx[0]])
+
+
+def step_one_solution(sens, support, gamma):
+    """A step-one solution holding ``gamma`` (``(M, J)``) on ``support``."""
+    support = np.asarray(support)
+    solution = np.zeros((sens.k, gamma.shape[1]), dtype=complex)
+    solution[support] = gamma
+    return SparseSolution(solution=solution, iterations=1, residual_norm=0.0,
+                          support=support, converged=True)
 
 
 def _reference_two_step(sol, illuminations, sens):
-    """The per-illumination step two the column block replaced: one pairwise
-    Green's matrix and one division per column, then a mean over each
-    component's unscreened estimates.  Returns ``(reflectivity, screened)``."""
+    """Step two spelled one illumination at a time: one pairwise Green's
+    matrix and one division per column, then a mean over each component's
+    unscreened estimates.  Returns ``(reflectivity, screened)``."""
     support = sol.support
     sources = sol.solution.reshape(sens.k, -1)
     reflectivity = np.zeros(sens.k, dtype=complex)
@@ -192,23 +199,30 @@ class TestStepTwoMatchesReference:
         screen = ((bits >> np.arange(m * j)) & 1).astype(bool).reshape(m, j)
         gamma = rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j))
         f = self.forced_illuminations(sens, support, gamma, screen, rng)
-        solution = np.zeros((sens.k, j), dtype=complex)
-        solution[support] = gamma
-        sol = SparseSolution(solution=solution, iterations=1, residual_norm=0.0,
-                             support=support, converged=True)
-        got = _two_step_result(sol, f, sens)
+        sol = step_one_solution(sens, support, gamma)
+        got = reflectivities_from_sources(sol, f, sens)
         expected, screened = _reference_two_step(sol, f, sens)
         assert got.screened == screened == support[screen.all(axis=1)].tolist()
-        # a component kept in some but not all of J >= 4 columns is summed in
-        # numpy's pairwise order over all J slots, not over the kept ones, so
-        # its mean may differ in the last bits; every other byte is equal
-        partial = support[screen.any(axis=1) & ~screen.all(axis=1)]
-        exact = np.ones(sens.k, dtype=bool)
-        if j >= 4:
-            exact[partial] = False
-        assert got.reflectivity[exact].tobytes() == expected[exact].tobytes()
-        assert got.image[exact].tobytes() == np.abs(np.nan_to_num(expected[exact])).tobytes()
+        # the one product over all columns rounds differently from the
+        # per-column spelling, so the two agree to rounding, not to the bit
         np.testing.assert_allclose(got.reflectivity, expected, rtol=1e-12)
+        np.testing.assert_allclose(got.image, np.abs(np.nan_to_num(expected)), rtol=1e-12)
+
+    @pytest.mark.parametrize("j", [1, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_sources_give_reflectivities(self, j, seed):
+        # step two inverts the Foldy-Lax forward model: fed the exact
+        # effective sources of each illumination, it returns rho on the support
+        sens = STEP_TWO_SCENE
+        rng = np.random.default_rng(seed)
+        idx = np.sort(rng.choice(sens.k, size=4, replace=False))
+        alphas = rng.uniform(0.5, 2.0, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
+        rho = place_scatterers(sens.window, list(zip(idx, alphas)))
+        f = rng.standard_normal((sens.n, j)) + 1j * rng.standard_normal((sens.n, j))
+        sources = np.column_stack([effective_source_vector(sens, rho, f_j) for f_j in f.T])
+        res = reflectivities_from_sources(step_one_solution(sens, idx, sources[idx]), f, sens)
+        assert res.screened == [] and list(res.support) == list(idx)
+        np.testing.assert_allclose(res.reflectivity, rho.values, rtol=1e-12, atol=0)
 
     def test_pairwise_matrix_built_once_per_solve(self, monkeypatch):
         calls = []

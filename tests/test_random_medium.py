@@ -639,6 +639,22 @@ class TestRealizationSplit:
                                _spec("gaussian"), realizations=10)
         assert threading.active_count() == before
 
+    def test_no_helper_without_a_realization(self, monkeypatch):
+        # two realizations on eight CPUs: one helper runs realization 1, and
+        # no thread starts for the six strides that hold none
+        _cpus(monkeypatch, 8)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        estimate_second_moment([0.0, 0.0], [0.0, 100.0], [5.0, 100.0], CTX,
+                               _spec("gaussian"), realizations=2)
+        assert len(started) == 1
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_helper_error_raised_after_every_task(self, cpus, monkeypatch):
         _cpus(monkeypatch, cpus)
