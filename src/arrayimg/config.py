@@ -137,8 +137,8 @@ class ScenarioConfig:
     max_iterations: int = _key("solver", _count, SolverParams.max_iterations)
     tolerance: float = _key("solver", _positive, SolverParams.tolerance)
     support_threshold: float = _key("solver", _fraction, SolverParams.support_threshold)
-    # default depends on medium kind; at >= 1 the zero vector is feasible
-    hybrid_delta_fraction: float | None = _key("solver", _fraction)
+    # at >= 1 the zero vector is feasible
+    hybrid_delta_fraction: float = _key("solver", _fraction, 0.0)
     scenario_id: str = _key("experiment", _name, "scenario")
     seed: int = _key("experiment", _checked(_int, ">= 0", lambda v: v >= 0), 1)
     methods: list = _key("experiment", _checked(_distinct(_list(_words(*METHODS))),
@@ -153,13 +153,6 @@ class ScenarioConfig:
     delta_grid: list = _key("experiment", _distinct(_list(_nonnegative)), factory=list)
     write_pgm: bool = _key("experiment", _boolean, False)
     raw_text: str = ""
-
-    def resolved_hybrid_delta_fraction(self) -> float:
-        if self.hybrid_delta_fraction is not None:
-            return self.hybrid_delta_fraction
-        if self.medium_kind == "random-phase":
-            return 0.1
-        return 0.02 if self.noise_percent > 0 else 0.0
 
 
 # (section, key, name, parser) of every key, [medium] first: the lengths may be

@@ -165,7 +165,7 @@ def run_trial(scene: Scene, method: str, seed: int):
             result = image_hybrid_l1(scene.noisy, scene.sensing,
                                      _solver_params(cfg, 0.0),
                                      m_tilde=select_rank(scene.noisy, cfg.known_rank),
-                                     delta_fraction=cfg.resolved_hybrid_delta_fraction())
+                                     delta_fraction=cfg.hybrid_delta_fraction)
         elif method == "music":
             result = image_music(scene.noisy, scene.sensing,
                                  m_tilde=select_rank(scene.noisy, cfg.known_rank))

@@ -141,8 +141,8 @@ def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
                     delta_fraction: float = 0.0) -> ImagingResult:
     """Single-step l1 recovery on the SVD-reduced system (Born regime).
 
-    ``delta_fraction`` scales ``||sigma||_2`` into the constraint radius;
-    zero requests the equality-constrained problem.
+    The constraint radius is ``delta_fraction * ||sigma||_2`` alone (the caller's
+    ``params.delta`` is not read); zero requests the equality-constrained problem.
     """
     params = params or SolverParams()
     mat, rhs = build_hybrid_system(resp, sensing, m_tilde)

@@ -359,6 +359,8 @@ def _realization_samples(spec: RandomMediumSpec, region: Region, master_seed: in
 
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:  # waits for every task
         tasks = [pool.submit(run, k) for k in range(1, workers)]
+        # the caller runs stride 0 so that only W - 1 threads get a malloc arena of
+        # their own; a map over W workers raised peak RSS by about 5 MiB (2 CPUs)
         run(0)
     for task in tasks:
         task.result()

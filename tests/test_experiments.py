@@ -11,6 +11,7 @@ from arrayimg.experiments import (_sensing, add_noise, build_scene,
                                   coherence_report, monte_carlo_stability,
                                   run_scenario, run_trial)
 from arrayimg.greens import sensing_matrix
+from arrayimg.imaging import image_hybrid_l1
 from arrayimg.io import write_report_csv
 from arrayimg.random_medium import RandomMediumSpec
 
@@ -170,15 +171,30 @@ scenario_id = x
         with pytest.raises(ConfigurationError, match=r"unknown keys \['; methods'\]"):
             load_config(path)
 
-    def test_hybrid_delta_defaults(self):
-        cfg = ScenarioConfig()
-        assert cfg.resolved_hybrid_delta_fraction() == 0.0  # noiseless
-        cfg = replace(cfg, noise_percent=0.5)
-        assert cfg.resolved_hybrid_delta_fraction() == 0.02
-        cfg = replace(cfg, medium_kind="random-phase")
-        assert cfg.resolved_hybrid_delta_fraction() == 0.1
-        cfg = replace(cfg, hybrid_delta_fraction=0.07)
-        assert cfg.resolved_hybrid_delta_fraction() == 0.07
+    def test_hybrid_delta_fraction_read_as_written(self, tmp_path, monkeypatch):
+        # one default, the library's: 0 (the equality-constrained reduced
+        # problem) whatever the medium or the noise
+        for cfg in (ScenarioConfig(), ScenarioConfig(noise_percent=0.5),
+                    ScenarioConfig(medium_kind="random-phase", correlation_length=20.0)):
+            assert cfg.hybrid_delta_fraction == 0.0
+        assert load_config(SCENARIOS / "fig5_hybrid_heavy_noise.ini").hybrid_delta_fraction == 0.02
+        assert load_config(SCENARIOS / "fig89_random_medium.ini").hybrid_delta_fraction == 0.1
+
+        seen = []
+
+        def recorder(*args, delta_fraction, **kwargs):
+            seen.append(delta_fraction)
+            return image_hybrid_l1(*args, delta_fraction=delta_fraction, **kwargs)
+
+        path = tmp_path / "small.ini"
+        path.write_text(SMALL_INI)
+        monkeypatch.setattr("arrayimg.experiments.image_hybrid_l1", recorder)
+        for overrides in ({"noise_percent": 0.5},
+                          {"noise_percent": 0.5, "hybrid_delta_fraction": 0.07}):
+            scene = build_scene(load_config(path, overrides), seed=3)
+            report, _ = run_trial(scene, "hybrid", 3)
+            assert report.error == ""
+        assert seen == [0.0, 0.07]
 
 
 class TestScene:
