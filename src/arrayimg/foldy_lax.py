@@ -56,7 +56,8 @@ def _top_svd(p: np.ndarray, k: int):
     if width < min(p.shape):
         omega = np.random.default_rng(SKETCH_SEED).standard_normal((p.shape[1], width))
         q = np.linalg.qr(p @ omega)[0]
-        q = np.linalg.qr(p @ (p.conj().T @ q))[0]
+        # P^H Q as conj(P^T conj(Q)), so that only the thin Q is conjugated
+        q = np.linalg.qr(p @ np.conj(p.T @ q.conj()))[0]
         b = q.conj().T @ p
         if np.linalg.norm(p - q @ b) <= SKETCH_CERTIFICATE * np.linalg.norm(p):
             ub, s, vh = np.linalg.svd(b, full_matrices=False)

@@ -17,6 +17,9 @@ RANK_THRESHOLD = 0.05  # M~ without a known rank: singular values >= this * sigm
 # half height
 MUSIC_PEAK_FLOOR = 0.25
 PEAK_SEPARATION = 2  # lattice cells (Chebyshev distance) between listed peaks
+# a column whose ||g||^2 - ||U^H g||^2 falls below this fraction of ||g||^2 has
+# lost too many digits to cancellation; _noise_space_norms projects it explicitly
+MUSIC_CANCELLATION_TOL = 1e-4
 
 
 @dataclass
@@ -179,6 +182,21 @@ def _local_maxima(values: np.ndarray, rows: int, cols: int, count: int,
     return np.sort(np.array([r * cols + c for r, c in picked], dtype=int))
 
 
+def _noise_space_norms(un: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Column norms of (I - U U^H) g for orthonormal U, from the identity
+    ||(I - U U^H) g||^2 = ||g||^2 - ||U^H g||^2, which forms only the
+    ``(M~, K)`` coefficients U^H g and no ``(N, K)`` temporary.  A column where
+    the difference is below ``MUSIC_CANCELLATION_TOL * ||g||^2`` takes the
+    explicit projection."""
+    coef = un.conj().T @ g
+    energy = np.einsum("ij,ij->j", g.real, g.real) + np.einsum("ij,ij->j", g.imag, g.imag)
+    squares = energy - (coef.real ** 2 + coef.imag ** 2).sum(axis=0)
+    near = np.flatnonzero(squares < MUSIC_CANCELLATION_TOL * energy)
+    norms = np.sqrt(np.maximum(squares, 0.0))
+    norms[near] = np.linalg.norm(un @ coef[:, near] - g[:, near], axis=0)
+    return norms
+
+
 def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
                 m_tilde: int) -> ImagingResult:
     """Noise-subspace projection functional, normalized to peak at one.
@@ -189,9 +207,7 @@ def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
     if not 1 <= m_tilde <= resp.n:
         raise ConfigurationError(f"rank {m_tilde} outside [1, {resp.n}]")
     un, _, _ = resp.svd(m_tilde)
-    g = sensing.matrix
-    projected = un @ (un.conj().T @ g) - g
-    norms = np.linalg.norm(projected, axis=0)
+    norms = _noise_space_norms(un, sensing.matrix)
     if not np.any(norms > 0):
         raise DomainError("all grid points project to zero; degenerate subspace")
     functional = norms.min() / norms
@@ -216,7 +232,9 @@ def image_km(data, illuminations, sensing: SensingMatrix,
     if b.shape[1:] != f.shape[1:]:
         raise ValueError("data and illumination column counts differ")
     g = sensing.matrix
-    magnitudes = np.abs(np.sum(np.conj(g.T @ f) * (g.conj().T @ b), axis=1))
+    # conj(g^T f) * (g^H b) is the conjugate of (g^T f) * (g^T conj(b)), whose
+    # magnitude is the same: so only b is conjugated, not the (N, K) matrix g
+    magnitudes = np.abs(np.sum((g.T @ f) * (g.T @ b.conj()), axis=1))
     window = sensing.window
     return ImagingResult(support=_local_maxima(magnitudes, window.rows, window.cols,
                                                peak_count),

@@ -70,12 +70,17 @@ class Region:
 
 @dataclass
 class RandomFieldRealization:
-    """One sampled realization of the medium fluctuation on a lattice."""
+    """One sampled realization of the medium fluctuation on a lattice.
+
+    ``imag`` holds a second realization on the same lattice, independent of
+    ``values`` with the same covariance: the imaginary half of the synthesis
+    whose real half is ``values``.  The stability estimators read both."""
 
     values: np.ndarray  # (n_cross, n_range)
     origin: tuple
     spacing: float
     spec: RandomMediumSpec
+    imag: np.ndarray | None = None  # (n_cross, n_range)
 
     def interpolate(self, points) -> np.ndarray:
         """Bilinear interpolation at (cross, range) points inside the lattice."""
@@ -215,7 +220,10 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
 
     Spectral (circulant-embedding) synthesis on a padded periodic lattice:
     the target covariance is exact on-lattice up to the negligible wraparound
-    beyond the padding distance.  Deterministic per seed.
+    beyond the padding distance.  Deterministic per seed.  The one complex
+    synthesis gives two independent fields with that covariance (Wood & Chan,
+    J. Comput. Graph. Stat. 3, 1994): its real half is ``values`` and its
+    imaginary half ``imag``.
     """
     # imported here for the reason given in _spectral_amplitude
     from scipy.fft import ifft2, next_fast_len
@@ -233,9 +241,11 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
     noise.real = rng.standard_normal((m_cross, m_range))
     noise.imag = rng.standard_normal((m_cross, m_range))
     noise *= amplitude
-    values = ifft2(noise, overwrite_x=True).real[:n_cross, :n_range] * np.sqrt(m_cross * m_range)
-    return RandomFieldRealization(values=values, origin=(region.cross_min, region.range_min),
-                                  spacing=step, spec=spec)
+    halves = ifft2(noise, overwrite_x=True)[:n_cross, :n_range]
+    scale = np.sqrt(m_cross * m_range)
+    return RandomFieldRealization(values=halves.real * scale,
+                                  origin=(region.cross_min, region.range_min),
+                                  spacing=step, spec=spec, imag=halves.imag * scale)
 
 
 def _ray_frame(x, y, correlation_length: float):
@@ -336,25 +346,30 @@ def _variance_with_se(w: np.ndarray):
 
 def _realization_samples(spec: RandomMediumSpec, region: Region, master_seed: int | None,
                          realizations: int, starts, ends, sample) -> np.ndarray:
-    """Slot r of the ``(realizations,)`` result is ``sample(nus)``: the integrals of field r
-    (seed ``_derived_seed(seed0, r)``) along rays from the rows of ``starts`` to each of
-    ``ends``, planned on field 0, which the caller draws first.  The caller runs stride 0,
-    and W - 1 helper threads, started here, strides 1..W-1, W being the CPUs the process
-    may use or the realization count, whichever is fewer.  Every helper is joined before
-    this returns or raises; a helper's exception is raised as itself."""
+    """Slot r of the ``(realizations,)`` result is ``sample(nus)``: the integrals of
+    realization r along rays from the rows of ``starts`` to each of ``ends``, planned on
+    draw 0, which the caller makes first.  Realizations 2k and 2k + 1 are the real and
+    imaginary halves of draw k, the field of seed ``_derived_seed(seed0, k)``; an odd
+    count leaves the last imaginary half unread.  The caller runs stride 0 over the
+    draws, and W - 1 helper threads, started here, strides 1..W-1, W being the CPUs the
+    process may use or the draw count, whichever is fewer, so both halves of a draw
+    stay on one thread.  Every helper is joined before this returns or raises; a
+    helper's exception is raised as itself."""
     from concurrent.futures import ThreadPoolExecutor
     seed0 = spec.master_seed if master_seed is None else master_seed
+    draws = (realizations + 1) // 2
     first = sample_field(spec, region, seed=_derived_seed(seed0, 0))  # warms _spectral_amplitude
     rays = [_ray_plan(first, starts, y) for y in ends]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    workers = min(cpus, realizations)  # no helper without a realization to run
+    workers = min(cpus, draws)  # no helper without a draw to make
     samples = np.empty(realizations, dtype=complex)
 
     def run(stride):
-        for r in range(stride, realizations, workers):
-            field = sample_field(spec, region, seed=_derived_seed(seed0, r)) if r else first
-            samples[r] = sample([ray(field.values) for ray in rays])
+        for k in range(stride, draws, workers):
+            field = sample_field(spec, region, seed=_derived_seed(seed0, k)) if k else first
+            for r, values in zip(range(2 * k, realizations), (field.values, field.imag)):
+                samples[r] = sample([ray(values) for ray in rays])
             del field  # so that no field is held while the next one is drawn
 
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:  # waits for every task

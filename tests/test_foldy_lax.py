@@ -7,7 +7,8 @@ from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import (green_homogeneous,
                              pairwise_green_matrix, sensing_matrix)
-from arrayimg.foldy_lax import (ResponseMatrix, effective_source_vector,
+from arrayimg.foldy_lax import (SKETCH_OVERSAMPLING, SKETCH_SEED, ResponseMatrix,
+                                _top_svd, effective_source_vector,
                                 foldy_lax_matrix, multiple_scattering_ratio,
                                 response_matrix_born, response_matrix_foldy_lax,
                                 solve_exciting_fields)
@@ -349,6 +350,22 @@ class TestTopSvd:
         assert np.array_equal(u, u0[:, :k]) and np.array_equal(s, s0[:k])
         assert np.array_equal(vh, vh0[:k])
         assert resp._svd[1].size == n  # every triplet is cached
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_matches_explicit_conjugate_power_step(self, k):
+        # the power step forms P^H Q as conj(P^T conj(Q)); the spelling that
+        # conjugates P gives the same top triplets to a relative 1e-13
+        p = born_response(4).matrix
+        omega = np.random.default_rng(SKETCH_SEED).standard_normal(
+            (p.shape[1], k + SKETCH_OVERSAMPLING))
+        q = np.linalg.qr(p @ omega)[0]
+        q = np.linalg.qr(p @ (p.conj().T @ q))[0]
+        ub, s0, vh0 = np.linalg.svd(q.conj().T @ p, full_matrices=False)
+        u0, s0, vh0 = q @ ub[:, :k], s0[:k], vh0[:k]
+        u, s, vh = _top_svd(p, k)
+        assert s.size == k  # the range finder kept its basis
+        assert np.all(np.abs(s - s0) <= 1e-13 * s0)
+        assert np.linalg.norm((u * s) @ vh - (u0 * s0) @ vh0) <= 1e-13 * s0[0]
 
     def test_fresh_objects_bit_identical(self):
         mat = born_response(4).matrix

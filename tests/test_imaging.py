@@ -10,7 +10,7 @@ from arrayimg.foldy_lax import (ResponseMatrix, effective_source_vector,
                                 response_matrix_born, response_matrix_foldy_lax)
 from arrayimg.sparse_solvers import SolverParams, SparseSolution
 from arrayimg.imaging import (PEAK_SEPARATION, RANK_THRESHOLD, SCREEN_FLOOR_REL,
-                              _local_maxima, build_hybrid_system,
+                              _local_maxima, _noise_space_norms, build_hybrid_system,
                               image_hybrid_l1, image_km, image_mmv,
                               image_music, image_smv,
                               optimal_illuminations, reflectivities_from_sources,
@@ -368,6 +368,64 @@ class TestImageMusic:
         assert sorted(res.support) == idx
 
 
+def explicit_noise_space_norms(un, g):
+    return np.linalg.norm(un @ (un.conj().T @ g) - g, axis=0)
+
+
+class TestNoiseSpaceNorms:
+    """The identity ||g||^2 - ||U^H g||^2, with its explicit fallback, against
+    the explicit projection."""
+
+    @staticmethod
+    def spy_on_fallback(monkeypatch):
+        # the column count of every explicit projection the norms take
+        counts = []
+        norm = np.linalg.norm
+
+        def spied(x, *args, **kwargs):
+            counts.append(np.shape(x)[1])
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spied)
+        return counts
+
+    def test_noisy_fig5_like(self, monkeypatch):
+        # fig5's array, window and scatterers at 100% noise
+        cells = [(6, 8), (10, 32), (20, 20), (30, 8), (34, 32)]
+        sens, rho, _ = scene(cells, [2.96, 2.76, 2.05, 1.54, 1.35], n=100,
+                             rows=41, cols=41, spacing=1.0, center=100.0)
+        clean = response_matrix_born(sens, rho).matrix
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+        noise *= np.linalg.norm(clean) / np.linalg.norm(noise)
+        un, _, _ = ResponseMatrix(matrix=clean + noise, provenance="born").svd(5)
+        g = sens.matrix
+        reference = explicit_noise_space_norms(un, g)
+        counts = self.spy_on_fallback(monkeypatch)
+        norms = _noise_space_norms(un, g)
+        assert counts == [0]  # no column cancels
+        assert np.all(np.abs(norms - reference) <= 1e-12 * reference)
+
+    @pytest.mark.parametrize("cells, alphas", [
+        ([(5, 4), (15, 16)], [1.0, 0.7 * np.exp(1j * 0.9)]),
+        ([(3, 3), (5, 15), (15, 5), (17, 17)], [0.8, 1.0, 0.5, 0.7]),
+    ])
+    def test_noiseless_born_takes_the_fallback(self, cells, alphas, monkeypatch):
+        # a true point's column lies in the signal space, so its norm is
+        # round-off, whose bits depend on how the product is blocked: the
+        # bound is relative to the column norm ||g_j||
+        sens, rho, idx = scene(cells, alphas)
+        un, _, _ = response_matrix_born(sens, rho).svd(len(cells))
+        g = sens.matrix
+        reference = explicit_noise_space_norms(un, g)
+        scale = np.linalg.norm(g, axis=0)
+        counts = self.spy_on_fallback(monkeypatch)
+        norms = _noise_space_norms(un, g)
+        assert len(counts) == 1 and counts[0] >= len(idx)
+        assert np.all(np.abs(norms - reference) <= 1e-12 * scale)
+        assert np.all(norms[idx] > 0)
+
+
 class TestImageKm:
     def test_zero_data(self):
         sens, _, _ = scene([(10, 10)], [1.0])
@@ -408,6 +466,18 @@ class TestImageKm:
         reference = sum(np.conj(g.T @ f[:, j]) * (g.conj().T @ b[:, j]) for j in range(3))
         res = image_km(b, f, sens, peak_count=1)
         assert np.allclose(res.image, np.abs(reference), rtol=1e-12, atol=0)
+
+    def test_matches_explicit_conjugate(self):
+        # conjugating the data in place of the sensing matrix keeps the image
+        # to a relative 1e-13
+        sens, _, _ = scene([(5, 4)], [1.0])
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+        f = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+        g = sens.matrix
+        reference = np.abs(np.sum(np.conj(g.T @ f) * (g.conj().T @ b), axis=1))
+        res = image_km(b, f, sens, peak_count=1)
+        assert np.all(np.abs(res.image - reference) <= 1e-13 * reference)
 
     def test_resolution_improves_with_aperture(self):
         # cross-range FWHM ratio across apertures 25l -> 100l (l = 20 wavelengths)

@@ -131,6 +131,30 @@ class TestSampleField:
             prods.append(np.mean(v[:, :-lag_cells] * v[:, lag_cells:]))
         assert np.mean(prods) == pytest.approx(2 * np.exp(-1), abs=0.05)
 
+    def test_real_and_imaginary_halves(self):
+        # two nodes one correlation length apart, one sample of each half per
+        # draw: each half has variance 1 and covariance e^(-1/2) at the lag,
+        # and every cross moment of the halves is 0.  Each bound is four
+        # standard errors of a mean of n products of unit Gaussians: sqrt(2/n)
+        # for a square, sqrt((1 + rho^2)/n) at correlation rho, sqrt(1/n) for
+        # independent factors
+        spec = gaussian_spec()
+        region = Region(0.0, 20.0, 0.0, 20.0)
+        lag = int(round(L_CORR / spec.lattice_spacing))
+        n = 400
+        draws = [sample_field(spec, region, seed=s) for s in range(n)]
+        assert draws[0].imag.flags.c_contiguous and draws[0].imag.flags.owndata
+        assert draws[0].imag.shape == draws[0].values.shape and draws[0].values.shape[1] > lag
+        re = np.array([[d.values[0, 0], d.values[0, lag]] for d in draws])
+        im = np.array([[d.imag[0, 0], d.imag[0, lag]] for d in draws])
+        rho = np.exp(-0.5)
+        for half in (re, im):
+            assert abs(np.mean(half[:, 0] ** 2) - 1) <= 4 * np.sqrt(2 / n)
+            assert abs(np.mean(half[:, 1] ** 2) - 1) <= 4 * np.sqrt(2 / n)
+            assert abs(np.mean(half[:, 0] * half[:, 1]) - rho) <= 4 * np.sqrt((1 + rho ** 2) / n)
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            assert abs(np.mean(re[:, a] * im[:, b])) <= 4 * np.sqrt(1 / n)
+
 
 class TestPhaseLineIntegral:
     def test_zero_field(self):
@@ -328,9 +352,10 @@ class TestStabilityEstimators:
 # Reference spellings of the synthesis, the interpolation, the line integral
 # and both estimator loops as they were before the seed-free work (spectral
 # amplitude, ray plans) moved out of the realization loops.  The package must
-# match them bit for bit.
+# match them bit for bit.  Realization r of both estimator loops is half r % 2
+# (0 real, 1 imaginary) of draw r // 2, seeded by _derived_seed(seed0, r // 2).
 
-def _reference_field_values(spec, region, seed):
+def _reference_field_values(spec, region, seed, half=0):
     step = spec.lattice_spacing
     l = spec.correlation_length
     n_cross = int(np.ceil((region.cross_max - region.cross_min) / step)) + 2
@@ -350,7 +375,8 @@ def _reference_field_values(spec, region, seed):
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((m_cross, m_range)) \
         + 1j * rng.standard_normal((m_cross, m_range))
-    sample = ifft2(np.sqrt(eig) * noise).real * np.sqrt(m_cross * m_range)
+    synthesis = ifft2(np.sqrt(eig) * noise)
+    sample = (synthesis.real, synthesis.imag)[half] * np.sqrt(m_cross * m_range)
     return np.ascontiguousarray(sample[:n_cross, :n_range])
 
 
@@ -389,9 +415,9 @@ def _reference_phase_line_integral(field, x, y):
     return float(nu[0]) if np.ndim(x) == 1 else nu
 
 
-def _reference_field(spec, region, seed):
+def _reference_field(spec, region, seed, half=0):
     return random_medium.RandomFieldRealization(
-        values=_reference_field_values(spec, region, seed),
+        values=_reference_field_values(spec, region, seed, half),
         origin=(region.cross_min, region.range_min),
         spacing=spec.lattice_spacing, spec=spec)
 
@@ -418,7 +444,7 @@ def _reference_second_moment(x, y1, y2, ctx, spec, realizations, master_seed):
     region = region_for(np.vstack([x, pts]), spec)
     samples = np.empty(realizations, dtype=complex)
     for r in range(realizations):
-        field = _reference_field(spec, region, seed=_derived_seed(seed0, r))
+        field = _reference_field(spec, region, _derived_seed(seed0, r // 2), r % 2)
         g1 = _reference_green_random(field, x, pts[0], ctx)
         g2 = _reference_green_random(field, x, pts[1], ctx)
         samples[r] = g1 * np.conj(g2)
@@ -437,7 +463,7 @@ def _reference_stability_ratio(geom, y1, y2, ctx, spec, realizations, mode, mast
     g0_2 = green_vector(geom, y2, ctx)
     samples = np.empty(realizations, dtype=complex)
     for r in range(realizations):
-        field = _reference_field(spec, region, seed=_derived_seed(seed0, r))
+        field = _reference_field(spec, region, _derived_seed(seed0, r // 2), r % 2)
         g2 = _reference_random_green_vector(field, geom, y2, ctx)
         if mode == "self":
             g1 = _reference_random_green_vector(field, geom, y1, ctx)
@@ -472,6 +498,15 @@ class TestMatchesReference:
         field = sample_field(spec, region, seed=seed)
         assert field.values.tobytes() == \
             _reference_field_values(spec, region, seed).tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(kernel=KERNELS, seed=SEEDS)
+    def test_imaginary_half(self, kernel, seed):
+        region = Region(-30.0, 30.0, 0.0, 60.0)
+        spec = _spec(kernel)
+        field = sample_field(spec, region, seed=seed)
+        assert field.imag.tobytes() == \
+            _reference_field_values(spec, region, seed, half=1).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(kernel=KERNELS, seed=SEEDS,
@@ -606,8 +641,8 @@ def fig89_references():
 
 
 class TestRealizationSplit:
-    """Realizations split by stride over the caller and one helper thread
-    per further CPU give the reference's bits at every CPU count."""
+    """Draws split by stride over the caller and one helper thread per
+    further CPU give the reference's bits at every CPU count."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -627,6 +662,37 @@ class TestRealizationSplit:
         _cpus(monkeypatch, cpus)
         assert estimate_second_moment(*FIG89_SECOND_MOMENT) == reference
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_slot_holds_its_draw_and_half(self, cpus, monkeypatch):
+        # slot r is realization r: half r % 2 of draw r // 2, the last
+        # imaginary half of an odd count unread
+        _cpus(monkeypatch, cpus)
+        spec = _spec("gaussian")
+        starts, end = np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([5.0, 100.0])
+        region = region_for(np.vstack([starts, end]), spec)
+        samples = random_medium._realization_samples(
+            spec, region, 7, 9, starts, [end], lambda nus: complex(*nus[0]))
+        for r, got in enumerate(samples):
+            field = _reference_field(spec, region, _derived_seed(7, r // 2), r % 2)
+            assert got == complex(*_reference_phase_line_integral(field, starts, end))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_odd_count_draws_half_rounded_up(self, cpus, monkeypatch):
+        _cpus(monkeypatch, cpus)
+        calls = []
+        sample = random_medium.sample_field
+
+        def counted(spec, region, seed):
+            calls.append(seed)
+            return sample(spec, region, seed)
+
+        monkeypatch.setattr(random_medium, "sample_field", counted)
+        args = (build_linear_array(5, 10.0), [0.0, 100.0], [5.0, 100.0], CTX,
+                _spec("gaussian"), 101, "self", 3)
+        estimate = estimate_stability_ratio(*args)
+        assert sorted(calls) == sorted(_derived_seed(3, k) for k in range(51))
+        assert estimate == _reference_stability_ratio(*args)
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_estimate_leaves_no_thread(self, cpus, monkeypatch):
         # every helper is joined before the estimate returns
@@ -640,8 +706,9 @@ class TestRealizationSplit:
         assert threading.active_count() == before
 
     def test_no_helper_without_a_realization(self, monkeypatch):
-        # two realizations on eight CPUs: one helper runs realization 1, and
-        # no thread starts for the six strides that hold none
+        # four realizations (two draws) on eight CPUs: one helper runs draw 1,
+        # realizations 2 and 3, and no thread starts for the six strides that
+        # hold none
         _cpus(monkeypatch, 8)
         started = []
         start = threading.Thread.start
@@ -652,7 +719,7 @@ class TestRealizationSplit:
 
         monkeypatch.setattr(threading.Thread, "start", counted)
         estimate_second_moment([0.0, 0.0], [0.0, 100.0], [5.0, 100.0], CTX,
-                               _spec("gaussian"), realizations=2)
+                               _spec("gaussian"), realizations=4)
         assert len(started) == 1
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -660,7 +727,7 @@ class TestRealizationSplit:
         _cpus(monkeypatch, cpus)
         args = (build_linear_array(5, 10.0), [0.0, 100.0], [5.0, 100.0], CTX,
                 _spec("gaussian"), 100, "self", 3)
-        bad_seed = _derived_seed(3, 1)  # realization 1, the first of stride 1
+        bad_seed = _derived_seed(3, 1)  # draw 1, the first of stride 1
         entered, left, raised = [], [], []
         sample = random_medium.sample_field
 
@@ -679,8 +746,8 @@ class TestRealizationSplit:
             estimate_stability_ratio(*args)
         error, thread = raised[0]
         assert caught.value is error and thread is not threading.current_thread()
-        # stride 1 stopped at its first field; every other stride ran to its end
-        assert len(left) == len(entered) == 100 - len(range(1, 100, cpus)) + 1
+        # stride 1 stopped at its first draw; every other stride ran to its end
+        assert len(left) == len(entered) == 50 - len(range(1, 50, cpus)) + 1
         assert estimate_stability_ratio(*args) == _reference_stability_ratio(*args)
 
 
