@@ -80,7 +80,7 @@ class RandomFieldRealization:
     origin: tuple
     spacing: float
     spec: RandomMediumSpec
-    imag: np.ndarray | None = None  # (n_cross, n_range)
+    imag: np.ndarray  # (n_cross, n_range)
 
     def interpolate(self, points) -> np.ndarray:
         """Bilinear interpolation at (cross, range) points inside the lattice."""
@@ -370,7 +370,7 @@ def _realization_samples(spec: RandomMediumSpec, region: Region, master_seed: in
             field = sample_field(spec, region, seed=_derived_seed(seed0, k)) if k else first
             for r, values in zip(range(2 * k, realizations), (field.values, field.imag)):
                 samples[r] = sample([ray(values) for ray in rays])
-            del field  # so that no field is held while the next one is drawn
+            del field, values  # so that no field is held while the next one is drawn
 
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:  # waits for every task
         tasks = [pool.submit(run, k) for k in range(1, workers)]

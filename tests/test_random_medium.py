@@ -182,7 +182,7 @@ class TestPhaseLineIntegral:
         fine_spec = RandomMediumSpec(correlation_length=L_CORR / 2, sigma=0.001,
                                      lattice_spacing=L_CORR / 10)
         fine_field = type(field)(values=field.values, origin=field.origin,
-                                 spacing=field.spacing, spec=fine_spec)
+                                 spacing=field.spacing, spec=fine_spec, imag=field.imag)
         fine = phase_line_integral(fine_field, x, y)
         assert abs(coarse - fine) <= 0.01 * max(abs(fine), 1e-12)
 
@@ -419,7 +419,8 @@ def _reference_field(spec, region, seed, half=0):
     return random_medium.RandomFieldRealization(
         values=_reference_field_values(spec, region, seed, half),
         origin=(region.cross_min, region.range_min),
-        spacing=spec.lattice_spacing, spec=spec)
+        spacing=spec.lattice_spacing, spec=spec,
+        imag=_reference_field_values(spec, region, seed, 1 - half))
 
 
 def _reference_green_random(field, x, y, ctx):

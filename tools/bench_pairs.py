@@ -49,9 +49,9 @@ def export(treeish: str, dest: Path):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(tree: Path, workload: str, seed: int) -> dict:
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          "--seed", str(seed), "--trace", "0"],
                          cwd=tree, check=True, text=True, capture_output=True).stdout
     last = json.loads(out.splitlines()[-1])
     if not last.get("correct") or last.get("failed"):
@@ -86,11 +86,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30.0,
-                    help="length of each run (default 30, the benchmark's)")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2, for quartiles")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         trees = {"parent": tmp / "parent", "change": tmp / "change"}
@@ -100,12 +98,11 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                metrics = run_bench(trees[side], args.workload, args.seed, args.seconds)
+                metrics = run_bench(trees[side], args.workload, args.seed)
                 results[side].append(metrics)
                 print(json.dumps({"pair": pair, "side": side, "first": order[0],
                                   "metrics": metrics}), flush=True)
     print(json.dumps({"rev": args.rev, "workload": args.workload, "seed": args.seed,
-                      "seconds": args.seconds,
                       "summary": summary(results["parent"], results["change"])}))
     return 0
 
