@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .greens import SensingMatrix, pairwise_green_matrix
 from .foldy_lax import ResponseMatrix
 from .sparse_solvers import SolverParams, solve_l1_smv, solve_l1_mmv
@@ -17,9 +17,11 @@ RANK_THRESHOLD = 0.05  # M~ without a known rank: singular values >= this * sigm
 # half height
 MUSIC_PEAK_FLOOR = 0.25
 PEAK_SEPARATION = 2  # lattice cells (Chebyshev distance) between listed peaks
-# a column whose ||g||^2 - ||U^H g||^2 falls below this fraction of ||g||^2 has
-# lost too many digits to cancellation; _noise_space_norms projects it explicitly
-MUSIC_CANCELLATION_TOL = 1e-4
+# least noise-space norm, as a fraction of ||g||: ||g||^2 - ||U^H g||^2 rounds
+# off by at most about (N + M~) eps ||g||^2 (6e-14 ||g||^2 at N = 501), under
+# 1e-5 of this floor's square, and no shipped column comes within 1,000 times
+# of it; MUSIC's functional thus spans at most 1 / MUSIC_NORM_FLOOR
+MUSIC_NORM_FLOOR = 1e-4
 
 
 @dataclass
@@ -185,16 +187,12 @@ def _local_maxima(values: np.ndarray, rows: int, cols: int, count: int,
 def _noise_space_norms(un: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Column norms of (I - U U^H) g for orthonormal U, from the identity
     ||(I - U U^H) g||^2 = ||g||^2 - ||U^H g||^2, which forms only the
-    ``(M~, K)`` coefficients U^H g and no ``(N, K)`` temporary.  A column where
-    the difference is below ``MUSIC_CANCELLATION_TOL * ||g||^2`` takes the
-    explicit projection."""
+    ``(M~, K)`` coefficients U^H g and no ``(N, K)`` temporary.  Each norm is
+    floored at ``MUSIC_NORM_FLOOR * ||g||``, above the identity's round-off."""
     coef = un.conj().T @ g
     energy = np.einsum("ij,ij->j", g.real, g.real) + np.einsum("ij,ij->j", g.imag, g.imag)
     squares = energy - (coef.real ** 2 + coef.imag ** 2).sum(axis=0)
-    near = np.flatnonzero(squares < MUSIC_CANCELLATION_TOL * energy)
-    norms = np.sqrt(np.maximum(squares, 0.0))
-    norms[near] = np.linalg.norm(un @ coef[:, near] - g[:, near], axis=0)
-    return norms
+    return np.sqrt(np.maximum(squares, MUSIC_NORM_FLOOR ** 2 * energy))
 
 
 def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
@@ -208,8 +206,6 @@ def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
         raise ConfigurationError(f"rank {m_tilde} outside [1, {resp.n}]")
     un, _, _ = resp.svd(m_tilde)
     norms = _noise_space_norms(un, sensing.matrix)
-    if not np.any(norms > 0):
-        raise DomainError("all grid points project to zero; degenerate subspace")
     functional = norms.min() / norms
     window = sensing.window
     support = _local_maxima(functional, window.rows, window.cols, m_tilde,

@@ -9,9 +9,9 @@ from arrayimg.greens import green_homogeneous, pairwise_green_matrix, sensing_ma
 from arrayimg.foldy_lax import (ResponseMatrix, effective_source_vector,
                                 response_matrix_born, response_matrix_foldy_lax)
 from arrayimg.sparse_solvers import SolverParams, SparseSolution
-from arrayimg.imaging import (PEAK_SEPARATION, RANK_THRESHOLD, SCREEN_FLOOR_REL,
-                              _local_maxima, _noise_space_norms, build_hybrid_system,
-                              image_hybrid_l1, image_km, image_mmv,
+from arrayimg.imaging import (MUSIC_NORM_FLOOR, PEAK_SEPARATION, RANK_THRESHOLD,
+                              SCREEN_FLOOR_REL, _local_maxima, _noise_space_norms,
+                              build_hybrid_system, image_hybrid_l1, image_km, image_mmv,
                               image_music, image_smv,
                               optimal_illuminations, reflectivities_from_sources,
                               select_rank)
@@ -367,29 +367,26 @@ class TestImageMusic:
         res = image_music(resp, sens, m_tilde=4)
         assert sorted(res.support) == idx
 
+    def test_noiseless_true_points_read_the_norm_ratio(self):
+        # every true point's norm is the floor times ||g_j||, so the image
+        # there is min ||g_i|| / ||g_j|| over the true points, which depends on
+        # the geometry alone and not on round-off
+        mags = [0.8, 1.0, 0.5, 0.7]
+        sens, rho, idx = scene([(3, 3), (5, 15), (15, 5), (17, 17)], mags)
+        res = image_music(response_matrix_born(sens, rho), sens, m_tilde=4)
+        scale = np.linalg.norm(sens.matrix[:, idx], axis=0)
+        np.testing.assert_allclose(res.image[idx], scale.min() / scale, rtol=1e-12, atol=0)
+
 
 def explicit_noise_space_norms(un, g):
     return np.linalg.norm(un @ (un.conj().T @ g) - g, axis=0)
 
 
 class TestNoiseSpaceNorms:
-    """The identity ||g||^2 - ||U^H g||^2, with its explicit fallback, against
-    the explicit projection."""
+    """The identity ||g||^2 - ||U^H g||^2, floored at ``MUSIC_NORM_FLOOR *
+    ||g||``, against the explicit projection."""
 
-    @staticmethod
-    def spy_on_fallback(monkeypatch):
-        # the column count of every explicit projection the norms take
-        counts = []
-        norm = np.linalg.norm
-
-        def spied(x, *args, **kwargs):
-            counts.append(np.shape(x)[1])
-            return norm(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "norm", spied)
-        return counts
-
-    def test_noisy_fig5_like(self, monkeypatch):
+    def test_noisy_fig5_like(self):
         # fig5's array, window and scatterers at 100% noise
         cells = [(6, 8), (10, 32), (20, 20), (30, 8), (34, 32)]
         sens, rho, _ = scene(cells, [2.96, 2.76, 2.05, 1.54, 1.35], n=100,
@@ -401,29 +398,45 @@ class TestNoiseSpaceNorms:
         un, _, _ = ResponseMatrix(matrix=clean + noise, provenance="born").svd(5)
         g = sens.matrix
         reference = explicit_noise_space_norms(un, g)
-        counts = self.spy_on_fallback(monkeypatch)
         norms = _noise_space_norms(un, g)
-        assert counts == [0]  # no column cancels
         assert np.all(np.abs(norms - reference) <= 1e-12 * reference)
+
+    def test_low_noise_within_the_rounding_bound(self):
+        # at 1% noise a true point's norm lies between the floor and 1e-2 ||g||,
+        # where the identity has lost digits: the square's rounding error is at
+        # most (N + M~) eps ||g||^2, a relative (N + M~) eps ||g||^2 / norm^2
+        cells = [(3, 3), (5, 15), (15, 5), (17, 17)]
+        sens, rho, idx = scene(cells, [0.8, 1.0, 0.5, 0.7])
+        clean = response_matrix_born(sens, rho).matrix
+        rng = np.random.default_rng(7)
+        noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+        noise *= 1e-2 * np.linalg.norm(clean) / np.linalg.norm(noise)
+        un, _, _ = ResponseMatrix(matrix=clean + noise, provenance="born").svd(len(cells))
+        g = sens.matrix
+        reference = explicit_noise_space_norms(un, g)
+        scale = np.linalg.norm(g, axis=0)
+        ratio = reference[idx] / scale[idx]
+        assert np.all((ratio > MUSIC_NORM_FLOOR) & (ratio < 1e-2))
+        norms = _noise_space_norms(un, g)
+        bound = (g.shape[0] + len(cells)) * np.finfo(float).eps * scale ** 2 / reference ** 2
+        assert np.all(np.abs(norms - reference) <= bound * reference)
 
     @pytest.mark.parametrize("cells, alphas", [
         ([(5, 4), (15, 16)], [1.0, 0.7 * np.exp(1j * 0.9)]),
         ([(3, 3), (5, 15), (15, 5), (17, 17)], [0.8, 1.0, 0.5, 0.7]),
     ])
-    def test_noiseless_born_takes_the_fallback(self, cells, alphas, monkeypatch):
-        # a true point's column lies in the signal space, so its norm is
-        # round-off, whose bits depend on how the product is blocked: the
-        # bound is relative to the column norm ||g_j||
+    def test_noiseless_born_floor_binds_at_true_points(self, cells, alphas):
+        # a true point's column lies in the signal space, so its identity
+        # square is round-off; the floor replaces it, and binds nowhere else
         sens, rho, idx = scene(cells, alphas)
         un, _, _ = response_matrix_born(sens, rho).svd(len(cells))
         g = sens.matrix
-        reference = explicit_noise_space_norms(un, g)
-        scale = np.linalg.norm(g, axis=0)
-        counts = self.spy_on_fallback(monkeypatch)
+        floor = MUSIC_NORM_FLOOR * np.linalg.norm(g, axis=0)
         norms = _noise_space_norms(un, g)
-        assert len(counts) == 1 and counts[0] >= len(idx)
-        assert np.all(np.abs(norms - reference) <= 1e-12 * scale)
-        assert np.all(norms[idx] > 0)
+        assert np.all(norms > 0)
+        assert np.all(norms >= floor * (1 - 1e-12))
+        binding = np.flatnonzero(norms <= floor * (1 + 1e-12))
+        assert binding.tolist() == idx
 
 
 class TestImageKm:
