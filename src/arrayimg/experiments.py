@@ -65,9 +65,13 @@ class Scene:
     cfg: ScenarioConfig
     sensing: object
     rho: object
-    response: object          # noise-free response matrix
-    noisy: object             # response matrix with injected noise
-    noise_matrix: np.ndarray  # the injected E (zeros if noiseless)
+    response: object  # noise-free response matrix
+    noisy: object     # response matrix with injected noise
+
+    @property
+    def noise_matrix(self) -> np.ndarray:
+        """The injected E (zeros if noiseless)."""
+        return self.noisy.matrix - self.response.matrix
 
 
 def _sensing(cfg: ScenarioConfig) -> SensingMatrix:
@@ -116,10 +120,8 @@ def build_scene(cfg: ScenarioConfig, seed: int) -> Scene:
 
     noise_seed = int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
     noisy_mat, _ = add_noise(response.matrix, cfg.noise_percent, seed=noise_seed)
-    noise_matrix = noisy_mat - response.matrix
     noisy = type(response)(matrix=noisy_mat, provenance=response.provenance, seed=seed)
-    return Scene(cfg=cfg, sensing=sensing, rho=rho,
-                 response=response, noisy=noisy, noise_matrix=noise_matrix)
+    return Scene(cfg=cfg, sensing=sensing, rho=rho, response=response, noisy=noisy)
 
 
 def _illuminations(spec: str, scene: Scene, rng: np.random.Generator) -> np.ndarray:
