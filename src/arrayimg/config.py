@@ -10,6 +10,7 @@ README documents them.
 import configparser
 import math
 from dataclasses import dataclass, field, fields
+from io import StringIO
 
 from .errors import ConfigurationError
 from .sparse_solvers import SolverParams
@@ -152,7 +153,7 @@ class ScenarioConfig:
         "experiment", _checked(_int, ">= 10", lambda v: v >= 10), 10)
     delta_grid: list = _key("experiment", _distinct(_list(_nonnegative)), factory=list)
     write_pgm: bool = _key("experiment", _boolean, False)
-    raw_text: str = ""
+    raw_text: str = ""  # the INI that was parsed, overrides included
 
 
 # (section, key, name, parser) of every key, [medium] first: the lengths may be
@@ -174,7 +175,8 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     ``ConfigurationError`` naming it.
 
     ``overrides`` maps field names to values that replace the file's, as if
-    written there, so they pass the same parsers and checks.
+    written there, so they pass the same parsers and checks.  ``raw_text`` is
+    the parser's text after the overrides, without the file's comments.
     """
     parser = configparser.ConfigParser(comment_prefixes=("#",), inline_comment_prefixes=("#",))
     with open(path) as fh:
@@ -207,7 +209,9 @@ def load_config(path, overrides=None) -> ScenarioConfig:
                                      values.get("correlation_length"))
             except (ValueError, configparser.Error) as exc:
                 raise _invalid(parser, section, key, exc) from exc
-    cfg = ScenarioConfig(raw_text=text, **values)
+    snapshot = StringIO()
+    parser.write(snapshot)
+    cfg = ScenarioConfig(raw_text=snapshot.getvalue(), **values)
 
     if cfg.medium_kind == "random-phase" and cfg.correlation_length is None:
         raise _invalid(parser, "medium", "kind", "needs [medium] correlation_length")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from arrayimg.cli import main
-from arrayimg.config import _KNOWN
+from arrayimg.config import _KNOWN, load_config
 
 CONFIG = """
 [array]
@@ -120,6 +120,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("music:")
         assert (tmp_path / "runs" / "cli-demo" / "9" / "music_image.csv").exists()
+
+    def test_config_snapshot_records_the_overrides(self, tmp_path):
+        # fig2 sets seed = 1 and methods = smv; the snapshot holds the run's
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "fig2_smv_noiseless.ini"
+        rc = main(["image", "--config", str(path), "--seed", "3",
+                   "--methods", "smv,km", "--out", str(tmp_path / "runs")])
+        assert rc == 0
+        cfg = load_config(tmp_path / "runs" / "fig2-smv-noiseless" / "3" / "config.ini")
+        assert cfg.seed == 3
+        assert cfg.methods == ["smv", "km"]
 
     def test_coherence(self, config_path, tmp_path, capsys):
         rc = main(["coherence", "--config", str(config_path),
