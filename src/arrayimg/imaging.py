@@ -20,7 +20,7 @@ PEAK_SEPARATION = 2  # lattice cells (Chebyshev distance) between listed peaks
 # least noise-space norm, as a fraction of ||g||: ||g||^2 - ||U^H g||^2 rounds
 # off by at most about (N + M~) eps ||g||^2 (6e-14 ||g||^2 at N = 501), under
 # 1e-5 of this floor's square, and no shipped column comes within 1,000 times
-# of it; MUSIC's functional thus spans at most 1 / MUSIC_NORM_FLOOR
+# of it; MUSIC's image thus spans at most max ||g|| / (floor * min ||g||)
 MUSIC_NORM_FLOOR = 1e-4
 
 
