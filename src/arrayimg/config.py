@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 from io import StringIO
 
 from .errors import ConfigurationError
+from .random_medium import KERNELS
 from .sparse_solvers import SolverParams
 
 
@@ -133,7 +134,7 @@ class ScenarioConfig:
                             "homogeneous", key="kind")
     correlation_length: float | None = _key("medium", _positive)
     sigma: float = _key("medium", _nonnegative, 0.0)
-    kernel: str = _key("medium", _words("gaussian", "power-law"), "gaussian")
+    kernel: str = _key("medium", _words(*KERNELS), "gaussian")
     lattice_spacing: float | None = _key("medium", _positive)
     max_iterations: int = _key("solver", _count, SolverParams.max_iterations)
     tolerance: float = _key("solver", _positive, SolverParams.tolerance)

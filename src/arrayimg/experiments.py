@@ -105,14 +105,12 @@ def build_scene(cfg: ScenarioConfig, seed: int) -> Scene:
     """Construct geometry, draw scatterer phases, run the forward model and
     inject noise.  Sub-seeds are derived deterministically from ``seed``."""
     sensing, rho = _truth(cfg, seed)
-    ctx, geom, window = sensing.ctx, sensing.geom, sensing.window
-
     if cfg.medium_kind == "random-phase":
         spec = RandomMediumSpec(correlation_length=cfg.correlation_length, sigma=cfg.sigma,
                                 kernel=cfg.kernel, lattice_spacing=cfg.lattice_spacing)
-        region = region_for(np.vstack([geom.positions, window.points]), spec)
+        region = region_for(np.vstack([sensing.geom.positions, sensing.window.points]), spec)
         field = sample_field(spec, region, seed=seed)
-        response = response_matrix_random(field, geom, window, rho, ctx)
+        response = response_matrix_random(field, sensing, rho)
     elif cfg.forward == "born":
         response = response_matrix_born(sensing, rho)
     else:

@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .foldy_lax import ResponseMatrix
-from .geometry import ArrayGeometry, ImageWindow, ReflectivityVector, WaveContext
-from .greens import green_homogeneous, green_vector
+from .geometry import ArrayGeometry, ReflectivityVector, WaveContext
+from .greens import SensingMatrix, green_vector
 
 # normalized kernels R(t) with R(0) = 1, plus dR/dt / t in closed form and the
 # lag (in correlation lengths) beyond which R is negligible for embedding
@@ -27,6 +27,7 @@ _KERNELS = {
         "pad": 18.0,
     },
 }
+KERNELS = tuple(_KERNELS)
 
 # quadrature nodes per block of phase_line_integral: a block's nodes and its
 # bilinear temporaries stay in cache, and a block always holds whole segments
@@ -58,16 +59,6 @@ class RandomMediumSpec:
                 "synthesis lattice spacing must not exceed l / 5")
 
 
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned bounding box in (cross_range, range) coordinates."""
-
-    cross_min: float
-    cross_max: float
-    range_min: float
-    range_max: float
-
-
 @dataclass
 class RandomFieldRealization:
     """One sampled realization of the medium fluctuation on a lattice.
@@ -91,7 +82,8 @@ class _BilinearPlan:
     """Bilinear interpolation at fixed points, planned once: the flat index of
     each point's lower lattice corner and its two fractional offsets.  These
     depend only on the lattice frame (origin, spacing, shape) of ``field``,
-    which every field sampled for one (spec, region) shares."""
+    which every field sampled for one (spec, region) shares.  Each axis needs
+    two nodes or more, as ``sample_field`` always gives."""
 
     def __init__(self, field: RandomFieldRealization, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -100,17 +92,18 @@ class _BilinearPlan:
         v = p[:, 1] - field.origin[1]
         v /= field.spacing
         n0, n1 = field.values.shape
+        if min(n0, n1) < 2:
+            raise DomainError(f"a {n0} x {n1} lattice has an axis of one node")
         # written so that a NaN coordinate fails it too
         if not (np.all(u >= -1e-9) and np.all(v >= -1e-9)
                 and np.all(u <= n0 - 1 + 1e-9) and np.all(v <= n1 - 1 + 1e-9)):
             raise DomainError("interpolation point outside the sampled region")
         np.clip(u, 0.0, n0 - 1, out=u)
         np.clip(v, 0.0, n1 - 1, out=v)
-        # lower corners; an axis of one node has only corner 0
-        i0 = u.astype(int)
-        np.minimum(i0, max(n0 - 2, 0), out=i0)
+        i0 = u.astype(int)  # lower corners
+        np.minimum(i0, n0 - 2, out=i0)
         j0 = v.astype(int)
-        np.minimum(j0, max(n1 - 2, 0), out=j0)
+        np.minimum(j0, n1 - 2, out=j0)
         u -= i0
         v -= j0
         self.fu, self.fv = u, v
@@ -118,9 +111,7 @@ class _BilinearPlan:
         i0 *= n1
         i0 += j0
         self.corner = i0
-        # flat steps to the upper neighbours; an axis of one node has none
-        self.di = n1 if n0 > 1 else 0
-        self.dj = 1 if n1 > 1 else 0
+        self.di = n1  # flat step to the next cross-range node
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """The four corner terms, each scaled by its two weights and summed
@@ -130,8 +121,7 @@ class _BilinearPlan:
         out = flat[k]
         out *= gu
         out *= gv
-        for shift, wu, wv in ((self.di, fu, gv), (self.dj, gu, fv),
-                              (self.di + self.dj, fu, fv)):
+        for shift, wu, wv in ((self.di, fu, gv), (1, gu, fv), (self.di + 1, fu, fv)):
             term = flat[shift:][k]
             term *= wu
             term *= wv
@@ -184,15 +174,15 @@ def _warn_regime(spec: RandomMediumSpec, range_distance: float, wavelength: floa
                           stacklevel=3)
 
 
-def region_for(points, spec: RandomMediumSpec) -> Region:
-    """Region to sample a field on: the bounding box of ``points`` plus two
+def region_for(points, spec: RandomMediumSpec) -> tuple:
+    """Region to sample a field on: the ``(low, high)`` corners, each a
+    ``(cross_range, range)`` pair, of the bounding box of ``points`` plus two
     synthesis-lattice cells on every side."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     margin = 2 * spec.lattice_spacing
     low = p.min(axis=0) - margin
     high = p.max(axis=0) + margin
-    return Region(cross_min=float(low[0]), cross_max=float(high[0]),
-                  range_min=float(low[1]), range_max=float(high[1]))
+    return (float(low[0]), float(low[1])), (float(high[0]), float(high[1]))
 
 
 @lru_cache(maxsize=8)
@@ -215,8 +205,9 @@ def _spectral_amplitude(kernel: str, correlation_length: float, step: float,
     return amplitude
 
 
-def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFieldRealization:
-    """Stationary Gaussian field with the requested autocorrelation.
+def sample_field(spec: RandomMediumSpec, region, seed: int) -> RandomFieldRealization:
+    """Stationary Gaussian field with the requested autocorrelation on the
+    ``(low, high)`` corners of ``region``, with at least two nodes per axis.
 
     Spectral (circulant-embedding) synthesis on a padded periodic lattice:
     the target covariance is exact on-lattice up to the negligible wraparound
@@ -229,8 +220,9 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
     from scipy.fft import ifft2, next_fast_len
     step = spec.lattice_spacing
     l = spec.correlation_length
-    n_cross = int(np.ceil((region.cross_max - region.cross_min) / step)) + 2
-    n_range = int(np.ceil((region.range_max - region.range_min) / step)) + 2
+    (cross_min, range_min), (cross_max, range_max) = region
+    n_cross = int(np.ceil((cross_max - cross_min) / step)) + 2
+    n_range = int(np.ceil((range_max - range_min) / step)) + 2
     pad = int(np.ceil(_KERNELS[spec.kernel]["pad"] * l / step))
     m_cross = next_fast_len(n_cross + pad)
     m_range = next_fast_len(n_range + pad)
@@ -244,7 +236,7 @@ def sample_field(spec: RandomMediumSpec, region: Region, seed: int) -> RandomFie
     halves = ifft2(noise, overwrite_x=True)[:n_cross, :n_range]
     scale = np.sqrt(m_cross * m_range)
     return RandomFieldRealization(values=halves.real * scale,
-                                  origin=(region.cross_min, region.range_min),
+                                  origin=(cross_min, range_min),
                                   spacing=step, spec=spec, imag=halves.imag * scale)
 
 
@@ -296,29 +288,31 @@ def phase_line_integral(field: RandomFieldRealization, x, y):
     return float(nu[0]) if np.ndim(x) == 1 else nu
 
 
-def _random_phase(base, dists, nu, spec: RandomMediumSpec, ctx: WaveContext):
-    """Homogeneous value(s) ``base`` times exp(i sigma kappa |x - y| nu)."""
-    return base * np.exp(1j * spec.sigma * ctx.wavenumber * dists * nu)
+def _random_green(geom: ArrayGeometry, y, ctx: WaveContext, spec: RandomMediumSpec):
+    """The random model G(x, y) = G0(x, y) exp(i sigma kappa |x - y| nu(x, y)) from
+    ``y`` to the transducers x: ``(g0, phase)`` with ``g0`` the homogeneous Green's
+    vector and ``phase`` = i sigma kappa |x - y|, so that the random vector for line
+    integrals ``nu`` is ``g0 * np.exp(phase * nu)``.  The products are taken in
+    the order written, nu last: the gate's artifacts pin those bits."""
+    y = np.asarray(y, dtype=float)
+    dists = np.linalg.norm(y[None, :] - geom.positions, axis=1)
+    return green_vector(geom, y, ctx), 1j * spec.sigma * ctx.wavenumber * dists
 
 
 def random_green_vector(field: RandomFieldRealization, geom: ArrayGeometry, y,
                         ctx: WaveContext) -> np.ndarray:
     """Random Green's vector from point ``y`` to all transducers."""
-    y = np.asarray(y, dtype=float)
-    dists = np.linalg.norm(y[None, :] - geom.positions, axis=1)
-    return _random_phase(green_vector(geom, y, ctx), dists,
-                         phase_line_integral(field, geom.positions, y), field.spec, ctx)
+    g0, phase = _random_green(geom, y, ctx, field.spec)
+    return g0 * np.exp(phase * phase_line_integral(field, geom.positions, y))
 
 
-def response_matrix_random(field: RandomFieldRealization, geom: ArrayGeometry,
-                           window: ImageWindow, rho: ReflectivityVector,
-                           ctx: WaveContext) -> ResponseMatrix:
+def response_matrix_random(field: RandomFieldRealization, sensing: SensingMatrix,
+                           rho: ReflectivityVector) -> ResponseMatrix:
     """Born response with random Green's vectors: sum_j alpha_j g_j g_j^T."""
-    support = rho.support
-    n = geom.n
-    mat = np.zeros((n, n), dtype=complex)
-    for idx in support:
-        g = random_green_vector(field, geom, window.points[idx], ctx)
+    geom, points = sensing.geom, sensing.window.points
+    mat = np.zeros((geom.n, geom.n), dtype=complex)
+    for idx in rho.support:
+        g = random_green_vector(field, geom, points[idx], sensing.ctx)
         mat += rho.values[idx] * np.outer(g, g)
     # mirror the upper triangle so symmetry holds bit-exactly (FMA-fused
     # complex products are not perfectly commutative)
@@ -344,7 +338,7 @@ def _variance_with_se(w: np.ndarray):
     return float(var), se
 
 
-def _realization_samples(spec: RandomMediumSpec, region: Region, master_seed: int | None,
+def _realization_samples(spec: RandomMediumSpec, region, master_seed: int | None,
                          realizations: int, starts, ends, sample) -> np.ndarray:
     """Slot r of the ``(realizations,)`` result is ``sample(nus)``: the integrals of
     realization r along rays from the rows of ``starts`` to each of ``ends``, planned on
@@ -392,19 +386,18 @@ def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
     """
     if realizations < 2:
         raise ConfigurationError("need at least two realizations")
-    x = np.asarray(x, dtype=float)
+    one = ArrayGeometry(positions=np.asarray(x, dtype=float)[None, :])
     pts = np.vstack([np.asarray(y1, float), np.asarray(y2, float)])
-    region = region_for(np.vstack([x, pts]), spec)
-    g0 = [green_homogeneous(x, y, ctx) for y in pts]
-    dists = [float(np.linalg.norm(y - x)) for y in pts]
+    region = region_for(np.vstack([one.positions, pts]), spec)
+    (g1, phase1), (g2, phase2) = (_random_green(one, y, ctx, spec) for y in pts)
 
     def sample(nus):
-        g1, g2 = (_random_phase(g, d, float(nu[0]), spec, ctx) for g, d, nu in zip(g0, dists, nus))
-        return g1 * np.conj(g2)
+        return g1[0] * np.exp(phase1[0] * nus[0][0]) \
+            * np.conj(g2[0] * np.exp(phase2[0] * nus[1][0]))
 
     samples = _realization_samples(spec, region, master_seed, realizations,
-                                   x[None, :], pts, sample)
-    base = g0[0] * np.conj(g0[1])
+                                   one.positions, pts, sample)
+    base = g1[0] * np.conj(g2[0])
     ratio = np.abs(samples.mean()) / np.abs(base)
     se = float(np.std(samples / base, ddof=1) / np.sqrt(realizations))
     return float(ratio), se
@@ -429,17 +422,13 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
         raise ConfigurationError("stability estimates need >= 100 realizations")
     if mode not in ("self", "mixed"):
         raise ConfigurationError("mode must be 'self' or 'mixed'")
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
     region = region_for(np.vstack([geom.positions, y1, y2]), spec)
-    g0_1 = green_vector(geom, y1, ctx)
-    g0_2 = green_vector(geom, y2, ctx)
-    dists_1 = np.linalg.norm(y1[None, :] - geom.positions, axis=1)
-    dists_2 = np.linalg.norm(y2[None, :] - geom.positions, axis=1)
+    g0_1, phase_1 = _random_green(geom, y1, ctx, spec)
+    g0_2, phase_2 = _random_green(geom, y2, ctx, spec)
 
     def sample(nus):  # mixed mode keeps g0_1 and plans no rays to y1
-        g1 = g0_1 if mode == "mixed" else _random_phase(g0_1, dists_1, nus[1], spec, ctx)
-        return np.vdot(g1, _random_phase(g0_2, dists_2, nus[0], spec, ctx))
+        g1 = g0_1 if mode == "mixed" else g0_1 * np.exp(phase_1 * nus[1])
+        return np.vdot(g1, g0_2 * np.exp(phase_2 * nus[0]))
 
     samples = _realization_samples(spec, region, master_seed, realizations, geom.positions,
                                    [y2] if mode == "mixed" else [y2, y1], sample)

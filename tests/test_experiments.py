@@ -13,7 +13,7 @@ from arrayimg.experiments import (_sensing, add_noise, build_scene,
 from arrayimg.greens import sensing_matrix
 from arrayimg.imaging import image_hybrid_l1
 from arrayimg.io import write_report_csv
-from arrayimg.random_medium import RandomMediumSpec
+from arrayimg.random_medium import KERNELS, RandomMediumSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -157,6 +157,12 @@ scenario_id = x
         path.write_text("[experiment]\nmethods = smv, sorcery\n")
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+    def test_kernel_words_are_the_kernel_table(self):
+        # tests/test_cli.py's BAD_VALUES checks that another name is refused
+        for kernel in KERNELS:
+            assert load_config(SCENARIOS / "fig89_random_medium.ini",
+                               {"kernel": kernel}).kernel == kernel
 
     def test_method_list_separators(self, tmp_path):
         # methods is a list like every other: ',' and ';' both separate, and
