@@ -164,6 +164,7 @@ _TABLE = sorted([(f.metadata["section"], f.metadata["key"] or f.name, f.name,
                 key=lambda row: row[0] != "medium")
 _KNOWN = {section: {row[1] for row in _TABLE if row[0] == section}
           for section, *_ in _TABLE}
+_FIELDS = {name: (section, key) for section, key, name, _ in _TABLE}
 
 
 def _invalid(parser, section, key, reason) -> ConfigurationError:
@@ -187,7 +188,9 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed INI: {exc}") from exc
     for name, value in (overrides or {}).items():
-        section, key = next(row[:2] for row in _TABLE if row[2] == name)
+        if name not in _FIELDS:
+            raise ConfigurationError(f"unknown override {name!r}; valid: {sorted(_FIELDS)}")
+        section, key = _FIELDS[name]
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, str(value).replace("%", "%%"))

@@ -158,6 +158,12 @@ scenario_id = x
         with pytest.raises(ConfigurationError):
             load_config(path)
 
+    @pytest.mark.parametrize("name", ["bogus", "raw_text"])
+    def test_unknown_override_rejected(self, name):
+        # raw_text is a field, but the parser's snapshot, not a key
+        with pytest.raises(ConfigurationError, match=f"unknown override '{name}'"):
+            load_config(SCENARIOS / "fig2_smv_noiseless.ini", {name: "x"})
+
     def test_kernel_words_are_the_kernel_table(self):
         # tests/test_cli.py's BAD_VALUES checks that another name is refused
         for kernel in KERNELS:
