@@ -44,7 +44,7 @@ def add_noise(data: np.ndarray, percent: float, seed: int = 0):
     """Add complex circular Gaussian noise E drawn from ``seed``; return
     ``(data + E, ||E||_F)`` with ``||E||_F`` exactly ``percent * ||data||_F``
     (``percent`` is a fraction, not a percentage)."""
-    if percent < 0:
+    if not percent >= 0:
         raise ConfigurationError("noise percent must be nonnegative")
     data = np.asarray(data, dtype=complex)
     target = percent * np.linalg.norm(data)

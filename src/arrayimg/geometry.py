@@ -26,7 +26,7 @@ class WaveContext:
     wavelength: float
 
     def __post_init__(self):
-        if self.wavelength <= 0:
+        if not self.wavelength > 0:
             raise ConfigurationError("wavelength must be positive")
 
     @property
@@ -75,7 +75,7 @@ class ImageWindow:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigurationError("rows and cols must be >= 1")
-        if self.spacing <= 0:
+        if not self.spacing > 0:
             raise ConfigurationError("grid spacing must be positive")
         cross = (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.spacing
         rng = self.center_range + (np.arange(self.rows) - (self.rows - 1) / 2.0) * self.spacing
@@ -128,7 +128,7 @@ def build_linear_array(n: int, pitch: float) -> ArrayGeometry:
     """
     if n < 1:
         raise ConfigurationError("transducer count must be >= 1")
-    if pitch <= 0:
+    if not pitch > 0:
         raise ConfigurationError("pitch must be positive")
     cross = (np.arange(n) - (n - 1) / 2.0) * pitch
     positions = np.column_stack([cross, np.zeros(n)])

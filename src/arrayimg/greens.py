@@ -31,9 +31,10 @@ class SensingMatrix:
         return self.matrix.shape[1]
 
 
-def _green(sources, targets, ctx: WaveContext, pairwise: bool = False) -> np.ndarray:
-    """Kernel exp(i*kappa*r) / (4*pi*r) from every source point to every
-    target point, shape ``(len(sources), len(targets))``.
+def green(sources, targets, ctx: WaveContext, pairwise: bool = False) -> np.ndarray:
+    """Free-space kernel exp(i*kappa*r) / (4*pi*r) from every source point to
+    every target point, shape ``(len(sources), len(targets))``; a single
+    point is a one-row array.
 
     ``pairwise`` marks ``targets`` as ``sources`` itself: the self pairs on
     the diagonal are skipped by the coincidence check and set to zero.
@@ -54,25 +55,15 @@ def _green(sources, targets, ctx: WaveContext, pairwise: bool = False) -> np.nda
     return g
 
 
-def green_homogeneous(x, y, ctx: WaveContext) -> complex:
-    """Free-space kernel exp(i*kappa*r) / (4*pi*r) between two points."""
-    return _green(x, y, ctx)[0, 0]
-
-
-def green_vector(geom: ArrayGeometry, y, ctx: WaveContext) -> np.ndarray:
-    """Green's vector g0(y), shape ``(N,)``, from point ``y`` to all transducers."""
-    return _green(geom.positions, y, ctx)[:, 0]
-
-
 def pairwise_green_matrix(points: np.ndarray, ctx: WaveContext) -> np.ndarray:
     """Symmetric matrix of Green's values between distinct points; zero diagonal."""
-    return _green(points, points, ctx, pairwise=True)
+    return green(points, points, ctx, pairwise=True)
 
 
 def sensing_matrix(geom: ArrayGeometry, window: ImageWindow, ctx: WaveContext) -> SensingMatrix:
     """Assemble the N x K sensing matrix for the array/window pair; the
     matrix is read-only, so callers may share it."""
-    return SensingMatrix(matrix=_readonly(_green(geom.positions, window.points, ctx)),
+    return SensingMatrix(matrix=_readonly(green(geom.positions, window.points, ctx)),
                          geom=geom, window=window, ctx=ctx)
 
 

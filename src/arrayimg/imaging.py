@@ -6,12 +6,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError
+from .geometry import ImageWindow
 from .greens import SensingMatrix, pairwise_green_matrix
 from .foldy_lax import ResponseMatrix
-from .sparse_solvers import SolverParams, solve_l1_smv, solve_l1_mmv
+from .sparse_solvers import RANK_TOL, SolverParams, solve_l1_smv, solve_l1_mmv
 
 SCREEN_FLOOR_REL = 1e-12
-RANK_TOL = 1e-8
 RANK_THRESHOLD = 0.05  # M~ without a known rank: singular values >= this * sigma_1
 # admits the weak-scatterer MUSIC peaks that heavy noise pushes well below
 # half height
@@ -38,17 +38,15 @@ class ImagingResult:
 
 def select_rank(resp: ResponseMatrix, known_m: int | None = None) -> int:
     """Signal-space dimension M~ of ``resp``: ``known_m`` when given, else the
-    ``RANK_THRESHOLD`` rule on sigma_1."""
-    # a known rank reads the top values only; the threshold, and the error for
-    # a known rank below one, read the whole spectrum
-    _, sv, _ = resp.svd(known_m if known_m and known_m > 0 else None)
-    if sv.size == 0:
-        raise ConfigurationError("empty singular value list")
-    if sv[0] <= 0:
-        raise ConfigurationError("zero response matrix has no signal subspace")
+    ``RANK_THRESHOLD`` rule on sigma_1.  A known rank outside ``[1, n]`` is
+    refused before any SVD; a valid one reads the top values only."""
+    if known_m is not None and not 1 <= known_m <= resp.n:
+        raise ConfigurationError(f"known rank {known_m} outside [1, {resp.n}]")
+    _, sv, _ = resp.svd(known_m)
+    if sv.size == 0 or sv[0] <= 0:
+        raise ConfigurationError("zero response matrix has no signal subspace" if sv.size
+                                 else "empty singular value list")
     if known_m is not None:
-        if not 1 <= known_m <= sv.size:
-            raise ConfigurationError(f"known rank {known_m} outside [1, {sv.size}]")
         return int(known_m)
     return int(np.sum(sv >= RANK_THRESHOLD * sv[0]))
 
@@ -161,13 +159,18 @@ def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
                          diagnostics=_diagnostics(sol))
 
 
-def _local_maxima(values: np.ndarray, rows: int, cols: int, count: int,
-                  floor_fraction: float = 0.5):
-    """Top lattice peaks: 4-neighbor maxima, descending, separation-limited."""
-    grid = values.reshape(rows, cols)
+def _peak_image(values: np.ndarray, window: ImageWindow, count: int,
+                floor_fraction: float = 0.5) -> ImagingResult:
+    """The image ``values`` with no reflectivity, whose support lists its top
+    lattice peaks: 4-neighbor maxima above ``floor_fraction`` times the
+    maximum, descending, separation-limited, at most ``count`` of them."""
+    result = ImagingResult(support=np.array([], dtype=int),
+                           reflectivity=np.zeros(values.size, dtype=complex), image=values)
+    cols = window.cols
+    grid = values.reshape(window.rows, cols)
     top = grid.max()
     if top <= 0:
-        return np.array([], dtype=int)
+        return result
     peak = grid > floor_fraction * top
     peak[1:, :] &= ~(grid[:-1, :] > grid[1:, :])
     peak[:-1, :] &= ~(grid[1:, :] > grid[:-1, :])
@@ -181,7 +184,8 @@ def _local_maxima(values: np.ndarray, rows: int, cols: int, count: int,
             break
         if all(max(abs(r - pr), abs(c - pc)) >= PEAK_SEPARATION for pr, pc in picked):
             picked.append((r, c))
-    return np.sort(np.array([r * cols + c for r, c in picked], dtype=int))
+    result.support = np.sort(np.array([r * cols + c for r, c in picked], dtype=int))
+    return result
 
 
 def _noise_space_norms(un: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -206,13 +210,7 @@ def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
         raise ConfigurationError(f"rank {m_tilde} outside [1, {resp.n}]")
     un, _, _ = resp.svd(m_tilde)
     norms = _noise_space_norms(un, sensing.matrix)
-    functional = norms.min() / norms
-    window = sensing.window
-    support = _local_maxima(functional, window.rows, window.cols, m_tilde,
-                            floor_fraction=MUSIC_PEAK_FLOOR)
-    return ImagingResult(support=support,
-                         reflectivity=np.zeros(sensing.k, dtype=complex),
-                         image=functional)
+    return _peak_image(norms.min() / norms, sensing.window, m_tilde, MUSIC_PEAK_FLOOR)
 
 
 def image_km(data, illuminations, sensing: SensingMatrix,
@@ -231,8 +229,4 @@ def image_km(data, illuminations, sensing: SensingMatrix,
     # conj(g^T f) * (g^H b) is the conjugate of (g^T f) * (g^T conj(b)), whose
     # magnitude is the same: so only b is conjugated, not the (N, K) matrix g
     magnitudes = np.abs(np.sum((g.T @ f) * (g.T @ b.conj()), axis=1))
-    window = sensing.window
-    return ImagingResult(support=_local_maxima(magnitudes, window.rows, window.cols,
-                                               peak_count),
-                         reflectivity=np.zeros(sensing.k, dtype=complex),
-                         image=magnitudes)
+    return _peak_image(magnitudes, sensing.window, peak_count)

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .foldy_lax import ResponseMatrix
 from .geometry import ArrayGeometry, ReflectivityVector, WaveContext
-from .greens import SensingMatrix, green_vector
+from .greens import SensingMatrix, green
 
 # normalized kernels R(t) with R(0) = 1, plus dR/dt / t in closed form and the
 # lag (in correlation lengths) beyond which R is negligible for embedding
@@ -45,15 +45,18 @@ class RandomMediumSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.correlation_length <= 0:
+        # written so that NaN fails every check
+        if not self.correlation_length > 0:
             raise ConfigurationError("correlation length must be positive")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ConfigurationError("fluctuation strength must be nonnegative")
         if self.kernel not in _KERNELS:
             raise ConfigurationError(
                 f"unsupported kernel {self.kernel!r}; use one of {sorted(_KERNELS)}")
         if self.lattice_spacing is None:
             object.__setattr__(self, "lattice_spacing", self.correlation_length / 5.0)
+        if not self.lattice_spacing > 0:
+            raise ConfigurationError("synthesis lattice spacing must be positive")
         if self.lattice_spacing > self.correlation_length / 5.0 + 1e-12:
             raise ConfigurationError(
                 "synthesis lattice spacing must not exceed l / 5")
@@ -146,7 +149,7 @@ def effective_aperture(spec: RandomMediumSpec, range_distance: float,
                        wavelength: float = 1.0) -> float:
     """Effective aperture a_e = sigma L sqrt(-1 - (2L / 3l) * integral(dR/dt / t)),
     the medium- and range-dependent length of the second-moment decay."""
-    if range_distance <= 0:
+    if not range_distance > 0:
         raise DomainError("range distance must be positive")
     i_r = autocorrelation_integral(spec.kernel)
     l = spec.correlation_length
@@ -296,7 +299,7 @@ def _random_green(geom: ArrayGeometry, y, ctx: WaveContext, spec: RandomMediumSp
     the order written, nu last: the gate's artifacts pin those bits."""
     y = np.asarray(y, dtype=float)
     dists = np.linalg.norm(y[None, :] - geom.positions, axis=1)
-    return green_vector(geom, y, ctx), 1j * spec.sigma * ctx.wavenumber * dists
+    return green(geom.positions, y, ctx)[:, 0], 1j * spec.sigma * ctx.wavenumber * dists
 
 
 def random_green_vector(field: RandomFieldRealization, geom: ArrayGeometry, y,

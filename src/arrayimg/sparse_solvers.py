@@ -32,10 +32,11 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 FEASIBILITY_SLACK = 1e-8  # of ||b||_F: the stopping test is free of the data scale
-# singular values below this fraction of s_1 are dropped from the projection:
-# the shipped sensing matrices are numerically rank deficient (fig2's A A^H
-# has a condition number of about 8e16)
-SVD_RCOND = 1e-8
+# numerical rank: a singular value at or below this fraction of s_1 counts as
+# zero, both in the projection, since the shipped sensing matrices are
+# numerically rank deficient (fig2's A A^H has a condition number of about
+# 8e16), and in the response matrix's count of optimal illuminations
+RANK_TOL = 1e-8
 # residual balancing: t moves by PENALTY_STEP when one relative residual is
 # BALANCE_RATIO times the other, at most PENALTY_CHANGES times per solve
 BALANCE_RATIO = 10.0
@@ -95,7 +96,7 @@ class _BallProjection:
     """Exact projection onto ``{x : ||A x - b||_F <= delta}``, ``b`` (N, J), in
     the coefficients of ``A``'s right singular vectors.
 
-    With the thin SVD ``A = U S V^H`` (singular values below ``SVD_RCOND``
+    With the thin SVD ``A = U S V^H`` (singular values at or below ``RANK_TOL``
     times the largest dropped), ``x = V c + x_perp`` and the constraint reads
     ``||S c - U^H b||^2 <= delta^2 - ||b_perp||^2``; only ``c`` moves, so the
     projection of ``p`` is ``p - V g`` with ``g = correction(V^H p)``.  For
@@ -109,7 +110,7 @@ class _BallProjection:
     def __init__(self, a, b, delta):
         u, s, vh = np.linalg.svd(a, full_matrices=False)
         self.spectral_norm = float(s[0])
-        keep = s > SVD_RCOND * s[0]
+        keep = s > RANK_TOL * s[0]
         u, s = u[:, keep], s[keep]
         self.v = np.ascontiguousarray(vh[keep].conj().T)
         self.s = s[:, None]
@@ -297,9 +298,9 @@ def brute_force_l0(a, b, max_support: int = 3, delta: float = 0.0):
 
 def theorem2_error_bound(delta: float, m: int, epsilon: float) -> float:
     """Stability bound delta / sqrt(1 - (M - 1) eps), also the detection floor."""
-    if delta < 0:
+    if not delta >= 0:
         raise DomainError("delta must be nonnegative")
-    if m < 1:
+    if not m >= 1:
         raise DomainError("sparsity count must be >= 1")
     if not 0 <= epsilon <= 1:
         raise DomainError("coherence must lie in [0, 1]")

@@ -15,7 +15,7 @@ import pytest
 from arrayimg.config import load_config
 from arrayimg.geometry import ImageWindow, WaveContext, build_linear_array, \
     place_scatterers
-from arrayimg.greens import green_homogeneous, pairwise_green_matrix, sensing_matrix
+from arrayimg.greens import green, pairwise_green_matrix, sensing_matrix
 from arrayimg.foldy_lax import (foldy_lax_matrix, multiple_scattering_ratio,
                                 response_matrix_born, response_matrix_foldy_lax,
                                 solve_exciting_fields)
@@ -104,7 +104,7 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_foldy_lax_correctness():
     # analytic 2x2 inverse
     pts = np.array([[0.0, 40.0], [3.0, 44.0]])
-    gval = green_homogeneous(pts[0], pts[1], CTX)
+    gval = green(pts[0], pts[1], CTX)[0, 0]
     a1, a2 = 2.0 * np.exp(1j * 0.3), 1.5 * np.exp(-1j * 1.2)
     z = foldy_lax_matrix([a1, a2], pairwise_green_matrix(pts, CTX))
     inc = np.array([1.0 + 0.2j, -0.4 + 0.9j])

@@ -37,7 +37,7 @@ def _public(module):
 # each kept for a stated reason; every other public name must be read
 # somewhere beyond its definition and the unit tests
 UNREFERENCED_PUBLIC = {
-    "write_trace_csv": "writer of the solver trace that --trace will reach (ROADMAP item 6)",
+    "write_trace_csv": "writer of the solver trace that --trace will reach (ROADMAP item 8)",
     "paraxial_ratio": "the paper's closed-form paraxial ratio, checked against Monte Carlo",
 }
 

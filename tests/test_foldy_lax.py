@@ -5,8 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from arrayimg.errors import ConfigurationError, DomainError, ResonanceError
 from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
-from arrayimg.greens import (green_homogeneous,
-                             pairwise_green_matrix, sensing_matrix)
+from arrayimg.greens import green, pairwise_green_matrix, sensing_matrix
 from arrayimg.foldy_lax import (SKETCH_OVERSAMPLING, SKETCH_SEED, ResponseMatrix,
                                 _top_svd, effective_source_vector,
                                 foldy_lax_matrix, multiple_scattering_ratio,
@@ -48,7 +47,7 @@ class TestFoldyLaxMatrix:
         g = pairwise_green_matrix(pts, CTX)
         a1, a2 = 1.5 + 0.5j, -0.7 + 2.0j
         z = foldy_lax_matrix([a1, a2], g)
-        gval = green_homogeneous(pts[0], pts[1], CTX)
+        gval = green(pts[0], pts[1], CTX)[0, 0]
         assert z[0, 1] == pytest.approx(-a2 * gval, rel=1e-14)
         assert z[1, 0] == pytest.approx(-a1 * gval, rel=1e-14)
         assert z[0, 0] == 1.0 and z[1, 1] == 1.0
@@ -77,7 +76,7 @@ class TestExcitingFields:
 
     def test_two_by_two_analytic_inverse(self):
         pts = np.array([[0.0, 40.0], [3.0, 44.0]])
-        gval = green_homogeneous(pts[0], pts[1], CTX)
+        gval = green(pts[0], pts[1], CTX)[0, 0]
         a1, a2 = 2.0 * np.exp(1j * 0.3), 1.5 * np.exp(-1j * 1.2)
         z = foldy_lax_matrix([a1, a2], pairwise_green_matrix(pts, CTX))
         inc = np.array([1.0 + 0.2j, -0.4 + 0.9j])
@@ -92,7 +91,7 @@ class TestExcitingFields:
 
     def test_resonance_rejected(self):
         pts = np.array([[0.0, 40.0], [3.0, 44.0]])
-        gval = green_homogeneous(pts[0], pts[1], CTX)
+        gval = green(pts[0], pts[1], CTX)[0, 0]
         alpha = 1.0 / gval  # makes 1 - a1 a2 g^2 = 0
         z = foldy_lax_matrix([alpha, alpha], pairwise_green_matrix(pts, CTX))
         with pytest.raises(ResonanceError, match="near-resonant"):
@@ -125,17 +124,17 @@ class TestResponseMatrices:
         resp = response_matrix_foldy_lax(sens, rho)
         pts = sens.window.points[idx]
         geom_pos = sens.geom.positions
-        gval = green_homogeneous(pts[0], pts[1], CTX)
+        gval = green(pts[0], pts[1], CTX)[0, 0]
         n = geom_pos.shape[0]
         oracle = np.zeros((n, n), dtype=complex)
         zmat = np.array([[1.0, -alphas[1] * gval], [-alphas[0] * gval, 1.0]])
         for s_col in range(n):
-            inc = np.array([green_homogeneous(geom_pos[s_col], pts[0], CTX),
-                            green_homogeneous(geom_pos[s_col], pts[1], CTX)])
+            inc = np.array([green(geom_pos[s_col], pts[0], CTX)[0, 0],
+                            green(geom_pos[s_col], pts[1], CTX)[0, 0]])
             exc = np.linalg.solve(zmat, inc)
             for r_row in range(n):
                 oracle[r_row, s_col] = sum(
-                    alphas[j] * green_homogeneous(geom_pos[r_row], pts[j], CTX) * exc[j]
+                    alphas[j] * green(geom_pos[r_row], pts[j], CTX)[0, 0] * exc[j]
                     for j in range(2))
         assert np.allclose(resp.matrix, oracle, rtol=1e-10)
 

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from arrayimg.errors import ConfigurationError
+from arrayimg.errors import ConfigurationError, DomainError
+from arrayimg.experiments import add_noise
 from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
+from arrayimg.random_medium import RandomMediumSpec, effective_aperture
+from arrayimg.sparse_solvers import theorem2_error_bound
+
+NAN = float("nan")
 
 
 class TestWaveContext:
@@ -132,3 +137,26 @@ class TestPlaceScatterers:
             idx = rng.choice(100, size=k, replace=False)
             rho = place_scatterers(win, [(int(i), 1.0 + 1j) for i in idx])
             assert list(rho.support) == sorted(int(i) for i in idx)
+
+
+@pytest.mark.parametrize("error, call", [
+    (ConfigurationError, lambda: WaveContext(NAN)),
+    (ConfigurationError, lambda: build_linear_array(3, NAN)),
+    (ConfigurationError, lambda: ImageWindow(100.0, 3, 3, NAN)),
+    (ConfigurationError, lambda: RandomMediumSpec(correlation_length=NAN, sigma=0.1)),
+    (ConfigurationError, lambda: RandomMediumSpec(correlation_length=10.0, sigma=NAN)),
+    (ConfigurationError, lambda: RandomMediumSpec(10.0, 0.1, lattice_spacing=0.0)),
+    (ConfigurationError, lambda: RandomMediumSpec(10.0, 0.1, lattice_spacing=-1.0)),
+    (ConfigurationError, lambda: RandomMediumSpec(10.0, 0.1, lattice_spacing=NAN)),
+    (ConfigurationError, lambda: add_noise(np.ones((3, 3)), NAN)),
+    (DomainError, lambda: effective_aperture(RandomMediumSpec(10.0, 0.1), NAN)),
+    (DomainError, lambda: theorem2_error_bound(NAN, 3, 0.1)),
+], ids=["wavelength", "pitch", "spacing", "correlation-length", "sigma",
+        "lattice-zero", "lattice-negative", "lattice-nan", "noise", "aperture-range",
+        "bound-delta"])
+def test_nan_and_nonpositive_inputs_refused(error, call):
+    """A library caller's NaN, or a synthesis lattice spacing of zero or
+    less, is refused where it enters, not met later as a NaN result or a
+    division by zero."""
+    with pytest.raises(error):
+        call()

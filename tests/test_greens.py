@@ -6,8 +6,7 @@ from arrayimg import greens
 from arrayimg.errors import DomainError
 from arrayimg.geometry import (ArrayGeometry, ImageWindow, WaveContext,
                                build_linear_array)
-from arrayimg.greens import (green_homogeneous, green_vector,
-                             mutual_coherence, pairwise_green_matrix,
+from arrayimg.greens import (green, mutual_coherence, pairwise_green_matrix,
                              sensing_matrix, theorem1_margin)
 from arrayimg.io import write_coherence_report
 
@@ -16,23 +15,23 @@ CTX = WaveContext(wavelength=1.0)
 
 class TestGreenHomogeneous:
     def test_full_period_distance(self):
-        g = green_homogeneous([0.0, 0.0], [0.0, 1.0], CTX)
+        g = green([0.0, 0.0], [0.0, 1.0], CTX)[0, 0]
         assert g == pytest.approx(1.0 / (4 * np.pi), rel=1e-12)
 
     def test_half_period_distance(self):
-        g = green_homogeneous([0.0, 0.0], [0.5, 0.0], CTX)
+        g = green([0.0, 0.0], [0.5, 0.0], CTX)[0, 0]
         assert g == pytest.approx(-1.0 / (2 * np.pi), rel=1e-12)
 
     def test_hundred_wavelengths(self):
         # frozen from an independent high-precision evaluation:
         # exp(200*pi*i) / (400*pi) = 1 / (400*pi) exactly
-        g = green_homogeneous([0.0, 0.0], [0.0, 100.0], CTX)
+        g = green([0.0, 0.0], [0.0, 100.0], CTX)[0, 0]
         assert abs(g) == pytest.approx(7.957747154594767e-04, rel=1e-12)
         assert np.angle(g) == pytest.approx(0.0, abs=1e-10)
 
     def test_coincident_points(self):
         with pytest.raises(DomainError):
-            green_homogeneous([1.0, 2.0], [1.0, 2.0], CTX)
+            green([1.0, 2.0], [1.0, 2.0], CTX)
 
     def test_reciprocity(self):
         rng = np.random.default_rng(3)
@@ -41,8 +40,8 @@ class TestGreenHomogeneous:
             y = rng.uniform(-50, 50, 2)
             if np.linalg.norm(x - y) < 1e-6:
                 continue
-            assert green_homogeneous(x, y, CTX) == pytest.approx(
-                green_homogeneous(y, x, CTX), rel=1e-13)
+            assert green(x, y, CTX)[0, 0] == pytest.approx(
+                green(y, x, CTX)[0, 0], rel=1e-13)
 
     def test_magnitude_identity(self):
         rng = np.random.default_rng(4)
@@ -50,34 +49,34 @@ class TestGreenHomogeneous:
             x = rng.uniform(-30, 30, 2)
             y = rng.uniform(60, 160, 2)
             r = np.linalg.norm(x - y)
-            g = green_homogeneous(x, y, CTX)
+            g = green(x, y, CTX)[0, 0]
             assert abs(g) * 4 * np.pi * r == pytest.approx(1.0, rel=1e-12)
 
 
 class TestGreenVector:
     def test_single_transducer(self):
         geom = build_linear_array(1, 1.0)
-        v = green_vector(geom, [3.0, 40.0], CTX)
+        v = green(geom.positions, [3.0, 40.0], CTX)[:, 0]
         assert v.shape == (1,)
-        assert v[0] == green_homogeneous(geom.positions[0], [3.0, 40.0], CTX)
+        assert v[0] == green(geom.positions[0], [3.0, 40.0], CTX)[0, 0]
 
     def test_symmetry_under_reversal(self):
         geom = build_linear_array(11, 1.0)
-        v = green_vector(geom, [0.0, 70.0], CTX)
+        v = green(geom.positions, [0.0, 70.0], CTX)[:, 0]
         assert np.allclose(v, v[::-1], rtol=1e-12)
 
     def test_norm_against_loop_oracle(self):
         geom = build_linear_array(100, 1.0)
         y = np.array([2.0, 100.0])
-        v = green_vector(geom, y, CTX)
-        loop = sum(abs(green_homogeneous(geom.positions[i], y, CTX)) ** 2
+        v = green(geom.positions, y, CTX)[:, 0]
+        loop = sum(abs(green(geom.positions[i], y, CTX)[0, 0]) ** 2
                    for i in range(100))
         assert np.linalg.norm(v) ** 2 == pytest.approx(loop, rel=1e-12)
 
     def test_coincident(self):
         geom = build_linear_array(3, 1.0)
         with pytest.raises(DomainError):
-            green_vector(geom, geom.positions[1], CTX)
+            green(geom.positions, geom.positions[1], CTX)
 
 
 class TestSensingMatrix:
@@ -85,7 +84,7 @@ class TestSensingMatrix:
         geom = build_linear_array(5, 1.0)
         win = ImageWindow(50.0, 1, 1, 1.0)
         mat = sensing_matrix(geom, win, CTX)
-        v = green_vector(geom, win.points[0], CTX)
+        v = green(geom.positions, win.points[0], CTX)[:, 0]
         assert np.allclose(mat.matrix[:, 0], v)
 
     def test_column_norms_positive(self):
@@ -102,7 +101,7 @@ class TestSensingMatrix:
         assert mat.matrix.shape == (100, 1681)
         rng = np.random.default_rng(0)
         for j in map(int, rng.choice(1681, 5, replace=False)):
-            col = np.array([green_homogeneous(geom.positions[i], win.points[j], CTX)
+            col = np.array([green(geom.positions[i], win.points[j], CTX)[0, 0]
                             for i in range(100)])
             assert np.allclose(mat.matrix[:, j], col, rtol=1e-13)
 
@@ -218,8 +217,9 @@ class TestOneKernel:
            wavelength=st.floats(0.05, 20.0))
     def test_every_entry_point_is_bit_identical(self, positions, center, rows, cols,
                                                 spacing, wavelength):
-        """green_homogeneous, green_vector, the sensing-matrix column and the
-        pairwise entry evaluate the same bits for every transducer/point pair."""
+        """green on one point pair and on the array, the sensing-matrix column
+        and the pairwise entry evaluate the same bits for every
+        transducer/point pair."""
         ctx = WaveContext(wavelength=wavelength)
         pos = np.array(positions, dtype=float)
         geom = ArrayGeometry(positions=pos)
@@ -232,9 +232,9 @@ class TestOneKernel:
         sens = sensing_matrix(geom, window, ctx).matrix
         pair = pairwise_green_matrix(both, ctx)
         for j, y in enumerate(pts):
-            column = green_vector(geom, y, ctx)
+            column = green(geom.positions, y, ctx)[:, 0]
             assert column.tobytes() == sens[:, j].tobytes()
             assert column.tobytes() == pair[:n, n + j].tobytes()
             assert column.tobytes() == pair[n + j, :n].tobytes()
-            single = np.array([green_homogeneous(x, y, ctx) for x in pos])
+            single = np.array([green(x, y, ctx)[0, 0] for x in pos])
             assert column.tobytes() == single.tobytes()

@@ -5,12 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 from arrayimg.errors import ConfigurationError
 from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
-from arrayimg.greens import green_homogeneous, pairwise_green_matrix, sensing_matrix
+from arrayimg.greens import green, pairwise_green_matrix, sensing_matrix
 from arrayimg.foldy_lax import (ResponseMatrix, effective_source_vector,
                                 response_matrix_born, response_matrix_foldy_lax)
 from arrayimg.sparse_solvers import SolverParams, SparseSolution
 from arrayimg.imaging import (MUSIC_NORM_FLOOR, PEAK_SEPARATION, RANK_THRESHOLD,
-                              SCREEN_FLOOR_REL, _local_maxima, _noise_space_norms,
+                              SCREEN_FLOOR_REL, _noise_space_norms, _peak_image,
                               build_hybrid_system, image_hybrid_l1, image_km, image_mmv,
                               image_music, image_smv,
                               optimal_illuminations, reflectivities_from_sources,
@@ -81,6 +81,14 @@ class TestSelectRank:
         with pytest.raises(ConfigurationError):
             select_rank(diagonal_response([1.0]), known_m=2)
 
+    @pytest.mark.parametrize("known_m", [0, 31])
+    def test_known_rank_refused_before_svd(self, known_m):
+        resp = diagonal_response(np.arange(30.0, 0.0, -1.0))
+        with pytest.raises(ConfigurationError,
+                           match=rf"known rank {known_m} outside \[1, 30\]"):
+            select_rank(resp, known_m=known_m)
+        assert resp._svd is None
+
 
 class TestImageSmv:
     def test_no_scatterers(self):
@@ -120,7 +128,7 @@ class TestImageSmv:
         sens, rho, idx = scene([(5, 4), (15, 16)], [1.0, 1.0])
         f = central_element(50)
         pts = sens.window.points[idx]
-        gval = green_homogeneous(pts[0], pts[1], CTX)
+        gval = green(pts[0], pts[1], CTX)[0, 0]
         incident2 = sens.matrix[:, idx[1]] @ f
         gamma = np.array([-incident2 / gval, 0.5 + 0j])
         res = reflectivities_from_sources(step_one_solution(sens, idx, gamma[:, None]),
@@ -556,7 +564,7 @@ class TestLocalMaxima:
                 values = values + rng.random(rows * cols) * (rng.random() < 0.3)
             count = int(rng.integers(1, 8))
             expected = reference_local_maxima(values, rows, cols, count, floor)
-            got = _local_maxima(values, rows, cols, count, floor_fraction=floor)
+            got = _peak_image(values, ImageWindow(0.0, rows, cols, 1.0), count, floor).support
             assert np.array_equal(got, expected)
             assert got.dtype == expected.dtype
 
@@ -570,7 +578,8 @@ class TestLocalMaxima:
                                            max_size=rows * cols))).reshape(rows, cols)
         if negate:
             grid = -grid
-        got = _local_maxima(grid.ravel(), rows, cols, count, floor_fraction=floor)
+        got = _peak_image(grid.ravel(), ImageWindow(0.0, rows, cols, 1.0), count,
+                          floor).support
         assert np.array_equal(got, np.unique(got)) and got.size <= count
         if grid.max() <= 0:
             assert got.size == 0

@@ -15,7 +15,7 @@ from arrayimg.errors import ConfigurationError, DomainError
 from arrayimg.experiments import _truth
 from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
-from arrayimg.greens import green_homogeneous, green_vector, sensing_matrix
+from arrayimg.greens import green, sensing_matrix
 from arrayimg.foldy_lax import response_matrix_born
 from arrayimg.random_medium import (_KERNELS, RandomMediumSpec,
                                     _derived_seed, _variance_with_se,
@@ -246,7 +246,7 @@ class TestGreenRandom:
         region = region_for(np.vstack([geom.positions, y]), spec)
         field = sample_field(spec, region, seed=3)
         g = random_green_vector(field, geom, y, CTX)
-        g0 = green_vector(geom, y, CTX)
+        g0 = green(geom.positions, y, CTX)[:, 0]
         assert np.linalg.norm(g) == pytest.approx(np.linalg.norm(g0), rel=1e-12)
         assert np.allclose(np.abs(g), np.abs(g0), rtol=1e-12)
 
@@ -454,7 +454,7 @@ def _reference_field(spec, region, seed, half=0):
 
 
 def _reference_green_random(field, x, y, ctx):
-    base = green_homogeneous(x, y, ctx)
+    base = green(x, y, ctx)[0, 0]
     dist = float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
     nu = _reference_phase_line_integral(field, x, y)
     return base * np.exp(1j * field.spec.sigma * ctx.wavenumber * dist * nu)
@@ -462,7 +462,7 @@ def _reference_green_random(field, x, y, ctx):
 
 def _reference_random_green_vector(field, geom, y, ctx):
     y = np.asarray(y, dtype=float)
-    base = green_vector(geom, y, ctx)
+    base = green(geom.positions, y, ctx)[:, 0]
     dists = np.linalg.norm(y[None, :] - geom.positions, axis=1)
     nu = _reference_phase_line_integral(field, geom.positions, y)
     return base * np.exp(1j * field.spec.sigma * ctx.wavenumber * dists * nu)
@@ -479,7 +479,7 @@ def _reference_second_moment(x, y1, y2, ctx, spec, realizations, master_seed):
         g1 = _reference_green_random(field, x, pts[0], ctx)
         g2 = _reference_green_random(field, x, pts[1], ctx)
         samples[r] = g1 * np.conj(g2)
-    base = green_homogeneous(x, pts[0], ctx) * np.conj(green_homogeneous(x, pts[1], ctx))
+    base = green(x, pts[0], ctx)[0, 0] * np.conj(green(x, pts[1], ctx)[0, 0])
     ratio = np.abs(samples.mean()) / np.abs(base)
     se = float(np.std(samples / base, ddof=1) / np.sqrt(realizations))
     return float(ratio), se
@@ -490,8 +490,8 @@ def _reference_stability_ratio(geom, y1, y2, ctx, spec, realizations, mode, mast
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     region = region_for(np.vstack([geom.positions, y1, y2]), spec)
-    g0_1 = green_vector(geom, y1, ctx)
-    g0_2 = green_vector(geom, y2, ctx)
+    g0_1 = green(geom.positions, y1, ctx)[:, 0]
+    g0_2 = green(geom.positions, y2, ctx)[:, 0]
     samples = np.empty(realizations, dtype=complex)
     for r in range(realizations):
         field = _reference_field(spec, region, _derived_seed(seed0, r // 2), r % 2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from arrayimg import sparse_solvers
 from arrayimg.errors import ConfigurationError, DomainError
 from arrayimg.sparse_solvers import (BALANCE_RATIO, FEASIBILITY_SLACK, PENALTY_CHANGES,
-                                     PENALTY_STEP, SVD_RCOND, SolverParams,
+                                     PENALTY_STEP, RANK_TOL, SolverParams,
                                      SparseSolution, _BallProjection, _shrink,
                                      brute_force_l0, solve_l1_mmv,
                                      solve_l1_smv, theorem2_error_bound)
@@ -492,7 +492,7 @@ def _soft_rows(x: np.ndarray, t: float) -> np.ndarray:
 class _TwoModeProjection:
     """Exact projection onto ``{x : ||A x - b||_F <= delta}``.
 
-    With the thin SVD ``A = U S V^H`` (singular values below ``SVD_RCOND``
+    With the thin SVD ``A = U S V^H`` (singular values at or below ``RANK_TOL``
     times the largest dropped), ``x = V c + x_perp`` and the constraint reads
     ``||S c - U^H b||^2 <= delta^2 - ||b_perp||^2``; only ``c`` moves, so the
     projection of ``p`` is ``p - V g``.  For ``delta = 0`` (or a radius that
@@ -507,7 +507,7 @@ class _TwoModeProjection:
     def __init__(self, a, b, delta):
         u, s, vh = np.linalg.svd(a, full_matrices=False)
         self.spectral_norm = float(s[0])
-        keep = s > SVD_RCOND * s[0]
+        keep = s > RANK_TOL * s[0]
         u, s, vh = u[:, keep], s[keep], vh[keep]
         self.vh = vh
         self.v = np.ascontiguousarray(vh.conj().T)
