@@ -32,13 +32,17 @@ class ResponseMatrix:
 
     def svd(self, k: int | None = None):
         """Top-``k`` triplets ``(U[:, :k], sigma[:k], Vh[:k])``, descending, or
-        all of them when ``k`` is None or at least ``n``.  Cached in ``_svd``;
-        a request for more triplets than the cache holds recomputes."""
-        if k is not None and k < 0:
-            raise ConfigurationError(f"number of singular triplets k = {k} is negative")
-        k = self.n if k is None else min(k, self.n)
+        all ``n`` when ``k`` is None.  Any other ``k`` outside ``[1, n]``, or a
+        zero spectrum (its singular vectors are arbitrary), raises and leaves
+        the cache ``_svd`` as it was; a request beyond the cache recomputes."""
+        k = self.n if k is None else k
+        if not (isinstance(k, (int, np.integer)) and 1 <= k <= self.n):
+            raise ConfigurationError(f"rank {k} outside [1, {self.n}]")
         if self._svd is None or self._svd[1].size < k:
-            self._svd = _top_svd(self.matrix, k)
+            u, s, vh = _top_svd(self.matrix, k)
+            if not s[0] > 0:
+                raise ConfigurationError("zero response matrix has no signal subspace")
+            self._svd = u, s, vh
         u, s, vh = self._svd
         return self._svd if s.size == k else (u[:, :k], s[:k], vh[:k])
 

@@ -26,8 +26,8 @@ class WaveContext:
     wavelength: float
 
     def __post_init__(self):
-        if not self.wavelength > 0:
-            raise ConfigurationError("wavelength must be positive")
+        if not 0 < self.wavelength < np.inf:
+            raise ConfigurationError("wavelength must be positive and finite")
 
     @property
     def wavenumber(self) -> float:
@@ -75,8 +75,10 @@ class ImageWindow:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigurationError("rows and cols must be >= 1")
-        if not self.spacing > 0:
-            raise ConfigurationError("grid spacing must be positive")
+        if not np.isfinite(self.center_range):
+            raise ConfigurationError("center range must be finite")
+        if not 0 < self.spacing < np.inf:
+            raise ConfigurationError("grid spacing must be positive and finite")
         cross = (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.spacing
         rng = self.center_range + (np.arange(self.rows) - (self.rows - 1) / 2.0) * self.spacing
         cc, rr = np.meshgrid(cross, rng)  # row-major: row index varies slowest
@@ -128,8 +130,8 @@ def build_linear_array(n: int, pitch: float) -> ArrayGeometry:
     """
     if n < 1:
         raise ConfigurationError("transducer count must be >= 1")
-    if not pitch > 0:
-        raise ConfigurationError("pitch must be positive")
+    if not 0 < pitch < np.inf:
+        raise ConfigurationError("pitch must be positive and finite")
     cross = (np.arange(n) - (n - 1) / 2.0) * pitch
     positions = np.column_stack([cross, np.zeros(n)])
     return ArrayGeometry(positions=positions)

@@ -101,6 +101,6 @@ def theorem1_margin(epsilon: float, m: int) -> float:
     """Signed exact-recovery margin ``1/2 - epsilon * m``; positive certifies."""
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError("coherence must lie in [0, 1]")
-    if m < 0:
-        raise DomainError("sparsity count must be nonnegative")
+    if not 0 <= m < np.inf:
+        raise DomainError("sparsity count must be nonnegative and finite")
     return 0.5 - epsilon * m

@@ -38,14 +38,9 @@ class ImagingResult:
 
 def select_rank(resp: ResponseMatrix, known_m: int | None = None) -> int:
     """Signal-space dimension M~ of ``resp``: ``known_m`` when given, else the
-    ``RANK_THRESHOLD`` rule on sigma_1.  A known rank outside ``[1, n]`` is
-    refused before any SVD; a valid one reads the top values only."""
-    if known_m is not None and not 1 <= known_m <= resp.n:
-        raise ConfigurationError(f"known rank {known_m} outside [1, {resp.n}]")
+    ``RANK_THRESHOLD`` rule on sigma_1.  A known rank reads the top values
+    only; ``resp.svd`` refuses one outside ``[1, n]`` and a zero response."""
     _, sv, _ = resp.svd(known_m)
-    if sv.size == 0 or sv[0] <= 0:
-        raise ConfigurationError("zero response matrix has no signal subspace" if sv.size
-                                 else "empty singular value list")
     if known_m is not None:
         return int(known_m)
     return int(np.sum(sv >= RANK_THRESHOLD * sv[0]))
@@ -76,7 +71,7 @@ def reflectivities_from_sources(sol, illuminations, sensing: SensingMatrix) -> I
     reflectivity = np.zeros(sensing.k, dtype=complex)
     reflectivity[support[lost]] = complex(np.nan, np.nan)
     reflectivity[support[~lost]] = quotients.sum(axis=1)[~lost] / count[~lost]
-    return ImagingResult(support=np.sort(support), reflectivity=reflectivity,
+    return ImagingResult(support=support, reflectivity=reflectivity,
                          image=np.abs(np.nan_to_num(reflectivity)),
                          diagnostics=_diagnostics(sol), screened=support[lost].tolist())
 
@@ -114,10 +109,10 @@ def image_mmv(data, illuminations, sensing: SensingMatrix,
 def optimal_illuminations(resp: ResponseMatrix, count: int) -> np.ndarray:
     """Top right singular vectors of the response matrix, as columns."""
     # the error's rank counts the top values alone: every later one is smaller
-    _, s, vh = resp.svd(count if count >= 1 else None)
-    if 1 <= count <= s.size and s[count - 1] > RANK_TOL * s[0]:
+    _, s, vh = resp.svd(count)
+    if s[count - 1] > RANK_TOL * s[0]:
         return vh.conj().T
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     raise ConfigurationError(
         f"requested {count} illuminations but numerical rank is {rank}")
 
@@ -130,12 +125,9 @@ def build_hybrid_system(resp: ResponseMatrix, sensing: SensingMatrix,
     is ``conj(g0*(y_j) U_i) * (g0^T(y_j) V_i)``, and the right side, the
     ``(M~,)`` vector of retained singular values.
     """
-    if not 1 <= m_tilde <= resp.n:
-        raise ConfigurationError(f"rank {m_tilde} outside [1, {resp.n}]")
     un, s, vh = resp.svd(m_tilde)
-    vn = vh.conj().T
     g = sensing.matrix
-    mat = (un.conj().T @ g) * (vn.T @ g)
+    mat = (un.conj().T @ g) * (vh.conj() @ g)
     return mat, s.astype(complex)
 
 
@@ -154,7 +146,7 @@ def image_hybrid_l1(resp: ResponseMatrix, sensing: SensingMatrix,
     support = sol.support
     reflectivity = np.zeros(sensing.k, dtype=complex)
     reflectivity[support] = sol.solution[support]
-    return ImagingResult(support=np.sort(support), reflectivity=reflectivity,
+    return ImagingResult(support=support, reflectivity=reflectivity,
                          image=np.abs(reflectivity),
                          diagnostics=_diagnostics(sol))
 
@@ -206,8 +198,6 @@ def image_music(resp: ResponseMatrix, sensing: SensingMatrix,
     Peaks are 4-neighbor local maxima above ``MUSIC_PEAK_FLOOR`` times the
     global maximum, separation-limited and capped at the signal rank.
     """
-    if not 1 <= m_tilde <= resp.n:
-        raise ConfigurationError(f"rank {m_tilde} outside [1, {resp.n}]")
     un, _, _ = resp.svd(m_tilde)
     norms = _noise_space_norms(un, sensing.matrix)
     return _peak_image(norms.min() / norms, sensing.window, m_tilde, MUSIC_PEAK_FLOOR)

@@ -45,11 +45,11 @@ class RandomMediumSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not self.correlation_length > 0:
-            raise ConfigurationError("correlation length must be positive")
-        if not self.sigma >= 0:
-            raise ConfigurationError("fluctuation strength must be nonnegative")
+        # written so that NaN and infinity fail every check
+        if not 0 < self.correlation_length < np.inf:
+            raise ConfigurationError("correlation length must be positive and finite")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigurationError("fluctuation strength must be nonnegative and finite")
         if self.kernel not in _KERNELS:
             raise ConfigurationError(
                 f"unsupported kernel {self.kernel!r}; use one of {sorted(_KERNELS)}")
@@ -149,8 +149,8 @@ def effective_aperture(spec: RandomMediumSpec, range_distance: float,
                        wavelength: float = 1.0) -> float:
     """Effective aperture a_e = sigma L sqrt(-1 - (2L / 3l) * integral(dR/dt / t)),
     the medium- and range-dependent length of the second-moment decay."""
-    if not range_distance > 0:
-        raise DomainError("range distance must be positive")
+    if not 0 < range_distance < np.inf:
+        raise DomainError("range distance must be positive and finite")
     i_r = autocorrelation_integral(spec.kernel)
     l = spec.correlation_length
     radicand = -1.0 - (2.0 * range_distance / (3.0 * l)) * i_r
@@ -444,6 +444,8 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
 def stability_bound(spec: RandomMediumSpec, aperture: float, range_distance: float,
                     separation: float, ctx: WaveContext) -> float:
     """Closed-form decay bound of the self-mode stability ratio."""
+    if not 0 < aperture < np.inf:
+        raise DomainError("aperture must be positive and finite")
     a_e = effective_aperture(spec, range_distance, wavelength=ctx.wavelength)
     kappa = ctx.wavenumber
     l = spec.correlation_length

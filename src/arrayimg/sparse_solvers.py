@@ -70,7 +70,7 @@ class SparseSolution:
     solution: np.ndarray
     iterations: int
     residual_norm: float
-    support: np.ndarray
+    support: np.ndarray  # ascending row indices
     converged: bool
     trace: list = field(default_factory=list)  # (iteration, objective, residual) per check
 
@@ -298,10 +298,10 @@ def brute_force_l0(a, b, max_support: int = 3, delta: float = 0.0):
 
 def theorem2_error_bound(delta: float, m: int, epsilon: float) -> float:
     """Stability bound delta / sqrt(1 - (M - 1) eps), also the detection floor."""
-    if not delta >= 0:
-        raise DomainError("delta must be nonnegative")
-    if not m >= 1:
-        raise DomainError("sparsity count must be >= 1")
+    if not 0 <= delta < np.inf:
+        raise DomainError("delta must be nonnegative and finite")
+    if not 1 <= m < np.inf:
+        raise DomainError("sparsity count must be finite and >= 1")
     if not 0 <= epsilon <= 1:
         raise DomainError("coherence must lie in [0, 1]")
     if (m - 1) * epsilon >= 1:

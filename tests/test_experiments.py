@@ -269,7 +269,7 @@ class TestRunTrial:
         scene = build_scene(small_cfg, seed=3)
         report, result = run_trial(scene, "music", seed=3)
         assert not report.support_exact
-        assert report.error == "ConfigurationError: known rank 9999 outside [1, 80]"
+        assert report.error == "ConfigurationError: rank 9999 outside [1, 80]"
         assert result is None
 
     def test_unknown_method_raises(self, small_cfg):

@@ -5,10 +5,12 @@ from arrayimg.errors import ConfigurationError, DomainError
 from arrayimg.experiments import add_noise
 from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
-from arrayimg.random_medium import RandomMediumSpec, effective_aperture
+from arrayimg.greens import theorem1_margin
+from arrayimg.random_medium import RandomMediumSpec, effective_aperture, stability_bound
 from arrayimg.sparse_solvers import theorem2_error_bound
 
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestWaveContext:
@@ -139,6 +141,11 @@ class TestPlaceScatterers:
             assert list(rho.support) == sorted(int(i) for i in idx)
 
 
+def stability_bound_at(aperture):
+    return stability_bound(RandomMediumSpec(20.0, 0.001), aperture, 1000.0, 10.0,
+                           WaveContext(1.0))
+
+
 @pytest.mark.parametrize("error, call", [
     (ConfigurationError, lambda: WaveContext(NAN)),
     (ConfigurationError, lambda: build_linear_array(3, NAN)),
@@ -151,12 +158,29 @@ class TestPlaceScatterers:
     (ConfigurationError, lambda: add_noise(np.ones((3, 3)), NAN)),
     (DomainError, lambda: effective_aperture(RandomMediumSpec(10.0, 0.1), NAN)),
     (DomainError, lambda: theorem2_error_bound(NAN, 3, 0.1)),
+    (ConfigurationError, lambda: WaveContext(INF)),
+    (ConfigurationError, lambda: build_linear_array(3, INF)),
+    (ConfigurationError, lambda: ImageWindow(NAN, 2, 2, 1.0)),
+    (ConfigurationError, lambda: ImageWindow(INF, 2, 2, 1.0)),
+    (ConfigurationError, lambda: ImageWindow(100.0, 2, 2, INF)),
+    (ConfigurationError, lambda: RandomMediumSpec(correlation_length=INF, sigma=0.001)),
+    (ConfigurationError, lambda: RandomMediumSpec(correlation_length=20.0, sigma=INF)),
+    (DomainError, lambda: theorem1_margin(0.5, NAN)),
+    (DomainError, lambda: theorem2_error_bound(INF, 3, 0.1)),
+    (DomainError, lambda: effective_aperture(RandomMediumSpec(10.0, 0.1), INF)),
+    (DomainError, lambda: stability_bound_at(0.0)),
+    (DomainError, lambda: stability_bound_at(-500.0)),
+    (DomainError, lambda: stability_bound_at(NAN)),
 ], ids=["wavelength", "pitch", "spacing", "correlation-length", "sigma",
         "lattice-zero", "lattice-negative", "lattice-nan", "noise", "aperture-range",
-        "bound-delta"])
+        "bound-delta", "wavelength-inf", "pitch-inf", "center-range-nan",
+        "center-range-inf", "spacing-inf", "correlation-length-inf", "sigma-inf",
+        "margin-count-nan", "bound-delta-inf", "aperture-range-inf",
+        "stability-aperture-zero", "stability-aperture-negative",
+        "stability-aperture-nan"])
 def test_nan_and_nonpositive_inputs_refused(error, call):
-    """A library caller's NaN, or a synthesis lattice spacing of zero or
-    less, is refused where it enters, not met later as a NaN result or a
-    division by zero."""
+    """A library caller's NaN or infinity, a synthesis lattice spacing of zero
+    or less, or a nonpositive aperture is refused where it enters, not met
+    later as a NaN or infinite result or a division by zero."""
     with pytest.raises(error):
         call()

@@ -85,7 +85,7 @@ class TestSelectRank:
     def test_known_rank_refused_before_svd(self, known_m):
         resp = diagonal_response(np.arange(30.0, 0.0, -1.0))
         with pytest.raises(ConfigurationError,
-                           match=rf"known rank {known_m} outside \[1, 30\]"):
+                           match=rf"^rank {known_m} outside \[1, 30\]$"):
             select_rank(resp, known_m=known_m)
         assert resp._svd is None
 
