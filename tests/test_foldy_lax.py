@@ -392,6 +392,16 @@ class TestTopSvd:
             resp.svd(k)
         assert resp._svd is None
 
+    @pytest.mark.parametrize("count, n, k", [(3, 60, -2), (0, 5, -7), (3, 60, -1)])
+    def test_negative_k_rejected(self, count, n, k):
+        # a negative rank and k = 0 are refused before any SVD, even for the
+        # zero matrix of an empty scene (count = 0)
+        resp = born_response(count, n=n)
+        for bad in (k, 0):
+            with pytest.raises(ConfigurationError, match=rf"^rank {bad} outside \[1, {n}\]$"):
+                resp.svd(bad)
+            assert resp._svd is None
+
     def test_zero_spectrum_refused(self):
         # every singular vector of a zero matrix is arbitrary, so no caller
         # gets one; the refusal stores nothing, so a second call raises too
