@@ -33,6 +33,21 @@ KERNELS = tuple(_KERNELS)
 # bilinear temporaries stay in cache, and a block always holds whole segments
 _BLOCK_NODES = 2 ** 15
 
+# The ray quadrature step, as a fraction of the correlation length l, and the
+# phase-error budget it is held to: sigma kappa |x - y| |nubar_step - nubar|
+# at most 1e-2 rad on the longest ray.  That is 1% of the medium's own RMS
+# phase (about 1 rad on fig89), so a Green's vector moves by at most about 1%.
+# The step is measured, not derived: the error does not fall steadily with
+# the step, since nodes in step with the bilinear cells alias with them.  On
+# fig89 (seeds 1-10, against a step of l / 80, default lattice l / 5) the
+# largest error at the 25l / 100l arrays reads 1.6e-3 / 5.9e-3 rad at l / 4,
+# 6.1e-3 / 2.5e-3 at l / 5 (the lattice spacing) and 2.6e-3 / 1.3e-2 at
+# l / 3, so l / 4 is the coarsest step that fits.  The error grows linearly
+# with sigma kappa |x - y|, so the budget holds at fig89's medium, not at
+# every sigma of the model's validity regime.
+_RAY_STEP_FRACTION = 0.25
+_PHASE_ERROR_BUDGET = 1e-2
+
 
 @dataclass(frozen=True)
 class RandomMediumSpec:
@@ -250,7 +265,8 @@ def _ray_frame(x, y, correlation_length: float):
     starts = np.atleast_2d(np.asarray(x, dtype=float))
     diffs = np.asarray(y, dtype=float)[None, :] - starts
     dists = np.linalg.norm(diffs, axis=1)
-    steps = max(1, int(np.ceil(dists.max() / (correlation_length / 10.0))))
+    step = correlation_length * _RAY_STEP_FRACTION
+    steps = max(1, int(np.ceil(dists.max() / step)))
     return starts, diffs, (np.arange(steps) + 0.5) / steps
 
 
@@ -277,9 +293,11 @@ def phase_line_integral(field: RandomFieldRealization, x, y):
     each start point in ``x`` (one per row) to the end point ``y``.
 
     All segments share one step count, set by the longest so that no spatial
-    step exceeds l / 10.  A single start point gives a float, an ``(n, 2)``
-    array of them an ``(n,)`` array.  The nodes are built and interpolated
-    whole segments at a time, about ``_BLOCK_NODES`` per block.
+    step exceeds ``_RAY_STEP_FRACTION`` l = l / 4, the step held to the
+    phase-error budget ``_PHASE_ERROR_BUDGET`` (1e-2 rad) on fig89's medium.
+    A single start point gives a float, an ``(n, 2)`` array of them an
+    ``(n,)`` array.  The nodes are built and interpolated whole segments at
+    a time, about ``_BLOCK_NODES`` per block.
     """
     starts, diffs, s = _ray_frame(x, y, field.spec.correlation_length)
     steps = len(s)
@@ -446,6 +464,8 @@ def stability_bound(spec: RandomMediumSpec, aperture: float, range_distance: flo
     """Closed-form decay bound of the self-mode stability ratio."""
     if not 0 < aperture < np.inf:
         raise DomainError("aperture must be positive and finite")
+    if not 0 <= separation < np.inf:
+        raise DomainError("separation must be nonnegative and finite")
     a_e = effective_aperture(spec, range_distance, wavelength=ctx.wavelength)
     kappa = ctx.wavenumber
     l = spec.correlation_length
@@ -457,6 +477,8 @@ def stability_bound(spec: RandomMediumSpec, aperture: float, range_distance: flo
 def paraxial_ratio(geom: ArrayGeometry, xi: float, eta: float, ctx: WaveContext,
                    spec: RandomMediumSpec, range_distance: float) -> float:
     """Closed-form paraxial prediction of the stability ratio at offsets (xi, eta)."""
+    if not (np.isfinite(xi) and np.isfinite(eta)):
+        raise DomainError("offsets must be finite")
     a = geom.aperture
     if a > range_distance / 5.0:
         raise DomainError("paraxial prediction requires aperture <= range / 5")

@@ -6,7 +6,8 @@ from arrayimg.experiments import add_noise
 from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import theorem1_margin
-from arrayimg.random_medium import RandomMediumSpec, effective_aperture, stability_bound
+from arrayimg.random_medium import (RandomMediumSpec, effective_aperture, paraxial_ratio,
+                                    stability_bound)
 from arrayimg.sparse_solvers import theorem2_error_bound
 
 NAN = float("nan")
@@ -141,9 +142,14 @@ class TestPlaceScatterers:
             assert list(rho.support) == sorted(int(i) for i in idx)
 
 
-def stability_bound_at(aperture):
-    return stability_bound(RandomMediumSpec(20.0, 0.001), aperture, 1000.0, 10.0,
+def stability_bound_at(aperture, separation=10.0):
+    return stability_bound(RandomMediumSpec(20.0, 0.001), aperture, 1000.0, separation,
                            WaveContext(1.0))
+
+
+def paraxial_ratio_at(xi, eta):
+    return paraxial_ratio(build_linear_array(11, 10.0), xi, eta, WaveContext(1.0),
+                          RandomMediumSpec(20.0, 0.001), 1000.0)
 
 
 @pytest.mark.parametrize("error, call", [
@@ -171,16 +177,26 @@ def stability_bound_at(aperture):
     (DomainError, lambda: stability_bound_at(0.0)),
     (DomainError, lambda: stability_bound_at(-500.0)),
     (DomainError, lambda: stability_bound_at(NAN)),
+    (DomainError, lambda: stability_bound_at(500.0, NAN)),
+    (DomainError, lambda: stability_bound_at(500.0, INF)),
+    (DomainError, lambda: stability_bound_at(500.0, -10.0)),
+    (DomainError, lambda: paraxial_ratio_at(NAN, 0.0)),
+    (DomainError, lambda: paraxial_ratio_at(0.0, NAN)),
+    (DomainError, lambda: paraxial_ratio_at(INF, 0.0)),
+    (DomainError, lambda: paraxial_ratio_at(0.0, -INF)),
 ], ids=["wavelength", "pitch", "spacing", "correlation-length", "sigma",
         "lattice-zero", "lattice-negative", "lattice-nan", "noise", "aperture-range",
         "bound-delta", "wavelength-inf", "pitch-inf", "center-range-nan",
         "center-range-inf", "spacing-inf", "correlation-length-inf", "sigma-inf",
         "margin-count-nan", "bound-delta-inf", "aperture-range-inf",
         "stability-aperture-zero", "stability-aperture-negative",
-        "stability-aperture-nan"])
+        "stability-aperture-nan", "stability-separation-nan",
+        "stability-separation-inf", "stability-separation-negative", "paraxial-xi-nan",
+        "paraxial-eta-nan", "paraxial-xi-inf", "paraxial-eta-inf"])
 def test_nan_and_nonpositive_inputs_refused(error, call):
     """A library caller's NaN or infinity, a synthesis lattice spacing of zero
-    or less, or a nonpositive aperture is refused where it enters, not met
-    later as a NaN or infinite result or a division by zero."""
+    or less, a nonpositive aperture or a negative separation is refused where
+    it enters, not met later as a NaN or infinite result or a division by
+    zero."""
     with pytest.raises(error):
         call()
