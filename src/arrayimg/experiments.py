@@ -44,8 +44,8 @@ def add_noise(data: np.ndarray, percent: float, seed: int = 0):
     """Add complex circular Gaussian noise E drawn from ``seed``; return
     ``(data + E, ||E||_F)`` with ``||E||_F`` exactly ``percent * ||data||_F``
     (``percent`` is a fraction, not a percentage)."""
-    if not percent >= 0:
-        raise ConfigurationError("noise percent must be nonnegative")
+    if not 0 <= percent < np.inf:
+        raise ConfigurationError("noise percent must be nonnegative and finite")
     data = np.asarray(data, dtype=complex)
     target = percent * np.linalg.norm(data)
     if target == 0.0:

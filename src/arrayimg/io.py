@@ -231,14 +231,6 @@ def write_monte_carlo_csv(path, rows) -> None:
                      f"{row['unconverged']},{row['errored']}\n")
 
 
-def write_stability_csv(path, rows) -> None:
-    """CSV of (aperture, ratio_estimate, std_error, closed_form_bound) rows."""
-    with open(path, "w") as fh:
-        fh.write("aperture,ratio_estimate,std_error,closed_form_bound\n")
-        for aperture, est, se, bound in rows:
-            fh.write(f"{aperture:.12g},{est:.12g},{se:.12g},{bound:.12g}\n")
-
-
 def write_trace_csv(path, trace) -> None:
     """Solver convergence trace: (iteration, objective, residual) rows."""
     with open(path, "w") as fh:

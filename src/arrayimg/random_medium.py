@@ -405,8 +405,8 @@ def estimate_second_moment(x, y1, y2, ctx: WaveContext, spec: RandomMediumSpec,
     Returns ``(ratio_estimate, standard_error)``; the normalizing homogeneous
     product has unit ratio in the absence of fluctuations.
     """
-    if realizations < 2:
-        raise ConfigurationError("need at least two realizations")
+    if not (isinstance(realizations, (int, np.integer)) and realizations >= 2):
+        raise ConfigurationError("need an integer count of at least two realizations")
     one = ArrayGeometry(positions=np.asarray(x, dtype=float)[None, :])
     pts = np.vstack([np.asarray(y1, float), np.asarray(y2, float)])
     region = region_for(np.vstack([one.positions, pts]), spec)
@@ -439,8 +439,8 @@ def estimate_stability_ratio(geom: ArrayGeometry, y1, y2, ctx: WaveContext,
     ``mixed`` mode uses the homogeneous vector on the left side.  Realization
     seeds derive from the master seed, so estimates are reproducible.
     """
-    if realizations < 100:
-        raise ConfigurationError("stability estimates need >= 100 realizations")
+    if not (isinstance(realizations, (int, np.integer)) and realizations >= 100):
+        raise ConfigurationError("stability estimates need an integer >= 100 realizations")
     if mode not in ("self", "mixed"):
         raise ConfigurationError("mode must be 'self' or 'mixed'")
     region = region_for(np.vstack([geom.positions, y1, y2]), spec)
@@ -472,24 +472,3 @@ def stability_bound(spec: RandomMediumSpec, aperture: float, range_distance: flo
     gauss = 1.0 - np.exp(-kappa ** 2 * a_e ** 2 * separation ** 2 / range_distance ** 2)
     return float(gauss * l ** 2 / (range_distance ** 2
                                    * np.log1p(aperture ** 2 / (4 * range_distance ** 2))))
-
-
-def paraxial_ratio(geom: ArrayGeometry, xi: float, eta: float, ctx: WaveContext,
-                   spec: RandomMediumSpec, range_distance: float) -> float:
-    """Closed-form paraxial prediction of the stability ratio at offsets (xi, eta)."""
-    if not (np.isfinite(xi) and np.isfinite(eta)):
-        raise DomainError("offsets must be finite")
-    a = geom.aperture
-    if a > range_distance / 5.0:
-        raise DomainError("paraxial prediction requires aperture <= range / 5")
-    a_e = effective_aperture(spec, range_distance, wavelength=ctx.wavelength)
-    kappa = ctx.wavenumber
-    l = spec.correlation_length
-    lam = ctx.wavelength
-    sep2 = xi ** 2 + eta ** 2
-    gauss = 1.0 - np.exp(-kappa ** 2 * a_e ** 2 * sep2 / range_distance ** 2)
-    sincs = (np.sinc(xi * a / (lam * range_distance))
-             * np.sinc(eta * a / (lam * range_distance))
-             * np.sinc(xi * l / (lam * range_distance))
-             * np.sinc(eta * l / (lam * range_distance)))
-    return float(256.0 * np.pi ** 2 * gauss * (l / a) ** 2 * sincs)

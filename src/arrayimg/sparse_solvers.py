@@ -21,11 +21,9 @@ case.  The scaled dual ``u = t lambda`` then becomes ``f u``, so the recurrence
 moves to ``V^H y - f (V^H y - V^H (y - u))``.  After ``PENALTY_CHANGES``
 changes ``t`` stays fixed, as ADMM's convergence with a varying penalty needs
 (He, Yang & Wang, *J. Optim. Theory Appl.* 106, 2000).
-``brute_force_l0`` is an independent enumeration oracle for small instances.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -55,12 +53,12 @@ class SolverParams:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.delta >= 0:
-            raise ConfigurationError("noise radius delta must be nonnegative")
-        if not self.max_iterations >= 1:
-            raise ConfigurationError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ConfigurationError("tolerance must be > 0")
+        if not 0 <= self.delta < np.inf:
+            raise ConfigurationError("noise radius delta must be nonnegative and finite")
+        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 1):
+            raise ConfigurationError("max_iterations must be an integer >= 1")
+        if not 0 < self.tolerance < np.inf:
+            raise ConfigurationError("tolerance must be positive and finite")
         if not 0 <= self.support_threshold < 1:
             raise ConfigurationError("support threshold must lie in [0, 1)")
 
@@ -260,40 +258,6 @@ def solve_l1_mmv(a, b, params: SolverParams | None = None) -> SparseSolution:
     if b.ndim != 2 or b.shape[1] < 1:
         raise ValueError("MMV data must be a matrix with >= 1 column")
     return _iterate(a, b, params or SolverParams())
-
-
-def brute_force_l0(a, b, max_support: int = 3, delta: float = 0.0):
-    """Exhaustive smallest-support least-squares oracle.
-
-    Enumerates every support of size 0..max_support, solves least squares on
-    each, and returns ``(support, coefficients)`` of the smallest feasible
-    support (ties broken by residual, then lexicographic support order).
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    k = a.shape[1]
-    if k > 24:
-        raise ConfigurationError("enumeration oracle limited to 24 columns")
-    if max_support > 3:
-        raise ConfigurationError("enumeration oracle limited to supports of size <= 3")
-    feas_tol = delta + 1e-10
-    for size in range(0, max_support + 1):
-        best = None
-        for supp in combinations(range(k), size):
-            if size == 0:
-                coef = np.zeros(0, dtype=complex)
-                resid = float(np.linalg.norm(b))
-            else:
-                sub = a[:, supp]
-                coef, _, _, _ = np.linalg.lstsq(sub, b, rcond=None)
-                resid = float(np.linalg.norm(sub @ coef - b))
-            if resid <= feas_tol and (best is None or resid < best[0]):
-                best = (resid, supp, coef)
-        if best is not None:
-            _, supp, coef = best
-            return np.array(supp, dtype=int), coef
-    raise DomainError(
-        f"no feasible support of size <= {max_support} at delta = {delta:g}")
 
 
 def theorem2_error_bound(delta: float, m: int, epsilon: float) -> float:

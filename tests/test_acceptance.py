@@ -22,10 +22,10 @@ from arrayimg.foldy_lax import (foldy_lax_matrix, multiple_scattering_ratio,
 from arrayimg.random_medium import (RandomMediumSpec, autocorrelation_integral,
                                     effective_aperture, estimate_second_moment,
                                     estimate_stability_ratio, stability_bound)
-from arrayimg.io import write_stability_csv
-from arrayimg.sparse_solvers import brute_force_l0, solve_l1_smv
+from arrayimg.sparse_solvers import solve_l1_smv
 from arrayimg.experiments import (build_scene, coherence_report,
                                   monte_carlo_stability, run_scenario, run_trial)
+from oracles import brute_force_l0, write_stability_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CTX = WaveContext(wavelength=1.0)

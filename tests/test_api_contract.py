@@ -38,7 +38,6 @@ def _public(module):
 # somewhere beyond its definition and the unit tests
 UNREFERENCED_PUBLIC = {
     "write_trace_csv": "writer of the solver trace that --trace will reach (ROADMAP item 8)",
-    "paraxial_ratio": "the paper's closed-form paraxial ratio, checked against Monte Carlo",
 }
 
 
@@ -59,6 +58,21 @@ def test_every_public_name_is_read_outside_unit_tests():
               for name in _public(importlib.import_module(f"arrayimg.{m.name}"))}
     assert set(UNREFERENCED_PUBLIC) <= public
     assert public - read == set(UNREFERENCED_PUBLIC)
+
+
+def _defined(source):
+    """Names of every function and class that ``source`` defines, at any depth."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_oracles_stay_out_of_the_package():
+    """The test-side reference code of ``tests/oracles.py`` has no second copy
+    in the package, so each check keeps one independent path to compare."""
+    oracles = _defined((ROOT / "tests" / "oracles.py").read_text())
+    assert oracles
+    for path in sorted((ROOT / "src" / "arrayimg").glob("*.py")):
+        assert not oracles & _defined(path.read_text()), path.name
 
 
 def _fresh_modules(statement, prefixes):

@@ -6,9 +6,11 @@ from arrayimg.experiments import add_noise
 from arrayimg.geometry import (ImageWindow, WaveContext,
                                build_linear_array, place_scatterers)
 from arrayimg.greens import theorem1_margin
-from arrayimg.random_medium import (RandomMediumSpec, effective_aperture, paraxial_ratio,
+from arrayimg.random_medium import (RandomMediumSpec, effective_aperture,
+                                    estimate_second_moment, estimate_stability_ratio,
                                     stability_bound)
-from arrayimg.sparse_solvers import theorem2_error_bound
+from arrayimg.sparse_solvers import SolverParams, theorem2_error_bound
+from oracles import paraxial_ratio
 
 NAN = float("nan")
 INF = float("inf")
@@ -152,6 +154,17 @@ def paraxial_ratio_at(xi, eta):
                           RandomMediumSpec(20.0, 0.001), 1000.0)
 
 
+def second_moment_with(realizations):
+    return estimate_second_moment([0.0, 0.0], [0.0, 100.0], [3.0, 100.0], WaveContext(1.0),
+                                  RandomMediumSpec(20.0, 0.001), realizations=realizations)
+
+
+def stability_ratio_with(realizations):
+    return estimate_stability_ratio(build_linear_array(11, 10.0), [0.0, 1000.0],
+                                    [5.0, 1000.0], WaveContext(1.0),
+                                    RandomMediumSpec(20.0, 0.001), realizations=realizations)
+
+
 @pytest.mark.parametrize("error, call", [
     (ConfigurationError, lambda: WaveContext(NAN)),
     (ConfigurationError, lambda: build_linear_array(3, NAN)),
@@ -184,6 +197,14 @@ def paraxial_ratio_at(xi, eta):
     (DomainError, lambda: paraxial_ratio_at(0.0, NAN)),
     (DomainError, lambda: paraxial_ratio_at(INF, 0.0)),
     (DomainError, lambda: paraxial_ratio_at(0.0, -INF)),
+    (ConfigurationError, lambda: SolverParams(delta=INF)),
+    (ConfigurationError, lambda: SolverParams(tolerance=INF)),
+    (ConfigurationError, lambda: SolverParams(max_iterations=INF)),
+    (ConfigurationError, lambda: SolverParams(max_iterations=2.5)),
+    (ConfigurationError, lambda: add_noise(np.ones((3, 3)), INF)),
+    (ConfigurationError, lambda: second_moment_with(2.5)),
+    (ConfigurationError, lambda: second_moment_with(INF)),
+    (ConfigurationError, lambda: stability_ratio_with(250.0)),
 ], ids=["wavelength", "pitch", "spacing", "correlation-length", "sigma",
         "lattice-zero", "lattice-negative", "lattice-nan", "noise", "aperture-range",
         "bound-delta", "wavelength-inf", "pitch-inf", "center-range-nan",
@@ -192,11 +213,14 @@ def paraxial_ratio_at(xi, eta):
         "stability-aperture-zero", "stability-aperture-negative",
         "stability-aperture-nan", "stability-separation-nan",
         "stability-separation-inf", "stability-separation-negative", "paraxial-xi-nan",
-        "paraxial-eta-nan", "paraxial-xi-inf", "paraxial-eta-inf"])
+        "paraxial-eta-nan", "paraxial-xi-inf", "paraxial-eta-inf", "solver-delta-inf",
+        "solver-tolerance-inf", "solver-iterations-inf", "solver-iterations-float",
+        "noise-inf", "second-moment-realizations-float", "second-moment-realizations-inf",
+        "stability-realizations-float"])
 def test_nan_and_nonpositive_inputs_refused(error, call):
     """A library caller's NaN or infinity, a synthesis lattice spacing of zero
-    or less, a nonpositive aperture or a negative separation is refused where
-    it enters, not met later as a NaN or infinite result or a division by
-    zero."""
+    or less, a nonpositive aperture, a negative separation or a count that is
+    not an integer is refused where it enters, not met later as a NaN or
+    infinite result, a division by zero or a ``TypeError``."""
     with pytest.raises(error):
         call()

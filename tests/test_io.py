@@ -16,8 +16,9 @@ from arrayimg.io import (_BLOCK_ROWS, _format_rows, run_directory, save_response
                          write_certificates_csv,
                          write_coherence_report,
                          write_image_csv, write_monte_carlo_csv, write_pgm,
-                         write_report_csv, write_stability_csv,
-                         write_support_csv, write_timings_csv, write_trace_csv)
+                         write_report_csv, write_support_csv, write_timings_csv,
+                         write_trace_csv)
+from oracles import write_stability_csv
 
 NAN = float("nan")
 INF = float("inf")

@@ -23,11 +23,11 @@ from arrayimg.random_medium import (_KERNELS, RandomMediumSpec,
                                     autocorrelation_integral, effective_aperture,
                                     estimate_second_moment,
                                     estimate_stability_ratio,
-                                    paraxial_ratio, phase_line_integral,
+                                    phase_line_integral,
                                     random_green_vector, region_for,
                                     response_matrix_random, sample_field,
                                     stability_bound)
-from arrayimg.io import write_stability_csv
+from oracles import paraxial_ratio, write_stability_csv
 
 CTX = WaveContext(wavelength=1.0)
 L_CORR = 20.0
@@ -499,7 +499,9 @@ def _reference_field(spec, region, seed, half=0):
 
 def _reference_green_random(field, x, y, ctx):
     base = green(x, y, ctx)[0, 0]
-    dist = float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
+    # a row norm, as the package takes |x - y| for any number of transducers;
+    # the 1-D norm of y - x can round to a different last bit
+    dist = float(np.linalg.norm(np.asarray(y, float)[None, :] - np.atleast_2d(x), axis=1)[0])
     nu = _reference_phase_line_integral(field, x, y)
     return base * np.exp(1j * field.spec.sigma * ctx.wavenumber * dist * nu)
 
@@ -658,6 +660,9 @@ class TestMatchesReference:
     @given(kernel=KERNELS, seed=st.integers(0, 2 ** 16),
            x=st.tuples(COORD, COORD), offset=st.floats(0.5, 15.0),
            realizations=st.integers(2, 20))
+    # here |y2 - x| rounds to a different last bit as a 1-D norm and as a row norm
+    @example(kernel="gaussian", seed=0, x=(0.0, 48.845356515121054),
+             offset=1.8137014317669395, realizations=2)
     def test_second_moment(self, kernel, seed, x, offset, realizations):
         spec = _spec(kernel)
         y1, y2 = [x[0], x[1] + 80.0], [x[0] + offset, x[1] + 80.0]

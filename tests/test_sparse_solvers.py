@@ -9,9 +9,9 @@ from arrayimg.errors import ConfigurationError, DomainError
 from arrayimg.sparse_solvers import (BALANCE_RATIO, FEASIBILITY_SLACK, PENALTY_CHANGES,
                                      PENALTY_STEP, RANK_TOL, SolverParams,
                                      SparseSolution, _BallProjection, _shrink,
-                                     brute_force_l0, solve_l1_mmv,
-                                     solve_l1_smv, theorem2_error_bound)
+                                     solve_l1_mmv, solve_l1_smv, theorem2_error_bound)
 from arrayimg.io import write_trace_csv
+from oracles import brute_force_l0
 
 
 def random_unit_columns(rng, n, k):
